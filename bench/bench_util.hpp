@@ -49,7 +49,7 @@ template <typename Result, typename Fn>
 /// Prometheus exposition at destruction.  With neither flag registry() is
 /// null and the run is telemetry-free, exactly as before.  Pass registry()
 /// as the `obs` argument of run_scenario; runs must be sequential (the
-/// registry is not thread-safe — do not share it across run_parallel jobs).
+/// registry is not thread-safe — do not share it across sweep_indexed cells).
 class Observability {
  public:
   explicit Observability(const common::Flags& flags)

@@ -4,9 +4,8 @@
 // count.  Also prints the per-group speedups the paper quotes (1.64x/1.38x
 // for one-operator apps, 2.67x/1.81x for two operators, 2.2x/1.6x Yahoo).
 //
-//   ./fig5_convergence [--slots 30] [--seed 42] [--seeds 5]
+//   ./fig5_convergence [--slots 30] [--seed 42] [--seeds 5] [--threads N]
 #include <cmath>
-#include <functional>
 
 #include "bench_util.hpp"
 #include "common/stats.hpp"
@@ -17,6 +16,7 @@ int main(int argc, char** argv) {
   const auto slots = static_cast<std::size_t>(flags.get("slots", std::int64_t{30}));
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{42}));
   const auto num_seeds = static_cast<std::size_t>(flags.get("seeds", std::int64_t{5}));
+  bench::configure_threads(flags);
 
   bench::print_header("Figure 5: convergence time across 11 workloads", seed);
   std::printf("mean over %zu seeds; non-converged runs are censored at the horizon\n\n",
@@ -44,33 +44,33 @@ int main(int argc, char** argv) {
   }
   apps.push_back({workloads::yahoo(), true, "Yahoo"});
 
-  // Fan out the 11 x 3 x seeds independent simulations across threads.
-  std::vector<std::function<experiments::RunResult()>> jobs;
-  std::vector<std::pair<std::string, std::size_t>> meta;  // label, operators
-  for (const auto& app : apps) {
-    for (const auto& scheme : bench::scheme_names()) {
-      meta.emplace_back(app.label, app.spec.operator_count());
-      for (std::size_t s = 0; s < num_seeds; ++s) {
-        jobs.push_back([&app, scheme, slots, seed, s]() {
-          streamsim::Engine engine =
-              app.spec.make_engine(app.high, streamsim::EngineOptions{}, seed + 1000 * s);
-          auto controller = bench::make_scheme(scheme, online::Budget::unlimited(0.10));
-          experiments::ScenarioOptions options;
-          options.slots = slots;
-          return experiments::run_scenario(engine, *controller, options, app.label);
-        });
-      }
-    }
-  }
-  const auto runs = experiments::run_parallel(std::move(jobs));
-  for (std::size_t i = 0; i < meta.size(); ++i) {
+  // The 11 x 3 x seeds independent simulations, one sweep cell each.
+  struct Arm {
+    const App* app;
+    std::string scheme;
+  };
+  std::vector<Arm> arms;
+  for (const auto& app : apps)
+    for (const auto& scheme : bench::scheme_names()) arms.push_back({&app, scheme});
+  const auto runs =
+      bench::sweep_indexed<experiments::RunResult>(arms.size() * num_seeds, [&](std::size_t i) {
+        const Arm& arm = arms[i / num_seeds];
+        const std::size_t s = i % num_seeds;
+        streamsim::Engine engine =
+            arm.app->spec.make_engine(arm.app->high, streamsim::EngineOptions{}, seed + 1000 * s);
+        auto controller = bench::make_scheme(arm.scheme, online::Budget::unlimited(0.10));
+        experiments::ScenarioOptions options;
+        options.slots = slots;
+        return experiments::run_scenario(engine, *controller, options, arm.app->label);
+      });
+  for (std::size_t i = 0; i < arms.size(); ++i) {
     common::RunningStats stats;
     for (std::size_t s = 0; s < num_seeds; ++s) {
       const auto& run = runs[i * num_seeds + s];
       const auto minutes = experiments::convergence_minutes(run.slots, 0, slots, 10.0);
       stats.add(minutes.value_or(static_cast<double>(slots) * 10.0));  // censored
     }
-    cells.push_back({meta[i].first, meta[i].second,
+    cells.push_back({arms[i].app->label, arms[i].app->spec.operator_count(),
                      runs[i * num_seeds].controller, stats.mean()});
   }
 

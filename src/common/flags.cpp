@@ -1,8 +1,30 @@
 #include "common/flags.hpp"
 
-#include <cstdlib>
+#include <charconv>
+
+#include "common/error.hpp"
 
 namespace dragster::common {
+
+namespace {
+
+const std::string& required(const std::string& name, const std::optional<std::string>& value) {
+  DRAGSTER_REQUIRE(value.has_value(), "flag --" + name + " needs a value");
+  return *value;
+}
+
+template <typename Number>
+Number to_number(const std::string& name, const std::optional<std::string>& value) {
+  const std::string& text = required(name, value);
+  Number number{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, number);
+  DRAGSTER_REQUIRE(!text.empty() && stop == end && error == std::errc(),
+                   "flag --" + name + " needs a number, got '" + text + "'");
+  return number;
+}
+
+}  // namespace
 
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -18,39 +40,39 @@ Flags::Flags(int argc, const char* const* argv) {
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       values_[arg] = argv[++i];
     } else {
-      values_[arg] = "true";
+      values_[arg] = std::nullopt;
     }
   }
 }
 
-bool Flags::has(const std::string& name) const {
-  queried_[name] = true;
-  return values_.count(name) != 0;
-}
-
-std::string Flags::get(const std::string& name, const std::string& fallback) const {
+const std::optional<std::string>* Flags::find(const std::string& name) const {
   queried_[name] = true;
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+bool Flags::has(const std::string& name) const { return find(name) != nullptr; }
+
+std::string Flags::get(const std::string& name, const std::string& fallback) const {
+  const auto* value = find(name);
+  return value == nullptr ? fallback : required(name, *value);
 }
 
 double Flags::get(const std::string& name, double fallback) const {
-  queried_[name] = true;
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  const auto* value = find(name);
+  return value == nullptr ? fallback : to_number<double>(name, *value);
 }
 
 std::int64_t Flags::get(const std::string& name, std::int64_t fallback) const {
-  queried_[name] = true;
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  const auto* value = find(name);
+  return value == nullptr ? fallback : to_number<std::int64_t>(name, *value);
 }
 
 bool Flags::get(const std::string& name, bool fallback) const {
-  queried_[name] = true;
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return it->second != "false" && it->second != "0" && it->second != "no";
+  const auto* value = find(name);
+  if (value == nullptr) return fallback;
+  if (!value->has_value()) return true;  // bare `--name`
+  return **value != "false" && **value != "0" && **value != "no";
 }
 
 std::vector<std::string> Flags::unused() const {

@@ -1,12 +1,16 @@
 // Tiny command-line flag parser used by bench and example binaries.
 //
-// Supports `--name=value`, `--name value` and boolean `--name`.  Unknown
-// flags are collected so binaries can warn instead of silently ignoring
-// typos.  Deliberately dependency-free.
+// Supports `--name=value`, `--name value` and boolean `--name`.  The typed
+// getters are strict: a number must be the whole value, and a string or
+// number flag given without a value throws dragster::Error naming the flag
+// (a bare `--json` must not write a file named "true").  Unknown flags are
+// collected so binaries can warn instead of silently ignoring typos.
+// Deliberately dependency-free.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +33,10 @@ class Flags {
   [[nodiscard]] std::vector<std::string> unused() const;
 
  private:
-  std::map<std::string, std::string> values_;
+  /// The flag's value (nullopt for a bare `--name`), or null when absent.
+  [[nodiscard]] const std::optional<std::string>* find(const std::string& name) const;
+
+  std::map<std::string, std::optional<std::string>> values_;
   mutable std::map<std::string, bool> queried_;
   std::vector<std::string> positional_;
 };

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "parallel/task_pool.hpp"
 #include "transport/transport.hpp"
 
 namespace dragster::experiments {
@@ -280,13 +279,6 @@ PhaseStats analyze_phase(const RunResult& run, std::size_t from, std::size_t to,
   stats.cost_per_billion = stats.tuples > 0.0 ? stats.cost / (stats.tuples / 1e9) : 0.0;
   stats.avg_rate = seconds > 0.0 ? stats.tuples / seconds : 0.0;
   return stats;
-}
-
-std::vector<RunResult> run_parallel(std::vector<std::function<RunResult()>> jobs) {
-  // Transient pool, one lane per core: each job commits to its own indexed
-  // slot, so the output order never depends on completion order.
-  parallel::TaskPool pool(parallel::TaskPool::hardware_threads(jobs.size()));
-  return pool.map<RunResult>(jobs.size(), [&](std::size_t i) { return jobs[i](); });
 }
 
 }  // namespace dragster::experiments

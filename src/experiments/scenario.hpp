@@ -4,7 +4,6 @@
 // report.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -193,10 +192,5 @@ struct PhaseStats {
 /// Aggregates one [from, to) window of a run — a row of the paper's Table 2.
 [[nodiscard]] PhaseStats analyze_phase(const RunResult& run, std::size_t from, std::size_t to,
                                        double slot_minutes);
-
-/// Runs independent scenarios concurrently (one thread per hardware core)
-/// and returns results in input order.  Each job must be self-contained.
-[[nodiscard]] std::vector<RunResult> run_parallel(
-    std::vector<std::function<RunResult()>> jobs);
 
 }  // namespace dragster::experiments

@@ -4,12 +4,10 @@
 // Flink-on-Kubernetes deployments additionally see pod crashes, straggler
 // tasks, failed checkpoints, and metric outages.  A FaultPlan is an ordered
 // list of such events on the controller-slot timeline, parsed from a compact
-// spec string so bench/example binaries can take chaos scenarios from flags:
-//
-//   spec   := event (';' event)*
-//   event  := kind '@' slot ['+' duration] ['*' value] [':' operator]
-//   kind   := 'crash' | 'straggler' | 'ckptfail' | 'dropout' | 'ctrlcrash'
-//          | 'schedfail' | 'scheddelay'
+// spec string so bench/example binaries can take chaos scenarios from flags.
+// The spec syntax, its lexing and printing rules and the plan invariants are
+// the shared grammar of spec_grammar.hpp; here the ':target' names an
+// operator and the kinds are
 //
 //   crash@20:shuffle_count          one pod of shuffle_count dies at slot 20
 //   crash@20*2:shuffle_count        two pods die at once
@@ -57,7 +55,7 @@ struct FaultEvent {
   /// Checkpoint failure: number of failed attempts before success (>= 1).
   /// Scheduler delay: latency multiplier (> 1).
   double value = 0.0;
-  std::string op;                  ///< operator name; empty for ckptfail
+  std::string op;                  ///< operator name; empty for the job-wide kinds
 
   [[nodiscard]] std::string to_string() const;
 };
@@ -65,11 +63,13 @@ struct FaultEvent {
 class FaultPlan {
  public:
   FaultPlan() = default;
+  /// Applies the kind rules parse() applies; throws dragster::Error on an
+  /// event whose spec would not parse.
   explicit FaultPlan(std::vector<FaultEvent> events);
 
-  /// Parses the spec grammar above; throws dragster::Error (with the
-  /// offending token quoted) on malformed events, unknown kinds, non-integer
-  /// slots/durations, or out-of-range values.
+  /// Parses a spec; throws dragster::Error (with the offending token quoted)
+  /// on malformed events, unknown kinds, non-integer slots/durations, or
+  /// out-of-range values.
   [[nodiscard]] static FaultPlan parse(const std::string& spec);
 
   /// Randomized chaos: each slot in [warmup, horizon) draws each fault kind

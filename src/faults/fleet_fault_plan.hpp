@@ -5,12 +5,8 @@
 // the correlated-failure regime that actually stresses a fleet: a whole node
 // dying takes pods from many jobs in the same slot.  A FleetFaultPlan is the
 // cluster-side counterpart, consumed by fleet::FleetScheduler against the
-// shared ledger's fault-domain model:
-//
-//   spec   := event (';' event)*
-//   event  := kind '@' slot ['+' duration] ['*' value] [':' job]
-//   kind   := 'nodecrash' | 'nodedrain' | 'budgetcut' | 'jobcrash'
-//           | 'netpart' | 'netdrop' | 'netdelay'
+// shared ledger's fault-domain model.  It uses the same grammar
+// (spec_grammar.hpp) with its own kinds; here the ':target' names a job:
 //
 //   nodecrash@6          the most-loaded node dies at slot 6 (permanent)
 //   nodecrash@6*2        two nodes die at once (correlated rack loss)
@@ -87,11 +83,13 @@ struct AppliedFleetFault {
 class FleetFaultPlan {
  public:
   FleetFaultPlan() = default;
+  /// Applies the kind rules parse() applies; throws dragster::Error on an
+  /// event whose spec would not parse.
   explicit FleetFaultPlan(std::vector<FleetFaultEvent> events);
 
-  /// Parses the spec grammar above; throws dragster::Error (offending token
-  /// quoted) on malformed events, unknown kinds, non-integer slots/counts,
-  /// or out-of-range values.
+  /// Parses a spec; throws dragster::Error (offending token quoted) on
+  /// malformed events, unknown kinds, non-integer slots/counts, or
+  /// out-of-range values.
   [[nodiscard]] static FleetFaultPlan parse(const std::string& spec);
 
   /// Randomized fleet chaos: each slot in [warmup, horizon) draws each kind

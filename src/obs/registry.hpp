@@ -13,7 +13,7 @@
 // state — the bench-smoke CI job parses it alongside the BENCH_*.json files.
 //
 // Not thread-safe by design: the simulator is single-threaded per run, and
-// run_parallel gives each concurrent run its own registry (or none).
+// each concurrent bench::sweep_indexed cell gets its own registry (or none).
 #pragma once
 
 #include <map>

@@ -67,7 +67,7 @@ class TaskPool {
   static void set_global_threads(std::size_t threads);
 
   /// min(hardware concurrency, cap), at least 1 — for transient pools whose
-  /// callers want "one lane per core" (experiments::run_parallel).
+  /// callers want "one lane per core" (micro_kernels' fan-out timing).
   [[nodiscard]] static std::size_t hardware_threads(std::size_t cap);
 
  private:

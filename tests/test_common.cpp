@@ -220,5 +220,42 @@ TEST(Flags, FallbacksWhenMissing) {
   EXPECT_FALSE(flags.has("missing"));
 }
 
+TEST(Flags, MalformedNumbersThrowNamingTheFlag) {
+  auto expect_error = [](const std::string& value, auto fallback) {
+    SCOPED_TRACE(value);
+    const std::string arg = "--slots=" + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    const Flags flags(2, argv);
+    try {
+      (void)flags.get("slots", fallback);
+      FAIL() << "expected dragster::Error";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find("--slots"), std::string::npos) << error.what();
+    }
+  };
+  // `--slots abc` used to read as 0 slots.
+  expect_error("abc", std::int64_t{60});
+  expect_error("abc", 0.0);
+  expect_error("1.5x", 0.0);
+  expect_error("2.5", std::int64_t{1});
+  expect_error("+3", std::int64_t{1});
+  expect_error("99999999999999999999", std::int64_t{1});
+  expect_error("", std::int64_t{1});
+}
+
+TEST(Flags, ValuelessFlagIsOnlyABool) {
+  const char* argv[] = {"prog", "--verbose", "--json", "--slots"};
+  Flags flags(4, argv);
+  EXPECT_TRUE(flags.get("verbose", false));
+  EXPECT_TRUE(flags.has("json"));
+  // A bare --json used to read as the string "true" and name the output file.
+  EXPECT_THROW((void)flags.get("json", std::string("out.json")), Error);
+  EXPECT_THROW((void)flags.get("slots", std::int64_t{60}), Error);
+  EXPECT_THROW((void)flags.get("slots", 1.0), Error);
+  // An explicit empty value is still a value.
+  const char* empty[] = {"prog", "--csv="};
+  EXPECT_EQ(Flags(2, empty).get("csv", std::string("x.csv")), "");
+}
+
 }  // namespace
 }  // namespace dragster::common

@@ -165,6 +165,37 @@ TEST(FaultPlan, RejectsDuplicateEvents) {
   EXPECT_EQ(FaultPlan::parse("dropout@3+1:w;dropout@3+1:v").size(), 2u);
 }
 
+TEST(FaultPlan, ConstructorAppliesTheParserRules) {
+  // Each of these used to construct, then print a spec parse() rejects: half
+  // a pod, windows on instantaneous kinds, a fractional retry count, a value
+  // on a value-less kind, a target that splits the spec, and numbers past the
+  // lexer's limit.
+  EXPECT_THROW(FaultPlan({{FaultKind::kPodCrash, 3, 1, 1.5, "w"}}), Error);
+  EXPECT_THROW(FaultPlan({{FaultKind::kPodCrash, 3, 2, 1.0, "w"}}), Error);
+  EXPECT_THROW(FaultPlan({{FaultKind::kCheckpointFailure, 3, 2, 1.0, ""}}), Error);
+  EXPECT_THROW(FaultPlan({{FaultKind::kCheckpointFailure, 3, 1, 2.5, ""}}), Error);
+  EXPECT_THROW(FaultPlan({{FaultKind::kMetricDropout, 3, 1, 2.0, "w"}}), Error);
+  EXPECT_THROW(FaultPlan({{FaultKind::kPodCrash, 3, 1, 1.0, "a;b"}}), Error);
+  EXPECT_THROW(FaultPlan({{FaultKind::kPodCrash, 1000000000, 1, 1.0, "w"}}), Error);
+  EXPECT_THROW(FaultPlan({{FaultKind::kSchedulerDelay, 3, 1, 1e12, ""}}), Error);
+  // ckptfail is job-wide: a target would be silently ignored by the injector.
+  EXPECT_THROW((void)FaultPlan::parse("ckptfail@3:w"), Error);
+  EXPECT_THROW(FaultPlan({{FaultKind::kCheckpointFailure, 3, 1, 1.0, "w"}}), Error);
+}
+
+TEST(FaultPlan, PrintsValuesThatReadBackExactly) {
+  // %g printed "1e+06" and "1e-05", which the lexer rejects.
+  const FaultPlan plan({{FaultKind::kCheckpointFailure, 3, 1, 1e6, ""},
+                        {FaultKind::kStraggler, 3, 1, 1e-5, "w"}});
+  EXPECT_EQ(plan.to_string(), "ckptfail@3*1000000;straggler@3*0.00001:w");
+  const FaultPlan again = FaultPlan::parse(plan.to_string());
+  ASSERT_EQ(again.size(), 2u);
+  EXPECT_EQ(again.events()[0].value, 1e6);
+  EXPECT_EQ(again.events()[1].value, 1e-5);
+  // Every digit the double needs survives.
+  EXPECT_EQ(FaultPlan::parse("straggler@3*0.33333333:w").to_string(), "straggler@3*0.33333333:w");
+}
+
 TEST(FaultInjector, WindowPastEndOfRunIsClippedNotFatal) {
   // A duration reaching past the horizon parses (the plan does not know the
   // run length) and simply stays open until the run ends.
@@ -603,6 +634,30 @@ TEST(FleetFaultPlan, RejectsMalformedSpecs) {
                std::invalid_argument);  // repeated modifier
   EXPECT_THROW(FleetFaultPlan::parse("nodecrash@4;nodecrash@4"),
                std::invalid_argument);  // duplicate (kind, slot, job)
+}
+
+TEST(FleetFaultPlan, ConstructorAppliesTheParserRules) {
+  EXPECT_THROW(FleetFaultPlan({{FleetFaultKind::kNodeCrash, 5, 3, 1.0, ""}}), Error);
+  EXPECT_THROW(FleetFaultPlan({{FleetFaultKind::kJobCrash, 5, 1, 0.0, "a;b"}}), Error);
+  EXPECT_THROW(FleetFaultPlan({{FleetFaultKind::kNetPartition, 5, 2, 0.5, ""}}), Error);
+  EXPECT_THROW(FleetFaultPlan({{FleetFaultKind::kNetDelay, 5, 2, 2.5, ""}}), Error);
+  // The value-absent sentinel still means one node.
+  EXPECT_EQ(FleetFaultPlan({{FleetFaultKind::kNodeDrain, 5, 2, 0.0, ""}}).to_string(),
+            "nodedrain@5+2");
+}
+
+TEST(FleetFaultPlan, PrintsValuesThatReadBackExactly) {
+  // %g cut 0.33333333 to 0.333333, so a sampled cut fraction ran shortened.
+  EXPECT_EQ(FleetFaultPlan::parse("budgetcut@3+2*0.33333333").to_string(),
+            "budgetcut@3+2*0.33333333");
+  FleetFaultPlan::SampleOptions options;
+  options.budgetcut_prob = 1.0;
+  options.nodedrain_prob = 0.0;
+  options.cut_fraction = 0.1 + 0.2;
+  common::Rng rng(3);
+  const FleetFaultPlan plan = FleetFaultPlan::sample(rng, options);
+  ASSERT_FALSE(plan.empty());
+  EXPECT_EQ(FleetFaultPlan::parse(plan.to_string()).events()[0].value, 0.1 + 0.2);
 }
 
 TEST(FleetFaultPlan, ParsesNetKindsAndRoundTrips) {

@@ -297,6 +297,32 @@ TEST(ThreadInvariance, TracedFleetRunsPinSerialAndStayByteIdentical) {
   EXPECT_EQ(bits(serial.second), bits(parallel_run.second));
 }
 
+TEST(ThreadInvariance, SweepIndexedScenariosMatchSequentialRuns) {
+  // Each cell owns its engine and controller, so fanned-out real scenarios
+  // give the bits of the plain loop.
+  GlobalThreadsGuard guard;
+  auto run = [](std::size_t cell) {
+    const workloads::WorkloadSpec spec = workloads::group();
+    streamsim::EngineOptions fast;
+    fast.slot_duration_s = 120.0;
+    fast.checkpoint_pause_s = 10.0;
+    fast.sample_interval_s = 30.0;
+    streamsim::Engine engine = spec.make_engine(true, fast, 9 + cell % 2);
+    core::DragsterController controller{core::DragsterOptions{}};
+    experiments::ScenarioOptions options;
+    options.slots = 4;
+    return experiments::run_scenario(engine, controller, options, spec.name);
+  };
+  const std::vector<experiments::RunResult> sequential = {run(0), run(1), run(2)};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    parallel::TaskPool::set_global_threads(threads);
+    const auto swept = bench::sweep_indexed<experiments::RunResult>(3, run);
+    ASSERT_EQ(swept.size(), sequential.size());
+    for (std::size_t i = 0; i < swept.size(); ++i) expect_run_identical(sequential[i], swept[i]);
+  }
+}
+
 TEST(ThreadInvariance, SweepIndexedAggregateJsonBytesAreThreadInvariant) {
   // Regression for the bench_util seed-loop ordering hazard: cells commit to
   // index-addressed slots and the aggregate JSON is folded from the committed

@@ -139,38 +139,5 @@ TEST(PhaseStats, EmptyPhaseIsZero) {
   EXPECT_FALSE(stats.convergence_min.has_value());
 }
 
-TEST(RunParallel, PreservesOrderAndResults) {
-  std::vector<std::function<RunResult()>> jobs;
-  for (int i = 0; i < 4; ++i) {
-    jobs.push_back([i]() {
-      RunResult r;
-      r.controller = "job" + std::to_string(i);
-      r.total_tuples = static_cast<double>(i);
-      return r;
-    });
-  }
-  const auto results = run_parallel(std::move(jobs));
-  ASSERT_EQ(results.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(results[i].controller, "job" + std::to_string(i));
-    EXPECT_DOUBLE_EQ(results[i].total_tuples, static_cast<double>(i));
-  }
-}
-
-TEST(RunParallel, RealScenariosMatchSequentialRuns) {
-  auto job = []() {
-    const auto spec = workloads::group();
-    streamsim::Engine engine = spec.make_engine(true, fast(), 9);
-    core::DragsterController controller{core::DragsterOptions{}};
-    ScenarioOptions options;
-    options.slots = 4;
-    return run_scenario(engine, controller, options, spec.name);
-  };
-  const RunResult sequential = job();
-  const auto parallel = run_parallel({job, job});
-  EXPECT_DOUBLE_EQ(parallel[0].total_tuples, sequential.total_tuples);
-  EXPECT_DOUBLE_EQ(parallel[1].total_tuples, sequential.total_tuples);
-}
-
 }  // namespace
 }  // namespace dragster::experiments
