@@ -1,4 +1,4 @@
-// Sensitivity and design-choice ablations on WordCount (high rate):
+// Parameter and design-choice ablations on WordCount (high rate):
 //   * UCB exploration weight beta (scaled 0.1x / 1x / 3x),
 //   * dual step gamma0,
 //   * cloud-noise level sigma,

@@ -1,12 +1,19 @@
 #include "dag/flow_solver.hpp"
 
-#include <cmath>
-#include <limits>
+#include <algorithm>
 
-#include "autodiff/tape.hpp"
 #include "common/error.hpp"
 
 namespace dragster::dag {
+namespace {
+
+// alpha_{i,j} * y_i.  An edge with alpha = 0 gets no capacity, also when y_i
+// is infinite (where the product would be NaN).
+double capacity_share(const Edge& edge, double y) {
+  return edge.alpha > 0.0 ? edge.alpha * y : 0.0;
+}
+
+}  // namespace
 
 FlowSolver::FlowSolver(const StreamDag& dag) : dag_(dag) {
   DRAGSTER_REQUIRE(dag.validated(), "FlowSolver requires a validated DAG");
@@ -24,6 +31,7 @@ FlowResult FlowSolver::solve(std::span<const double> source_rates,
   result.node_demand.assign(n, 0.0);
   result.node_outflow.assign(n, 0.0);
 
+  std::vector<double> inputs;
   for (NodeId id : dag_.topo_order()) {
     const Component& comp = dag_.component(id);
     if (comp.kind == ComponentKind::kSink) {
@@ -33,23 +41,23 @@ FlowResult FlowSolver::solve(std::span<const double> source_rates,
 
     // Assemble the input vector h_{i,j} consumes: the offered rate for a
     // source, the realized in-edge flows for an operator.
-    std::vector<double> inputs;
+    inputs.clear();
     if (comp.kind == ComponentKind::kSource) {
       inputs.push_back(source_rates[id]);
     } else {
-      inputs.reserve(dag_.in_edges(id).size());
       for (std::size_t eidx : dag_.in_edges(id)) inputs.push_back(result.edge_flow[eidx]);
       for (double v : inputs) result.node_inflow[id] += v;
     }
 
-    const double y = comp.kind == ComponentKind::kOperator
-                         ? capacity[id]
-                         : std::numeric_limits<double>::infinity();
     for (std::size_t eidx : dag_.out_edges(id)) {
       const Edge& edge = dag_.edge(eidx);
       const double demand = edge.fn->eval(inputs);
       result.node_demand[id] += demand;
-      const double flow = std::min(edge.alpha * y, demand);
+      // Sources are not capacity-limited; an operator edge is truncated at
+      // its capacity share (eq. 4).
+      const double flow = comp.kind == ComponentKind::kSource
+                              ? demand
+                              : std::min(capacity_share(edge, capacity[id]), demand);
       result.edge_flow[eidx] = flow;
       result.node_outflow[id] += flow;
     }
@@ -64,135 +72,68 @@ double FlowSolver::app_throughput(std::span<const double> source_rates,
   return solve(source_rates, capacity).app_throughput;
 }
 
-namespace {
-
-// Shared tape construction for sensitivity() and lagrangian(): records the
-// truncated-flow composition with one Var per operator capacity.
-struct TapedFlow {
-  // Vars store a Tape*, so the tape must have a stable address.
-  std::unique_ptr<autodiff::Tape> tape = std::make_unique<autodiff::Tape>();
-  std::vector<autodiff::Var> y_var;        // node-indexed (operators only)
-  std::vector<autodiff::Var> node_demand;  // node-indexed
-  autodiff::Var sink_inflow;
-};
-
-TapedFlow build_taped_flow(const StreamDag& dag, std::span<const double> source_rates,
-                           std::span<const double> capacity) {
-  const std::size_t n = dag.node_count();
-  TapedFlow tf;
-  autodiff::Tape& tape = *tf.tape;
-  tf.y_var.resize(n);
-  for (NodeId id = 0; id < n; ++id) {
-    if (dag.component(id).kind == ComponentKind::kOperator) {
-      // Infinite capacities would poison min() partials; clamp to a huge
-      // finite stand-in (gradient through that branch is zero anyway).
-      const double y = std::isfinite(capacity[id]) ? capacity[id] : 1e18;
-      tf.y_var[id] = tape.variable(y);
-    }
-  }
-
-  std::vector<autodiff::Var> edge_flow(dag.edge_count());
-  tf.node_demand.resize(n);
-  for (NodeId id = 0; id < n; ++id) tf.node_demand[id] = tape.constant(0.0);
-
-  tf.sink_inflow = tape.constant(0.0);
-  const NodeId sink = dag.sink();
-
-  for (NodeId id : dag.topo_order()) {
-    const Component& comp = dag.component(id);
-    if (comp.kind == ComponentKind::kSink) {
-      if (id == sink)
-        for (std::size_t eidx : dag.in_edges(id))
-          tf.sink_inflow = tf.sink_inflow + edge_flow[eidx];
-      continue;
-    }
-
-    std::vector<autodiff::Var> inputs;
-    if (comp.kind == ComponentKind::kSource) {
-      inputs.push_back(tape.constant(source_rates[id]));
-    } else {
-      inputs.reserve(dag.in_edges(id).size());
-      for (std::size_t eidx : dag.in_edges(id)) inputs.push_back(edge_flow[eidx]);
-    }
-
-    for (std::size_t eidx : dag.out_edges(id)) {
-      const Edge& edge = dag.edge(eidx);
-      const autodiff::Var demand = edge.fn->eval_var(tape, inputs);
-      tf.node_demand[id] = tf.node_demand[id] + demand;
-      if (comp.kind == ComponentKind::kOperator) {
-        edge_flow[eidx] = autodiff::min(tf.y_var[id] * edge.alpha, demand);
-      } else {
-        edge_flow[eidx] = demand;  // sources are not capacity-limited
-      }
-    }
-  }
-  return tf;
-}
-
-}  // namespace
-
-Sensitivity FlowSolver::sensitivity(std::span<const double> source_rates,
-                                    std::span<const double> capacity) const {
-  const std::size_t n = dag_.node_count();
-  DRAGSTER_REQUIRE(source_rates.size() == n && capacity.size() == n,
-                   "source_rates/capacity must be node-indexed");
-
-  TapedFlow tf = build_taped_flow(dag_, source_rates, capacity);
-
-  Sensitivity out;
-  out.throughput = tf.sink_inflow.value();
-  out.dthroughput_dy.assign(n, 0.0);
-  out.constraint.assign(n, 0.0);
-
-  const std::vector<double> adjoint = tf.tape->gradient(tf.sink_inflow);
-  for (NodeId id = 0; id < n; ++id) {
-    if (dag_.component(id).kind != ComponentKind::kOperator) continue;
-    out.dthroughput_dy[id] = adjoint[tf.y_var[id].index()];
-    out.constraint[id] = tf.node_demand[id].value() - capacity[id];
-    if (!std::isfinite(out.constraint[id])) out.constraint[id] = -1e18;
-  }
-  return out;
-}
-
 LagrangianResult FlowSolver::lagrangian(std::span<const double> source_rates,
                                         std::span<const double> capacity,
                                         std::span<const double> lambda,
                                         std::span<const double> observed_demand) const {
   const std::size_t n = dag_.node_count();
-  DRAGSTER_REQUIRE(source_rates.size() == n && capacity.size() == n && lambda.size() == n &&
-                       observed_demand.size() == n,
-                   "source_rates/capacity/lambda/observed_demand must be node-indexed");
+  DRAGSTER_REQUIRE(lambda.size() == n && observed_demand.size() == n,
+                   "lambda/observed_demand must be node-indexed");
 
-  TapedFlow tf = build_taped_flow(dag_, source_rates, capacity);
+  const FlowResult flow = solve(source_rates, capacity);  // checks the other two sizes
+
+  LagrangianResult out;
+  out.throughput = flow.app_throughput;
+  out.value = flow.app_throughput;
+  out.dvalue_dy.assign(n, 0.0);
 
   // L = f(y) - sum_i lambda_i * max(0, observed_demand_i - y_i).
   // The hinge keeps the multiplier from pushing y past the point where the
   // constraint is already satisfied (complementary slackness during
-  // transients); the *signed* constraint values are still reported for the
-  // eq. (15) dual update, so lambda decays when operators are
-  // over-provisioned.
-  autodiff::Var lagr = tf.sink_inflow;
+  // transients).  An active hinge contributes +lambda_i to dL/dy_i; it is
+  // the first term of that sum, the sweep below adds the flow terms.
   for (NodeId id = 0; id < n; ++id) {
     if (dag_.component(id).kind != ComponentKind::kOperator) continue;
     // draglint:allow(DL004 sparsity skip: an exactly-zero multiplier contributes nothing)
     if (lambda[id] == 0.0) continue;
-    const autodiff::Var zero = tf.tape->constant(0.0);
-    const autodiff::Var demand = tf.tape->constant(observed_demand[id]);
-    lagr = lagr - autodiff::max(zero, demand - tf.y_var[id]) * lambda[id];
+    const double gap = observed_demand[id] - capacity[id];
+    if (0.0 >= gap) continue;  // max(0, gap) = 0 on a tie too; a NaN gap stays active
+    out.value -= gap * lambda[id];
+    out.dvalue_dy[id] = lambda[id];
   }
 
-  LagrangianResult out;
-  out.value = lagr.value();
-  out.throughput = tf.sink_inflow.value();
-  out.dvalue_dy.assign(n, 0.0);
-  out.constraint.assign(n, 0.0);
-
-  const std::vector<double> adjoint = tf.tape->gradient(lagr);
-  for (NodeId id = 0; id < n; ++id) {
+  // One reverse sweep over the DAG.  edge_adjoint holds dL/d(edge flow);
+  // every sink in-edge flow enters f(y) with weight 1.  An operator's
+  // in-edge adjoints are complete once all its out-edges are visited, which
+  // reverse topological order guarantees.  Out-edges are visited last to
+  // first, so each sum accumulates in a fixed order.
+  std::vector<double> edge_adjoint(dag_.edge_count(), 0.0);
+  for (std::size_t eidx : dag_.in_edges(dag_.sink())) edge_adjoint[eidx] = 1.0;
+  std::vector<double> inputs;
+  std::vector<double> input_adjoints;
+  const std::vector<NodeId>& order = dag_.topo_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const NodeId id = *it;
     if (dag_.component(id).kind != ComponentKind::kOperator) continue;
-    out.dvalue_dy[id] = adjoint[tf.y_var[id].index()];
-    out.constraint[id] = observed_demand[id] - capacity[id];
-    if (!std::isfinite(out.constraint[id])) out.constraint[id] = -1e18;
+    const std::vector<std::size_t>& in_edges = dag_.in_edges(id);
+    inputs.clear();
+    for (std::size_t eidx : in_edges) inputs.push_back(flow.edge_flow[eidx]);
+    input_adjoints.assign(in_edges.size(), 0.0);
+
+    const std::vector<std::size_t>& out_edges = dag_.out_edges(id);
+    for (std::size_t k = out_edges.size(); k-- > 0;) {
+      const std::size_t eidx = out_edges[k];
+      const double adjoint = edge_adjoint[eidx];
+      // draglint:allow(DL004 sparsity skip: propagating an exactly-zero adjoint is a no-op)
+      if (adjoint == 0.0) continue;
+      const Edge& edge = dag_.edge(eidx);
+      if (flow.edge_flow[eidx] < capacity_share(edge, capacity[id])) {
+        edge.fn->backprop(inputs, adjoint, input_adjoints);  // demand binds
+      } else {
+        out.dvalue_dy[id] += adjoint * edge.alpha;  // capacity share binds (or ties)
+      }
+    }
+    for (std::size_t k = 0; k < in_edges.size(); ++k) edge_adjoint[in_edges[k]] = input_adjoints[k];
   }
   return out;
 }

@@ -1,10 +1,11 @@
 // Steady-state flow propagation through the stream DAG (paper eq. 4) and
-// the application-throughput function f_t(y) with its gradient.
+// the per-slot Lagrangian (eq. 13) with its gradient in y.
 //
 // This is the *analytic* model the controller plans with; the streamsim
 // module adds buffers, noise and time.  Flows are computed in topological
 // order: each operator's demand toward successor j is h_{i,j}(inputs) and
-// the realized flow is min(alpha_{i,j} * y_i, demand).
+// the realized flow is min(alpha_{i,j} * y_i, demand); a source's flow is its
+// demand (sources are not capacity-limited).
 #pragma once
 
 #include <span>
@@ -25,18 +26,7 @@ struct FlowResult {
 struct LagrangianResult {
   double value = 0.0;               ///< L_t(y, lambda) (paper eq. 13)
   double throughput = 0.0;          ///< f_t(y) term
-  std::vector<double> dvalue_dy;    ///< dL/dy_i per node id
-  std::vector<double> constraint;   ///< l_i(y_i) per node id
-};
-
-struct Sensitivity {
-  double throughput = 0.0;
-  /// d f_t / d y_i per node id (zero for sources/sinks) — the bottleneck
-  /// signal: a positive entry means more capacity there raises throughput.
-  std::vector<double> dthroughput_dy;
-  /// Soft-constraint values l_i(y_i) = demand_i - y_i per node id
-  /// (paper eq. 11); meaningful for operators only.
-  std::vector<double> constraint;
+  std::vector<double> dvalue_dy;    ///< dL/dy_i per node id (zero off operators)
 };
 
 class FlowSolver {
@@ -55,14 +45,12 @@ class FlowSolver {
   [[nodiscard]] double app_throughput(std::span<const double> source_rates,
                                       std::span<const double> capacity) const;
 
-  /// Gradient and constraints via reverse-mode autodiff over the same
-  /// composition (min handled by active-branch subgradients).
-  [[nodiscard]] Sensitivity sensitivity(std::span<const double> source_rates,
-                                        std::span<const double> capacity) const;
-
   /// Per-slot Lagrangian L(y, lambda) = f(y) - sum_i lambda_i l_i(y_i)
   /// (paper eq. 13) with its full gradient in y — the objective the online
-  /// saddle-point step (eq. 14) maximizes.
+  /// saddle-point step (eq. 14) maximizes and OGD (eq. 16) climbs.  The
+  /// gradient comes from one reverse sweep over the DAG: each min in eq. (4)
+  /// passes its adjoint to the active branch (the capacity share on a tie),
+  /// and each h_{i,j} through ThroughputFn::backprop.
   ///
   /// Following the paper's eq. (11), the constraint uses the *observed*
   /// demand Sum_j h_{i,j}(e_i) as a per-slot constant (`observed_demand`,
@@ -70,7 +58,8 @@ class FlowSolver {
   /// backlog to drain), NOT the model demand as a function of y — otherwise
   /// the maximizer can "relieve" a downstream constraint by throttling the
   /// upstream operator, which is never what a scaler should plan.
-  /// `lambda` is node-indexed; only operator entries are read.
+  /// `lambda` is node-indexed; only operator entries are read.  An
+  /// infinite capacity with an infinite observed demand makes the value NaN.
   [[nodiscard]] LagrangianResult lagrangian(std::span<const double> source_rates,
                                             std::span<const double> capacity,
                                             std::span<const double> lambda,

@@ -13,6 +13,7 @@ StreamDag::StreamDag(const StreamDag& other)
       in_edges_(other.in_edges_),
       out_edges_(other.out_edges_),
       topo_(other.topo_),
+      sink_(other.sink_),
       validated_(other.validated_) {
   edges_.reserve(other.edges_.size());
   for (const Edge& e : other.edges_)
@@ -57,6 +58,11 @@ void StreamDag::add_edge(NodeId from, NodeId to, std::unique_ptr<ThroughputFn> f
   DRAGSTER_REQUIRE(components_[to].kind != ComponentKind::kSource,
                    "sources cannot receive edges");
   DRAGSTER_REQUIRE(components_[from].kind != ComponentKind::kSink, "sinks cannot emit edges");
+  // Negative alphas are the internal "unset" marker, so an explicit one must
+  // be rejected here; the comparisons also reject NaN.
+  DRAGSTER_REQUIRE(!alpha || (*alpha >= 0.0 && *alpha <= 1.0),
+                   "alpha must lie in [0, 1] on edge " + components_[from].name + " -> " +
+                       components_[to].name);
   const std::size_t index = edges_.size();
   edges_.push_back(Edge{from, to, std::move(fn), alpha.value_or(-1.0)});
   out_edges_[from].push_back(index);
@@ -85,17 +91,16 @@ void StreamDag::validate() {
     if (out_edges_[id].empty()) terminals.push_back(id);
   }
   DRAGSTER_REQUIRE(!terminals.empty(), "DAG has a cycle touching every terminal");
-  NodeId the_sink;
   if (terminals.size() == 1 && components_[terminals[0]].kind == ComponentKind::kSink) {
-    the_sink = terminals[0];
+    sink_ = terminals[0];
   } else if (terminals.size() == 1 && components_[terminals[0]].kind == ComponentKind::kOperator) {
     // Lone terminal operator: append a sink behind it.
-    the_sink = add_component("__virtual_sink", ComponentKind::kSink);
-    add_edge(terminals[0], the_sink, identity_fn(), 1.0);
+    sink_ = add_component("__virtual_sink", ComponentKind::kSink);
+    add_edge(terminals[0], sink_, identity_fn(), 1.0);
   } else {
-    the_sink = add_component("__virtual_sink", ComponentKind::kSink);
+    sink_ = add_component("__virtual_sink", ComponentKind::kSink);
     for (NodeId t : terminals) {
-      if (t == the_sink) continue;
+      if (t == sink_) continue;
       DRAGSTER_REQUIRE(components_[t].kind != ComponentKind::kSource,
                        "source directly feeding the sink is not a streaming app");
       // Existing explicit sinks become pass-through operators feeding the
@@ -103,10 +108,9 @@ void StreamDag::validate() {
       // throughput" still holds with one sink.
       if (components_[t].kind == ComponentKind::kSink)
         components_[t].kind = ComponentKind::kOperator;
-      add_edge(t, the_sink, identity_fn(), 1.0);
+      add_edge(t, sink_, identity_fn(), 1.0);
     }
   }
-  (void)the_sink;
 
   // Arity of each edge function must match the emitting node's in-degree
   // (h_{i,j} consumes operator i's input vector).  Sources consume their
@@ -174,9 +178,7 @@ std::vector<NodeId> StreamDag::nodes_of_kind(ComponentKind kind) const {
 
 NodeId StreamDag::sink() const {
   DRAGSTER_REQUIRE(validated_, "call validate() first");
-  const auto sinks = nodes_of_kind(ComponentKind::kSink);
-  DRAGSTER_REQUIRE(sinks.size() == 1, "expected exactly one sink after validate()");
-  return sinks[0];
+  return sink_;
 }
 
 const std::vector<NodeId>& StreamDag::topo_order() const {

@@ -44,7 +44,8 @@ class StreamDag {
   NodeId add_sink(std::string name);
 
   /// Adds edge from->to carrying throughput function `fn`.  `alpha` defaults
-  /// to "rebalance equally among successors" (fixed up in validate()).
+  /// to "rebalance equally among successors" (fixed up in validate()); an
+  /// explicit alpha must lie in [0, 1].
   void add_edge(NodeId from, NodeId to, std::unique_ptr<ThroughputFn> fn,
                 std::optional<double> alpha = std::nullopt);
 
@@ -98,6 +99,7 @@ class StreamDag {
   std::vector<std::vector<std::size_t>> in_edges_;
   std::vector<std::vector<std::size_t>> out_edges_;
   std::vector<NodeId> topo_;
+  NodeId sink_ = 0;  ///< set by validate()
   bool validated_ = false;
 };
 

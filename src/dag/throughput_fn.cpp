@@ -25,12 +25,11 @@ double LinearFn::eval(std::span<const double> inputs) const {
   return sum;
 }
 
-autodiff::Var LinearFn::eval_var(autodiff::Tape& tape,
-                                 std::span<const autodiff::Var> inputs) const {
+void LinearFn::backprop(std::span<const double> inputs, double adjoint,
+                        std::span<double> input_adjoints) const {
   check_arity(weights_.size(), inputs.size());
-  autodiff::Var sum = tape.constant(0.0);
-  for (std::size_t i = 0; i < inputs.size(); ++i) sum = sum + inputs[i] * weights_[i];
-  return sum;
+  check_arity(weights_.size(), input_adjoints.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) input_adjoints[i] += adjoint * weights_[i];
 }
 
 std::unique_ptr<ThroughputFn> LinearFn::clone() const { return std::make_unique<LinearFn>(*this); }
@@ -41,21 +40,30 @@ MinWeightedFn::MinWeightedFn(std::vector<double> weights) : weights_(std::move(w
     DRAGSTER_REQUIRE(w >= 0.0, "MinWeightedFn weights must be non-negative");
 }
 
-double MinWeightedFn::eval(std::span<const double> inputs) const {
+std::size_t MinWeightedFn::active_input(std::span<const double> inputs) const {
   check_arity(weights_.size(), inputs.size());
+  std::size_t active = 0;
   double best = weights_[0] * inputs[0];
-  for (std::size_t i = 1; i < inputs.size(); ++i) best = std::min(best, weights_[i] * inputs[i]);
-  return best;
+  for (std::size_t i = 1; i < inputs.size(); ++i) {
+    const double candidate = weights_[i] * inputs[i];
+    if (candidate < best) {  // strict: a tie keeps the earlier index
+      best = candidate;
+      active = i;
+    }
+  }
+  return active;
 }
 
-autodiff::Var MinWeightedFn::eval_var(autodiff::Tape& tape,
-                                      std::span<const autodiff::Var> inputs) const {
-  check_arity(weights_.size(), inputs.size());
-  autodiff::Var best = inputs[0] * weights_[0];
-  for (std::size_t i = 1; i < inputs.size(); ++i)
-    best = autodiff::min(best, inputs[i] * weights_[i]);
-  (void)tape;
-  return best;
+double MinWeightedFn::eval(std::span<const double> inputs) const {
+  const std::size_t j = active_input(inputs);
+  return weights_[j] * inputs[j];
+}
+
+void MinWeightedFn::backprop(std::span<const double> inputs, double adjoint,
+                             std::span<double> input_adjoints) const {
+  check_arity(weights_.size(), input_adjoints.size());
+  const std::size_t j = active_input(inputs);
+  input_adjoints[j] += adjoint * weights_[j];
 }
 
 std::unique_ptr<ThroughputFn> MinWeightedFn::clone() const {
@@ -73,28 +81,35 @@ TanhFn::TanhFn(double scale, std::vector<double> weights) {
   }
 }
 
-double TanhFn::eval(std::span<const double> inputs) const {
+double TanhFn::dot(std::span<const double> inputs) const {
   check_arity(arity(), inputs.size());
-  double dot = 0.0;
-  for (std::size_t i = 0; i < inputs.size(); ++i) dot += params_[i + 1] * inputs[i];
-  return params_[0] * std::tanh(dot);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) sum += params_[i + 1] * inputs[i];
+  return sum;
 }
 
-autodiff::Var TanhFn::eval_var(autodiff::Tape& tape,
-                               std::span<const autodiff::Var> inputs) const {
-  check_arity(arity(), inputs.size());
-  autodiff::Var dot = tape.constant(0.0);
-  for (std::size_t i = 0; i < inputs.size(); ++i) dot = dot + inputs[i] * params_[i + 1];
-  return autodiff::tanh(dot) * params_[0];
+double TanhFn::eval(std::span<const double> inputs) const {
+  return params_[0] * std::tanh(dot(inputs));
+}
+
+void TanhFn::backprop(std::span<const double> inputs, double adjoint,
+                      std::span<double> input_adjoints) const {
+  check_arity(arity(), input_adjoints.size());
+  const double t = std::tanh(dot(inputs));
+  const double dot_adjoint = (adjoint * params_[0]) * (1.0 - t * t);
+  for (std::size_t i = 0; i < inputs.size(); ++i) input_adjoints[i] += dot_adjoint * params_[i + 1];
 }
 
 std::unique_ptr<ThroughputFn> TanhFn::clone() const { return std::make_unique<TanhFn>(*this); }
 
-CustomFn::CustomFn(std::size_t arity, EvalFn eval, EvalVarFn eval_var, std::string label)
-    : arity_(arity), eval_(std::move(eval)), eval_var_(std::move(eval_var)), label_(std::move(label)) {
+CustomFn::CustomFn(std::size_t arity, EvalFn eval, BackpropFn backprop, std::string label)
+    : arity_(arity),
+      eval_(std::move(eval)),
+      backprop_(std::move(backprop)),
+      label_(std::move(label)) {
   DRAGSTER_REQUIRE(arity_ > 0, "CustomFn arity must be positive");
-  DRAGSTER_REQUIRE(eval_ != nullptr, "CustomFn needs a double evaluator");
-  DRAGSTER_REQUIRE(eval_var_ != nullptr, "CustomFn needs a Var evaluator");
+  DRAGSTER_REQUIRE(eval_ != nullptr, "CustomFn needs an evaluator");
+  DRAGSTER_REQUIRE(backprop_ != nullptr, "CustomFn needs a backprop callback");
 }
 
 double CustomFn::eval(std::span<const double> inputs) const {
@@ -102,10 +117,11 @@ double CustomFn::eval(std::span<const double> inputs) const {
   return eval_(inputs);
 }
 
-autodiff::Var CustomFn::eval_var(autodiff::Tape& tape,
-                                 std::span<const autodiff::Var> inputs) const {
+void CustomFn::backprop(std::span<const double> inputs, double adjoint,
+                        std::span<double> input_adjoints) const {
   check_arity(arity_, inputs.size());
-  return eval_var_(tape, inputs);
+  check_arity(arity_, input_adjoints.size());
+  backprop_(inputs, adjoint, input_adjoints);
 }
 
 std::unique_ptr<ThroughputFn> CustomFn::clone() const { return std::make_unique<CustomFn>(*this); }

@@ -3,9 +3,9 @@
 // h_{i,j} maps the throughput vector *received by operator i* to the demand
 // operator i would emit toward successor j if capacity were unlimited.  All
 // built-in forms are increasing and concave in each input, which is what the
-// paper's convexity argument for f_t(y) requires.  Each form is evaluable
-// both on plain doubles (simulation) and on autodiff::Var (gradients for
-// bottleneck identification).
+// paper's convexity argument for f_t(y) requires.  Each form evaluates its
+// demand and back-propagates an adjoint through it, which is all the reverse
+// sweep in FlowSolver::lagrangian needs for dL/dy.
 #pragma once
 
 #include <functional>
@@ -13,8 +13,6 @@
 #include <span>
 #include <string>
 #include <vector>
-
-#include "autodiff/tape.hpp"
 
 namespace dragster::dag {
 
@@ -25,9 +23,10 @@ class ThroughputFn {
   /// Demand toward the successor given the inputs received by the operator.
   [[nodiscard]] virtual double eval(std::span<const double> inputs) const = 0;
 
-  /// Same computation recorded on an autodiff tape.
-  [[nodiscard]] virtual autodiff::Var eval_var(autodiff::Tape& tape,
-                                               std::span<const autodiff::Var> inputs) const = 0;
+  /// Adds `adjoint * d eval / d inputs[i]` to `input_adjoints[i]` (a
+  /// subgradient at kinks).  Both spans have the function's arity.
+  virtual void backprop(std::span<const double> inputs, double adjoint,
+                        std::span<double> input_adjoints) const = 0;
 
   /// Number of inputs this function consumes (the operator's in-degree).
   [[nodiscard]] virtual std::size_t arity() const noexcept = 0;
@@ -47,8 +46,8 @@ class LinearFn final : public ThroughputFn {
   explicit LinearFn(std::vector<double> weights);
 
   [[nodiscard]] double eval(std::span<const double> inputs) const override;
-  [[nodiscard]] autodiff::Var eval_var(autodiff::Tape& tape,
-                                       std::span<const autodiff::Var> inputs) const override;
+  void backprop(std::span<const double> inputs, double adjoint,
+                std::span<double> input_adjoints) const override;
   [[nodiscard]] std::size_t arity() const noexcept override { return weights_.size(); }
   [[nodiscard]] std::span<double> params() noexcept override { return weights_; }
   [[nodiscard]] std::span<const double> params() const noexcept override { return weights_; }
@@ -60,13 +59,14 @@ class LinearFn final : public ThroughputFn {
 };
 
 /// Paper eq. (2b):  h(e) = min_j (k_j * e_j)  — bottleneck predecessor.
+/// On a tie the first index is the active one.
 class MinWeightedFn final : public ThroughputFn {
  public:
   explicit MinWeightedFn(std::vector<double> weights);
 
   [[nodiscard]] double eval(std::span<const double> inputs) const override;
-  [[nodiscard]] autodiff::Var eval_var(autodiff::Tape& tape,
-                                       std::span<const autodiff::Var> inputs) const override;
+  void backprop(std::span<const double> inputs, double adjoint,
+                std::span<double> input_adjoints) const override;
   [[nodiscard]] std::size_t arity() const noexcept override { return weights_.size(); }
   [[nodiscard]] std::span<double> params() noexcept override { return weights_; }
   [[nodiscard]] std::span<const double> params() const noexcept override { return weights_; }
@@ -74,6 +74,8 @@ class MinWeightedFn final : public ThroughputFn {
   [[nodiscard]] std::unique_ptr<ThroughputFn> clone() const override;
 
  private:
+  [[nodiscard]] std::size_t active_input(std::span<const double> inputs) const;
+
   std::vector<double> weights_;
 };
 
@@ -84,8 +86,8 @@ class TanhFn final : public ThroughputFn {
   TanhFn(double scale, std::vector<double> weights);
 
   [[nodiscard]] double eval(std::span<const double> inputs) const override;
-  [[nodiscard]] autodiff::Var eval_var(autodiff::Tape& tape,
-                                       std::span<const autodiff::Var> inputs) const override;
+  void backprop(std::span<const double> inputs, double adjoint,
+                std::span<double> input_adjoints) const override;
   [[nodiscard]] std::size_t arity() const noexcept override { return params_.size() - 1; }
   [[nodiscard]] std::span<double> params() noexcept override { return params_; }
   [[nodiscard]] std::span<const double> params() const noexcept override { return params_; }
@@ -93,23 +95,25 @@ class TanhFn final : public ThroughputFn {
   [[nodiscard]] std::unique_ptr<ThroughputFn> clone() const override;
 
  private:
+  [[nodiscard]] double dot(std::span<const double> inputs) const;
+
   std::vector<double> params_;  // [scale, weights...]
 };
 
 /// User-supplied concave form (paper: "the developer could ... exactly
-/// provide its throughput function").  Requires matching double and Var
-/// evaluators so gradients stay exact.
+/// provide its throughput function").  Requires an evaluator and a matching
+/// backprop callback (same contract as ThroughputFn::backprop) so gradients
+/// stay exact.
 class CustomFn final : public ThroughputFn {
  public:
   using EvalFn = std::function<double(std::span<const double>)>;
-  using EvalVarFn =
-      std::function<autodiff::Var(autodiff::Tape&, std::span<const autodiff::Var>)>;
+  using BackpropFn = std::function<void(std::span<const double>, double, std::span<double>)>;
 
-  CustomFn(std::size_t arity, EvalFn eval, EvalVarFn eval_var, std::string label = "custom");
+  CustomFn(std::size_t arity, EvalFn eval, BackpropFn backprop, std::string label = "custom");
 
   [[nodiscard]] double eval(std::span<const double> inputs) const override;
-  [[nodiscard]] autodiff::Var eval_var(autodiff::Tape& tape,
-                                       std::span<const autodiff::Var> inputs) const override;
+  void backprop(std::span<const double> inputs, double adjoint,
+                std::span<double> input_adjoints) const override;
   [[nodiscard]] std::size_t arity() const noexcept override { return arity_; }
   [[nodiscard]] std::string name() const override { return label_; }
   [[nodiscard]] std::unique_ptr<ThroughputFn> clone() const override;
@@ -117,7 +121,7 @@ class CustomFn final : public ThroughputFn {
  private:
   std::size_t arity_;
   EvalFn eval_;
-  EvalVarFn eval_var_;
+  BackpropFn backprop_;
   std::string label_;
 };
 

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
-#include "autodiff/tape.hpp"
+#include "common/error.hpp"
 #include "dag/stream_dag.hpp"
 #include "dag/throughput_fn.hpp"
 
@@ -17,14 +18,13 @@ TEST(ThroughputFn, LinearInnerProduct) {
   EXPECT_DOUBLE_EQ(fn.eval(e), 22.0);
 }
 
-TEST(ThroughputFn, LinearGradientViaTape) {
+TEST(ThroughputFn, LinearBackpropAddsWeightedAdjoint) {
   LinearFn fn({2.0, 0.5});
-  autodiff::Tape tape;
-  std::vector<autodiff::Var> inputs{tape.variable(10.0), tape.variable(4.0)};
-  const autodiff::Var out = fn.eval_var(tape, inputs);
-  const auto grad = tape.gradient(out);
-  EXPECT_DOUBLE_EQ(grad[inputs[0].index()], 2.0);
-  EXPECT_DOUBLE_EQ(grad[inputs[1].index()], 0.5);
+  const std::vector<double> e{10.0, 4.0};
+  std::vector<double> adj{1.0, -1.0};  // backprop accumulates into what is there
+  fn.backprop(e, 3.0, adj);
+  EXPECT_DOUBLE_EQ(adj[0], 1.0 + 3.0 * 2.0);
+  EXPECT_DOUBLE_EQ(adj[1], -1.0 + 3.0 * 0.5);
 }
 
 TEST(ThroughputFn, MinWeightedPicksBottleneck) {
@@ -33,13 +33,23 @@ TEST(ThroughputFn, MinWeightedPicksBottleneck) {
   EXPECT_DOUBLE_EQ(fn.eval(std::vector{10.0, 10.0}), 5.0);    // second binds
 }
 
-TEST(ThroughputFn, MinWeightedGradientFollowsActiveBranch) {
+TEST(ThroughputFn, MinWeightedBackpropFollowsActiveInput) {
   MinWeightedFn fn({1.0, 0.5});
-  autodiff::Tape tape;
-  std::vector<autodiff::Var> inputs{tape.variable(10.0), tape.variable(10.0)};
-  const auto grad = tape.gradient(fn.eval_var(tape, inputs));
-  EXPECT_DOUBLE_EQ(grad[inputs[0].index()], 0.0);
-  EXPECT_DOUBLE_EQ(grad[inputs[1].index()], 0.5);
+  std::vector<double> adj(2, 0.0);
+  fn.backprop(std::vector{10.0, 10.0}, 2.0, adj);  // 0.5 * 10 binds
+  EXPECT_DOUBLE_EQ(adj[0], 0.0);
+  EXPECT_DOUBLE_EQ(adj[1], 2.0 * 0.5);
+}
+
+TEST(ThroughputFn, MinWeightedTieGoesToFirstInput) {
+  MinWeightedFn fn({1.0, 0.5, 0.25});
+  const std::vector<double> e{5.0, 10.0, 20.0};  // all three products are 5
+  EXPECT_DOUBLE_EQ(fn.eval(e), 5.0);
+  std::vector<double> adj(3, 0.0);
+  fn.backprop(e, 1.0, adj);
+  EXPECT_DOUBLE_EQ(adj[0], 1.0);
+  EXPECT_DOUBLE_EQ(adj[1], 0.0);
+  EXPECT_DOUBLE_EQ(adj[2], 0.0);
 }
 
 TEST(ThroughputFn, TanhSaturates) {
@@ -61,6 +71,23 @@ TEST(ThroughputFn, TanhIsConcaveIncreasing) {
   }
 }
 
+TEST(ThroughputFn, TanhBackpropMatchesCentralDifference) {
+  TanhFn fn(50.0, {0.02, 0.01});
+  const std::vector<double> e{30.0, 40.0};  // k . e = 1, well off saturation
+  const double adjoint = -1.5;
+  std::vector<double> adj(2, 0.0);
+  fn.backprop(e, adjoint, adj);
+  const double h = 1e-5;
+  for (std::size_t i = 0; i < e.size(); ++i) {
+    std::vector<double> up = e;
+    std::vector<double> down = e;
+    up[i] += h;
+    down[i] -= h;
+    const double fd = adjoint * (fn.eval(up) - fn.eval(down)) / (2.0 * h);
+    EXPECT_NEAR(adj[i], fd, 1e-7) << "input " << i;
+  }
+}
+
 TEST(ThroughputFn, ParamsAreMutable) {
   LinearFn fn({1.0});
   fn.params()[0] = 3.0;
@@ -75,16 +102,42 @@ TEST(ThroughputFn, CloneIsDeep) {
   EXPECT_DOUBLE_EQ(clone->eval(std::vector{1.0}), 9.0);
 }
 
-TEST(ThroughputFn, CustomEvaluatesBothWays) {
+TEST(ThroughputFn, CustomForwardsEvalAndBackprop) {
   CustomFn fn(
       1, [](std::span<const double> e) { return std::sqrt(e[0]); },
-      [](autodiff::Tape& tape, std::span<const autodiff::Var> e) { return tape.sqrt(e[0]); },
+      [](std::span<const double> e, double adjoint, std::span<double> adj) {
+        adj[0] += adjoint * 0.5 / std::sqrt(e[0]);
+      },
       "sqrt");
+  EXPECT_EQ(fn.name(), "sqrt");
   EXPECT_DOUBLE_EQ(fn.eval(std::vector{16.0}), 4.0);
-  autodiff::Tape tape;
-  std::vector<autodiff::Var> in{tape.variable(16.0)};
-  const auto grad = tape.gradient(fn.eval_var(tape, in));
-  EXPECT_NEAR(grad[in[0].index()], 0.125, 1e-12);
+  std::vector<double> adj{1.0};
+  fn.backprop(std::vector{16.0}, 2.0, adj);
+  EXPECT_DOUBLE_EQ(adj[0], 1.0 + 2.0 * 0.125);
+  // The clone forwards to the same callbacks.
+  std::vector<double> clone_adj{0.0};
+  fn.clone()->backprop(std::vector{16.0}, 1.0, clone_adj);
+  EXPECT_DOUBLE_EQ(clone_adj[0], 0.125);
+}
+
+TEST(ThroughputFn, CustomChecksArityBeforeForwarding) {
+  int calls = 0;
+  CustomFn fn(
+      2,
+      [&calls](std::span<const double> e) {
+        ++calls;
+        return e[0] + e[1];
+      },
+      [&calls](std::span<const double>, double, std::span<double>) { ++calls; });
+  std::vector<double> adj1(1, 0.0);
+  std::vector<double> adj2(2, 0.0);
+  EXPECT_THROW((void)fn.eval(std::vector{1.0}), Error);
+  EXPECT_THROW(fn.backprop(std::vector{1.0}, 1.0, adj2), Error);
+  EXPECT_THROW(fn.backprop(std::vector{1.0, 2.0}, 1.0, adj1), Error);
+  EXPECT_EQ(calls, 0);
+  EXPECT_THROW(CustomFn(1, nullptr, [](std::span<const double>, double, std::span<double>) {}),
+               Error);
+  EXPECT_THROW(CustomFn(1, [](std::span<const double>) { return 0.0; }, nullptr), Error);
 }
 
 TEST(ThroughputFn, ArityMismatchThrows) {
@@ -184,6 +237,27 @@ TEST(StreamDag, MixedExplicitImplicitAlphaSharesRemainder) {
   EXPECT_NEAR(dag.edge(dag.out_edges(op)[1]).alpha, 0.3, 1e-12);
 }
 
+TEST(StreamDag, RejectsExplicitAlphaOutOfRange) {
+  StreamDag dag;
+  const NodeId src = dag.add_source("s");
+  const NodeId op = dag.add_operator("o");
+  const NodeId k1 = dag.add_sink("k1");
+  const NodeId k2 = dag.add_sink("k2");
+  dag.add_edge(src, op, identity_fn());
+  // Negative alphas used to pass as "unset" and validate as an equal share.
+  EXPECT_THROW(dag.add_edge(op, k1, identity_fn(), -0.5), Error);
+  EXPECT_THROW(dag.add_edge(op, k1, identity_fn(), std::numeric_limits<double>::quiet_NaN()),
+               Error);
+  EXPECT_THROW(dag.add_edge(op, k1, identity_fn(), 1.5), Error);
+  EXPECT_EQ(dag.edge_count(), 1u);
+  // The closed interval's ends are legal.
+  dag.add_edge(op, k1, identity_fn(), 0.0);
+  dag.add_edge(op, k2, identity_fn(), 1.0);
+  dag.validate();
+  EXPECT_DOUBLE_EQ(dag.edge(dag.out_edges(op)[0]).alpha, 0.0);
+  EXPECT_DOUBLE_EQ(dag.edge(dag.out_edges(op)[1]).alpha, 1.0);
+}
+
 TEST(StreamDag, RejectsAlphaSumAboveOne) {
   StreamDag dag;
   const NodeId src = dag.add_source("s");
@@ -248,6 +322,26 @@ TEST(StreamDag, CopyIsDeep) {
   copy.edge_mutable(0).fn->params()[0] = 9.0;
   EXPECT_DOUBLE_EQ(dag.edge(0).fn->params()[0], 2.0);
   EXPECT_TRUE(copy.validated());
+}
+
+TEST(StreamDag, CopiesAndMovesKeepTheSink) {
+  StreamDag dag;
+  const NodeId src = dag.add_source("s");
+  const NodeId op = dag.add_operator("o");
+  dag.add_edge(src, op, identity_fn());
+  EXPECT_THROW((void)dag.sink(), Error);
+  dag.validate();
+  const NodeId sink = dag.sink();
+  EXPECT_EQ(dag.component(sink).kind, ComponentKind::kSink);
+  EXPECT_EQ(dag.nodes_of_kind(ComponentKind::kSink), std::vector<NodeId>{sink});
+
+  const StreamDag copy(dag);
+  EXPECT_EQ(copy.sink(), sink);
+  StreamDag assigned;
+  assigned = dag;
+  EXPECT_EQ(assigned.sink(), sink);
+  const StreamDag moved(std::move(assigned));
+  EXPECT_EQ(moved.sink(), sink);
 }
 
 TEST(StreamDag, FindByName) {

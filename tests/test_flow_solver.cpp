@@ -1,13 +1,16 @@
 // Tests for the truncated-flow solver (paper eq. 4), the throughput function
-// f_t(y), its autodiff sensitivity, and the Lagrangian (eq. 13).
+// f_t(y), and the Lagrangian (eq. 13) with its reverse-sweep gradient.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/rng.hpp"
 #include "dag/flow_solver.hpp"
 #include "dag/throughput_fn.hpp"
+#include "workloads/workloads.hpp"
 
 namespace dragster::dag {
 namespace {
@@ -119,27 +122,74 @@ TEST(FlowSolver, JoinUsesMinWeighted) {
   EXPECT_DOUBLE_EQ(flow.app_throughput(rates, caps), 20.0);
 }
 
-TEST(FlowSolver, SensitivityIdentifiesBottleneck) {
+TEST(FlowSolver, SourceSplitIsNotCapacityLimited) {
+  // A 50 tuples/s source split alpha = (0, 1) into two operators: both
+  // edges carry the full 50, since alpha only splits operator capacity.
+  StreamDag dag;
+  const NodeId src = dag.add_source("s");
+  const NodeId o1 = dag.add_operator("o1");
+  const NodeId o2 = dag.add_operator("o2");
+  dag.add_edge(src, o1, identity_fn(), 0.0);
+  dag.add_edge(src, o2, identity_fn(), 1.0);
+  dag.validate();
+  const FlowSolver flow(dag);
+  std::vector<double> rates(dag.node_count(), 0.0);
+  rates[src] = 50.0;
+  std::vector<double> caps(dag.node_count(), 0.0);
+  caps[o1] = 100.0;
+  caps[o2] = 100.0;
+  const FlowResult r = flow.solve(rates, caps);
+  EXPECT_DOUBLE_EQ(r.edge_flow[dag.out_edges(src)[0]], 50.0);
+  EXPECT_DOUBLE_EQ(r.edge_flow[dag.out_edges(src)[1]], 50.0);
+  EXPECT_DOUBLE_EQ(r.app_throughput, 100.0);
+  const std::vector<double> zeros(dag.node_count(), 0.0);
+  const LagrangianResult lr = flow.lagrangian(rates, caps, zeros, zeros);
+  EXPECT_DOUBLE_EQ(lr.throughput, r.app_throughput);
+  EXPECT_DOUBLE_EQ(lr.dvalue_dy[o1], 0.0);  // neither operator binds
+  EXPECT_DOUBLE_EQ(lr.dvalue_dy[o2], 0.0);
+}
+
+TEST(FlowSolver, ZeroAlphaEdgeGetsNoCapacityEvenWhenUnlimited) {
+  StreamDag dag;
+  const NodeId src = dag.add_source("s");
+  const NodeId op = dag.add_operator("o");
+  const NodeId k1 = dag.add_sink("k1");
+  const NodeId k2 = dag.add_sink("k2");
+  dag.add_edge(src, op, identity_fn());
+  dag.add_edge(op, k1, identity_fn(), 0.0);
+  dag.add_edge(op, k2, identity_fn(), 1.0);
+  dag.validate();
+  const FlowSolver flow(dag);
+  std::vector<double> rates(dag.node_count(), 0.0);
+  rates[src] = 100.0;
+  const std::vector<double> caps(dag.node_count(), kInf);
+  const FlowResult r = flow.solve(rates, caps);
+  EXPECT_DOUBLE_EQ(r.edge_flow[dag.out_edges(op)[0]], 0.0);  // not 0 * inf = NaN
+  EXPECT_DOUBLE_EQ(r.edge_flow[dag.out_edges(op)[1]], 100.0);
+  EXPECT_DOUBLE_EQ(r.app_throughput, 100.0);
+}
+
+TEST(FlowSolver, LagrangianGradientIdentifiesBottleneck) {
   ChainFixture fx;
   const FlowSolver flow(fx.dag);
   // a is the binding constraint: 150 < demand 200, b has slack.
-  const Sensitivity s = flow.sensitivity(fx.rates(100.0), fx.caps(150.0, 400.0));
-  EXPECT_GT(s.dthroughput_dy[fx.a], 0.5);
-  EXPECT_DOUBLE_EQ(s.dthroughput_dy[fx.b], 0.0);
-  EXPECT_DOUBLE_EQ(s.throughput, 150.0);
-  // Constraints (eq. 11): demand - capacity.
-  EXPECT_DOUBLE_EQ(s.constraint[fx.a], 50.0);
-  EXPECT_DOUBLE_EQ(s.constraint[fx.b], 150.0 - 400.0);
+  const std::vector<double> zeros(fx.dag.node_count(), 0.0);
+  const LagrangianResult lr = flow.lagrangian(fx.rates(100.0), fx.caps(150.0, 400.0), zeros, zeros);
+  EXPECT_GT(lr.dvalue_dy[fx.a], 0.5);
+  EXPECT_DOUBLE_EQ(lr.dvalue_dy[fx.b], 0.0);
+  EXPECT_DOUBLE_EQ(lr.throughput, 150.0);
+  EXPECT_DOUBLE_EQ(lr.value, 150.0);
 }
 
-TEST(FlowSolver, SensitivityMatchesFiniteDifference) {
+TEST(FlowSolver, LagrangianGradientMatchesFiniteDifference) {
   ChainFixture fx(1.5, 0.8);
   const FlowSolver flow(fx.dag);
+  const std::vector<double> zeros(fx.dag.node_count(), 0.0);
   common::Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {
     const double ya = rng.uniform(20.0, 300.0);
     const double yb = rng.uniform(20.0, 300.0);
-    const Sensitivity s = flow.sensitivity(fx.rates(100.0), fx.caps(ya, yb));
+    const LagrangianResult lr = flow.lagrangian(fx.rates(100.0), fx.caps(ya, yb), zeros, zeros);
     const double h = 1e-5;
     const double fd_a = (flow.app_throughput(fx.rates(100.0), fx.caps(ya + h, yb)) -
                          flow.app_throughput(fx.rates(100.0), fx.caps(ya - h, yb))) /
@@ -149,7 +199,7 @@ TEST(FlowSolver, SensitivityMatchesFiniteDifference) {
                           flow.app_throughput(fx.rates(100.0), fx.caps(ya, yb))) /
                          h;
     if (std::abs(fd_a - fd_a2) < 1e-6) {
-      EXPECT_NEAR(s.dthroughput_dy[fx.a], fd_a, 1e-5) << "ya=" << ya << " yb=" << yb;
+      EXPECT_NEAR(lr.dvalue_dy[fx.a], fd_a, 1e-5) << "ya=" << ya << " yb=" << yb;
     }
   }
 }
@@ -168,8 +218,6 @@ TEST(FlowSolver, LagrangianValueMatchesDefinition) {
   const LagrangianResult lr = flow.lagrangian(rates, caps, lambda, demand);
   EXPECT_DOUBLE_EQ(lr.throughput, 90.0);
   EXPECT_DOUBLE_EQ(lr.value, 90.0 - 100.0);
-  EXPECT_DOUBLE_EQ(lr.constraint[fx.a], 50.0);
-  EXPECT_DOUBLE_EQ(lr.constraint[fx.b], -40.0);
 }
 
 TEST(FlowSolver, LagrangianGradientIncludesMultiplier) {
@@ -197,6 +245,125 @@ TEST(FlowSolver, LagrangianReducesToThroughputWithZeroLambda) {
   EXPECT_DOUBLE_EQ(lr.value, lr.throughput);
 }
 
+// A fan-out with a split alpha, a Tanh edge and a MinWeighted join:
+//   src -> a;  a -> b (alpha 0.3), a -> c (alpha 0.7);  b -> d (tanh);
+//   d -> j, c -> j;  j -> sink (min_weighted over [d, c]).
+struct BranchFixture {
+  StreamDag dag;
+  NodeId src, a, b, c, d, j, sink;
+
+  BranchFixture() {
+    src = dag.add_source("src");
+    a = dag.add_operator("a");
+    b = dag.add_operator("b");
+    c = dag.add_operator("c");
+    d = dag.add_operator("d");
+    j = dag.add_operator("j");
+    sink = dag.add_sink("sink");
+    dag.add_edge(src, a, identity_fn());
+    dag.add_edge(a, b, selectivity_fn(1.0), 0.3);
+    dag.add_edge(a, c, selectivity_fn(2.0), 0.7);
+    dag.add_edge(b, d, std::make_unique<TanhFn>(400.0, std::vector{1.0 / 300.0}));
+    dag.add_edge(d, j, identity_fn());
+    dag.add_edge(c, j, selectivity_fn(0.5));
+    dag.add_edge(j, sink, std::make_unique<MinWeightedFn>(std::vector{1.0, 0.8}));
+    dag.validate();
+  }
+};
+
+TEST(FlowSolver, LagrangianGradientMatchesFiniteDifferenceOnBranchingDag) {
+  BranchFixture fx;
+  const FlowSolver flow(fx.dag);
+  const std::size_t n = fx.dag.node_count();
+  const std::vector<NodeId> ops = fx.dag.operators();
+  std::vector<double> lambda(n, 0.0);
+  lambda[fx.a] = 1.5;
+  lambda[fx.b] = 0.7;
+  lambda[fx.d] = 2.0;
+  lambda[fx.j] = 0.4;  // c keeps lambda = 0
+  common::Rng rng(21);
+  int checked = 0;
+  int active_hinges = 0;
+  int inactive_hinges = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> rates(n, 0.0);
+    rates[fx.src] = rng.uniform(100.0, 300.0);
+    std::vector<double> caps(n, 0.0);
+    std::vector<double> demand(n, 0.0);
+    for (NodeId id : ops) {
+      caps[id] = rng.uniform(20.0, 600.0);
+      demand[id] = rng.uniform(50.0, 500.0);
+      if (lambda[id] > 0.0) ++(demand[id] > caps[id] ? active_hinges : inactive_hinges);
+    }
+    const LagrangianResult lr = flow.lagrangian(rates, caps, lambda, demand);
+    auto value_at = [&](NodeId id, double dy) {
+      std::vector<double> moved = caps;
+      moved[id] += dy;
+      return flow.lagrangian(rates, moved, lambda, demand).value;
+    };
+    const double h = 1e-4;
+    for (NodeId id : ops) {
+      const double up = value_at(id, h);
+      const double down = value_at(id, -h);
+      // Skip kinks (a min switching branch or a hinge turning on), where the
+      // one-sided slopes differ and any subgradient is legitimate.
+      if (std::abs((up - lr.value) - (lr.value - down)) / h > 1e-4) continue;
+      const double fd = (up - down) / (2.0 * h);
+      EXPECT_NEAR(lr.dvalue_dy[id], fd, 1e-5) << "trial " << trial << " node " << id;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 800);  // most of the 1000 probes are off kinks
+  EXPECT_GT(active_hinges, 100);
+  EXPECT_GT(inactive_hinges, 100);
+}
+
+// FNV-1a over the bit patterns of value, throughput and dvalue_dy for a fixed
+// seeded batch of Lagrangian evaluations.  Draws sit on a 500-step grid so
+// capacity-share ties, MinWeighted ties and hinge ties all occur.
+std::uint64_t lagrangian_bits_hash(const StreamDag& dag, std::uint64_t seed) {
+  const FlowSolver flow(dag);
+  const std::size_t n = dag.node_count();
+  common::Rng rng(seed);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<double> rates(n, 0.0);
+    std::vector<double> caps(n, 0.0);
+    std::vector<double> lambda(n, 0.0);
+    std::vector<double> demand(n, 0.0);
+    for (NodeId id = 0; id < n; ++id) {
+      const ComponentKind kind = dag.component(id).kind;
+      if (kind == ComponentKind::kSource) {
+        rates[id] = 500.0 * static_cast<double>(rng.uniform_int(0, 200));
+      } else if (kind == ComponentKind::kOperator) {
+        caps[id] = 500.0 * static_cast<double>(rng.uniform_int(0, 200));
+        demand[id] = 500.0 * static_cast<double>(rng.uniform_int(0, 200));
+        lambda[id] = rng.uniform_int(0, 2) == 0 ? 0.0 : rng.uniform(0.0, 3.0);
+      }
+    }
+    const LagrangianResult lr = flow.lagrangian(rates, caps, lambda, demand);
+    mix(lr.value);
+    mix(lr.throughput);
+    for (double g : lr.dvalue_dy) mix(g);
+  }
+  return hash;
+}
+
+TEST(FlowSolver, LagrangianBitsArePinned) {
+  // The expected hashes were produced by the scalar autodiff tape the
+  // reverse sweep replaced.  Linear and MinWeighted edges only involve
+  // exactly rounded + * min, so the pin holds on any libm.
+  EXPECT_EQ(lagrangian_bits_hash(workloads::yahoo().dag, 13), 0xf3b19498405a6b58ULL);
+  EXPECT_EQ(lagrangian_bits_hash(workloads::join().dag, 13), 0xa6637f71c8aaf80aULL);
+}
+
 TEST(FlowSolver, ZeroSourceRateGivesZeroFlow) {
   ChainFixture fx;
   const FlowSolver flow(fx.dag);
@@ -208,6 +375,13 @@ TEST(FlowSolver, RejectsWrongSizes) {
   ChainFixture fx;
   const FlowSolver flow(fx.dag);
   EXPECT_THROW(flow.solve(std::vector<double>{1.0}, fx.caps(1.0, 1.0)),
+               std::invalid_argument);
+  const std::vector<double> zeros(fx.dag.node_count(), 0.0);
+  const std::vector<double> one{1.0};
+  EXPECT_THROW(flow.lagrangian(one, fx.caps(1.0, 1.0), zeros, zeros), std::invalid_argument);
+  EXPECT_THROW(flow.lagrangian(fx.rates(1.0), fx.caps(1.0, 1.0), one, zeros),
+               std::invalid_argument);
+  EXPECT_THROW(flow.lagrangian(fx.rates(1.0), fx.caps(1.0, 1.0), zeros, one),
                std::invalid_argument);
 }
 
