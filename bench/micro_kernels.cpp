@@ -5,14 +5,13 @@
 //     and Lagrangian gradients, the saddle-point solve, and the simulator's
 //     micro-step rate.  All google-benchmark flags pass through.
 //
-//  2. Speed harness (`--json PATH` and/or `--checks PATH`): the deterministic
-//     reference-vs-optimized comparison behind bench/baselines/BENCH_speed.json.
-//     Each entry times the scalar code path this PR replaced against the
-//     batched/blocked kernel that replaced it, verifies the two produce
-//     BIT-IDENTICAL results, and records an FNV-1a checksum over the result
-//     bits.  `--checks` writes a timing-free JSON of just the checksums: CI
-//     runs it at --threads 1 and --threads 8 and cmp's the bytes, which is
-//     the machine-checkable statement that thread count never leaks into
+//  2. Speed harness (`--json PATH` and/or `--checks PATH`): the fleet slot
+//     latency behind bench/baselines/BENCH_speed.json.  It steps the same
+//     fleet with the pool pinned serial and at several lanes, times both, and
+//     records an FNV-1a checksum over the FleetResult bits.  `--checks`
+//     writes a timing-free JSON of just the checksum: CI runs it at
+//     --threads 1 and --threads 8 and cmp's the bytes, which is the
+//     machine-checkable statement that thread count never leaks into
 //     computed values.
 //
 //   ./micro_kernels --json BENCH_speed.json [--checks checks.json]
@@ -23,8 +22,6 @@
 #include <bit>
 #include <chrono>  // wall-clock timings are bench output, never simulated state
 #include <cinttypes>
-#include <cmath>
-#include <cstring>
 #include <fstream>
 #include <string_view>
 #include <thread>  // hardware_concurrency for the hardware stanza of BENCH_speed.json
@@ -188,246 +185,10 @@ std::uint64_t fnv1a(std::uint64_t hash, double value) {
   return fnv1a(hash, std::bit_cast<std::uint64_t>(value));
 }
 
-std::uint64_t checksum_span(std::uint64_t hash, std::span<const double> values) {
-  for (const double v : values) hash = fnv1a(hash, v);
-  return hash;
-}
-
 std::string hex64(std::uint64_t value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "0x%016" PRIx64, value);
   return buffer;
-}
-
-/// Best-of-`reps` per-call wall-clock.  Calibrates the inner iteration count
-/// so one rep runs >= `rep_ns`, then reports min(rep elapsed / iters): the
-/// minimum is the noise-robust estimator on a shared machine.
-template <typename Fn>
-double time_per_call_ns(Fn&& fn, double rep_ns = 2e7, int reps = 5) {
-  using clock = std::chrono::steady_clock;  // bench-only timing
-  auto elapsed_ns = [&](std::size_t iters) {
-    const auto begin = clock::now();  // bench-only timing
-    for (std::size_t i = 0; i < iters; ++i) fn();
-    const auto end = clock::now();  // bench-only timing
-    return std::chrono::duration<double, std::nano>(end - begin).count();
-  };
-  std::size_t iters = 1;
-  double once = elapsed_ns(iters);
-  while (once < rep_ns / 4.0 && iters < (1ULL << 30)) {
-    iters *= 2;
-    once = elapsed_ns(iters);
-  }
-  double best = once / static_cast<double>(iters);
-  for (int r = 1; r < reps; ++r)
-    best = std::min(best, elapsed_ns(iters) / static_cast<double>(iters));
-  return best;
-}
-
-struct KernelReport {
-  std::string name;
-  std::size_t work = 0;        ///< problem size (rows, RHS, candidates, ...)
-  double reference_ns = 0.0;   ///< scalar path this kernel replaced
-  double optimized_ns = 0.0;   ///< batched/blocked kernel
-  bool bit_identical = false;  ///< reference and optimized outputs match bitwise
-  std::uint64_t checksum = 0;  ///< FNV-1a over the optimized result bits
-};
-
-bool bytes_equal(std::span<const double> a, std::span<const double> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-/// Kernel-row sweep: one query point against n stored inputs.  Reference is
-/// the per-pair virtual `kernel(x_i, y)` loop predict() used before eval_row
-/// existed; optimized is Kernel::eval_row's fused distance loop.
-KernelReport bench_kernel_row(bool timed) {
-  constexpr std::size_t kPoints = 4096;
-  constexpr std::size_t kDim = 8;
-  const gp::SquaredExponentialKernel kernel(2.25, std::vector<double>(kDim, 2.5));
-  const gp::Kernel& vtable = kernel;  // virtual dispatch, exactly like the old loop
-  common::Rng rng(11);
-  std::vector<double> xs(kPoints * kDim);
-  std::vector<double> y(kDim);
-  for (double& v : xs) v = rng.uniform(1.0, 10.0);
-  for (double& v : y) v = rng.uniform(1.0, 10.0);
-
-  std::vector<double> ref(kPoints);
-  std::vector<double> opt(kPoints);
-  auto reference = [&] {
-    for (std::size_t i = 0; i < kPoints; ++i)
-      ref[i] = vtable(std::span<const double>(xs).subspan(i * kDim, kDim), y);
-    benchmark::DoNotOptimize(ref.data());
-  };
-  auto optimized = [&] {
-    vtable.eval_row(xs, kPoints, y, opt);
-    benchmark::DoNotOptimize(opt.data());
-  };
-  reference();
-  optimized();
-
-  KernelReport report{"kernel_row", kPoints};
-  report.bit_identical = bytes_equal(ref, opt);
-  report.checksum = checksum_span(kFnvOffset, opt);
-  if (timed) {
-    report.reference_ns = time_per_call_ns(reference);
-    report.optimized_ns = time_per_call_ns(optimized);
-  }
-  return report;
-}
-
-/// Multi-RHS forward substitution.  Reference is one solve_lower per column
-/// (a latency-bound dependency chain that re-streams the whole factor per
-/// right-hand side); optimized is the blocked solve_lower_multi.
-KernelReport bench_solve_lower_multi(bool timed) {
-  constexpr std::size_t kN = 256;
-  constexpr std::size_t kRhs = 256;
-  linalg::Matrix a(kN, kN);
-  for (std::size_t i = 0; i < kN; ++i)
-    for (std::size_t j = 0; j < kN; ++j)
-      a(i, j) = std::exp(-std::abs(static_cast<double>(i) - static_cast<double>(j)) / 32.0);
-  const linalg::Cholesky chol(a);
-  common::Rng rng(13);
-  std::vector<double> b(kN * kRhs);
-  for (double& v : b) v = rng.uniform(-1.0, 1.0);
-
-  std::vector<double> ref(kN * kRhs);
-  std::vector<double> opt(kN * kRhs);
-  auto reference = [&] {
-    linalg::Vector column(kN);
-    for (std::size_t r = 0; r < kRhs; ++r) {
-      std::memcpy(column.data(), b.data() + r * kN, kN * sizeof(double));
-      const linalg::Vector z = chol.solve_lower(column);
-      std::memcpy(ref.data() + r * kN, z.data(), kN * sizeof(double));
-    }
-    benchmark::DoNotOptimize(ref.data());
-  };
-  auto optimized = [&] {
-    chol.solve_lower_multi(b, kRhs, opt);
-    benchmark::DoNotOptimize(opt.data());
-  };
-  reference();
-  optimized();
-
-  KernelReport report{"solve_lower_multi", kRhs};
-  report.bit_identical = bytes_equal(ref, opt);
-  report.checksum = checksum_span(kFnvOffset, opt);
-  if (timed) {
-    report.reference_ns = time_per_call_ns(reference);
-    report.optimized_ns = time_per_call_ns(optimized);
-  }
-  return report;
-}
-
-gp::GaussianProcess make_wide_gp(std::size_t observations, std::size_t dim,
-                                 std::uint64_t seed) {
-  gp::GaussianProcess gp(
-      std::make_unique<gp::SquaredExponentialKernel>(2.25, std::vector<double>(dim, 2.5)),
-      0.0064, 1.0);
-  common::Rng rng(seed);
-  for (std::size_t i = 0; i < observations; ++i) {
-    std::vector<double> x(dim);
-    for (double& v : x) v = rng.uniform(1.0, 10.0);
-    gp.add_observation(std::move(x), rng.normal(1.0, 0.2));
-  }
-  return gp;
-}
-
-/// Batched posterior.  Reference is the per-query predict() loop the
-/// controller's candidate scoring used before predict_batch; optimized is one
-/// predict_batch call (one kernel-row sweep + one multi-RHS solve).
-KernelReport bench_predict_batch(bool timed) {
-  constexpr std::size_t kObs = 256;
-  constexpr std::size_t kDim = 4;
-  constexpr std::size_t kQueries = 512;
-  const gp::GaussianProcess gp = make_wide_gp(kObs, kDim, 17);
-  common::Rng rng(19);
-  std::vector<double> xs(kQueries * kDim);
-  for (double& v : xs) v = rng.uniform(1.0, 10.0);
-
-  std::vector<gp::Posterior> ref(kQueries);
-  std::vector<gp::Posterior> opt(kQueries);
-  auto reference = [&] {
-    for (std::size_t q = 0; q < kQueries; ++q)
-      ref[q] = gp.predict(std::span<const double>(xs).subspan(q * kDim, kDim));
-    benchmark::DoNotOptimize(ref.data());
-  };
-  auto optimized = [&] {
-    gp.predict_batch(xs, kQueries, opt);
-    benchmark::DoNotOptimize(opt.data());
-  };
-  reference();
-  optimized();
-
-  bool identical = true;
-  std::uint64_t checksum = kFnvOffset;
-  for (std::size_t q = 0; q < kQueries; ++q) {
-    identical = identical &&
-                std::bit_cast<std::uint64_t>(ref[q].mean) ==
-                    std::bit_cast<std::uint64_t>(opt[q].mean) &&
-                std::bit_cast<std::uint64_t>(ref[q].variance) ==
-                    std::bit_cast<std::uint64_t>(opt[q].variance);
-    checksum = fnv1a(checksum, opt[q].mean);
-    checksum = fnv1a(checksum, opt[q].variance);
-  }
-  KernelReport report{"predict_batch", kQueries};
-  report.bit_identical = identical;
-  report.checksum = checksum;
-  if (timed) {
-    report.reference_ns = time_per_call_ns(reference);
-    report.optimized_ns = time_per_call_ns(optimized);
-  }
-  return report;
-}
-
-/// Acquisition argmax over an integer grid.  Reference is
-/// select_target_tracking_ucb (predict per candidate); optimized batches the
-/// posteriors then folds the identical score with the identical strict
-/// first-max tie-break, as DragsterController::select_configs now does.
-KernelReport bench_acquisition_argmax(bool timed) {
-  constexpr std::size_t kObs = 256;
-  constexpr std::size_t kDim = 2;
-  constexpr double kTarget = 1.2;
-  constexpr double kBeta = 10.0;
-  const gp::GaussianProcess gp = make_wide_gp(kObs, kDim, 23);
-  const std::vector<gp::Candidate> grid = gp::integer_grid(kDim, 1, 32);
-  std::vector<double> xs(grid.size() * kDim);
-  for (std::size_t i = 0; i < grid.size(); ++i)
-    std::memcpy(xs.data() + i * kDim, grid[i].data(), kDim * sizeof(double));
-
-  std::optional<gp::AcquisitionResult> ref;
-  std::size_t opt_index = 0;
-  double opt_score = 0.0;
-  std::vector<gp::Posterior> posts(grid.size());
-  auto reference = [&] {
-    ref = gp::select_target_tracking_ucb(gp, grid, kTarget, kBeta);
-    benchmark::DoNotOptimize(ref->index);
-  };
-  auto optimized = [&] {
-    gp.predict_batch(xs, grid.size(), posts);
-    bool any = false;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      const double score = -std::abs(posts[i].mean - kTarget) + kBeta * posts[i].variance;
-      if (!any || score > opt_score) {
-        any = true;
-        opt_index = i;
-        opt_score = score;
-      }
-    }
-    benchmark::DoNotOptimize(opt_index);
-  };
-  reference();
-  optimized();
-
-  KernelReport report{"acquisition_argmax", grid.size()};
-  report.bit_identical = ref.has_value() && ref->index == opt_index &&
-                         std::bit_cast<std::uint64_t>(ref->score) ==
-                             std::bit_cast<std::uint64_t>(opt_score);
-  report.checksum = fnv1a(fnv1a(kFnvOffset, static_cast<std::uint64_t>(opt_index)), opt_score);
-  if (timed) {
-    report.reference_ns = time_per_call_ns(reference);
-    report.optimized_ns = time_per_call_ns(optimized);
-  }
-  return report;
 }
 
 // --- fleet slot latency -----------------------------------------------------
@@ -549,29 +310,9 @@ int speed_harness(const common::Flags& flags) {
   const auto fleet_slots = static_cast<std::size_t>(flags.get("fleet-slots", std::int64_t{4}));
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{7}));
   bench::configure_threads(flags);
-  const bool timed = !json_path.empty();
-
   bench::print_header("micro_kernels speed harness", seed);
-  std::vector<KernelReport> kernels;
-  kernels.push_back(bench_kernel_row(timed));
-  kernels.push_back(bench_solve_lower_multi(timed));
-  kernels.push_back(bench_predict_batch(timed));
-  kernels.push_back(bench_acquisition_argmax(timed));
-
-  common::Table table({"kernel", "work", "reference ns", "optimized ns", "speedup", "bits"});
-  bool all_identical = true;
-  for (const KernelReport& k : kernels) {
-    all_identical = all_identical && k.bit_identical;
-    table.add_row({k.name, std::to_string(k.work),
-                   timed ? common::Table::num(k.reference_ns, 1) : "-",
-                   timed ? common::Table::num(k.optimized_ns, 1) : "-",
-                   timed ? common::Table::num(safe_speedup(k.reference_ns, k.optimized_ns), 2)
-                         : "-",
-                   k.bit_identical ? "identical" : "MISMATCH"});
-  }
-  std::printf("%s\n", table.to_string().c_str());
-
   FleetReport fleet;
+  bool deterministic = true;
   if (fleet_jobs > 0) {
     const std::size_t lanes = std::max<std::size_t>(2, parallel::TaskPool::hardware_threads(8));
     fleet = bench_fleet_slot(fleet_jobs, fleet_slots, lanes, seed);
@@ -580,7 +321,7 @@ int speed_harness(const common::Flags& flags) {
         "ms/slot, deterministic: %s\n\n",
         fleet.jobs, fleet.slots, fleet.serial_ms_per_slot, fleet.threads,
         fleet.parallel_ms_per_slot, fleet.deterministic ? "yes" : "NO");
-    all_identical = all_identical && fleet.deterministic;
+    deterministic = fleet.deterministic;
   }
 
   if (!json_path.empty()) {
@@ -588,24 +329,8 @@ int speed_harness(const common::Flags& flags) {
     out << "{\n  \"bench\": \"micro_kernels_speed\",\n";
     out << "  \"seed\": " << seed << ",\n";
     out << "  \"hardware\": {\"hardware_threads\": " << std::thread::hardware_concurrency()
-        << ", \"kernel_simd\": \"" << DRAGSTER_KERNEL_SIMD_NAME << "\"},\n";
-    out << "  \"kernels\": [\n";
+        << "},\n";
     char buffer[64];
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-      const KernelReport& k = kernels[i];
-      out << "    {\"name\": \"" << k.name << "\", \"work\": " << k.work;
-      std::snprintf(buffer, sizeof(buffer), "%.1f", k.reference_ns);
-      out << ", \"reference_ns\": " << buffer;
-      std::snprintf(buffer, sizeof(buffer), "%.1f", k.optimized_ns);
-      out << ", \"optimized_ns\": " << buffer;
-      std::snprintf(buffer, sizeof(buffer), "%.2f",
-                    safe_speedup(k.reference_ns, k.optimized_ns));
-      out << ", \"speedup\": " << buffer;
-      out << ", \"bit_identical\": " << (k.bit_identical ? "true" : "false");
-      out << ", \"checksum\": \"" << hex64(k.checksum) << "\"}"
-          << (i + 1 < kernels.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n";
     out << "  \"fleet\": {\"jobs\": " << fleet.jobs << ", \"slots\": " << fleet.slots
         << ", \"threads\": " << fleet.threads;
     std::snprintf(buffer, sizeof(buffer), "%.1f", fleet.serial_ms_per_slot);
@@ -625,23 +350,15 @@ int speed_harness(const common::Flags& flags) {
     // --threads must produce byte-identical files (the CI cmp gate).
     std::ofstream out(checks_path);
     out << "{\n  \"bench\": \"micro_kernels_checks\",\n";
-    out << "  \"seed\": " << seed << ",\n  \"kernels\": [\n";
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-      const KernelReport& k = kernels[i];
-      out << "    {\"name\": \"" << k.name << "\", \"bit_identical\": "
-          << (k.bit_identical ? "true" : "false") << ", \"checksum\": \"" << hex64(k.checksum)
-          << "\"}" << (i + 1 < kernels.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n";
+    out << "  \"seed\": " << seed << ",\n";
     out << "  \"fleet\": {\"jobs\": " << fleet.jobs << ", \"slots\": " << fleet.slots
         << ", \"deterministic\": " << (fleet.deterministic ? "true" : "false")
         << ", \"checksum\": \"" << hex64(fleet.checksum) << "\"}\n}\n";
     std::printf("checksums written to %s\n", checks_path.c_str());
   }
 
-  std::printf("reference and optimized kernels bit-identical: %s\n",
-              all_identical ? "PASS" : "FAIL");
-  return all_identical ? 0 : 1;
+  std::printf("serial and pooled fleet runs identical: %s\n", deterministic ? "PASS" : "FAIL");
+  return deterministic ? 0 : 1;
 }
 
 }  // namespace

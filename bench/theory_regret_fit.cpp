@@ -4,18 +4,26 @@
 // Part 1 — horizon sweep on WordCount with known throughput functions:
 //   prints Reg_T, Reg_T/T, Fit_T, Fit_T/T and the theoretical shape
 //   sqrt(T (log T)^{d+2}) for comparison (d = 1 task dimension).  The
-//   averages Reg_T/T and Fit_T/T must visibly decrease with T.
+//   averages Reg_T/T and Fit_T/T must visibly decrease with T.  One run goes
+//   to the largest horizon and each smaller horizon is a checkpoint of it, so
+//   every row equals a separate run of that length.  The least-squares slope
+//   of log Reg_T and log Fit_T against log T follows on stderr (below 1 is
+//   sub-linear; zero points have no logarithm and are skipped and counted).
 //
 // Part 2 — the same sweep with learn_throughput enabled (Theorem 2): the
 //   throughput functions start from a wrong unit-selectivity prior and are
 //   fitted online; the regret order must be preserved.
 //
-//   ./theory_regret_fit [--seed 4] [--horizons 10,20,40,80]
+//   ./theory_regret_fit [--seed 4] [--horizons 10,100,1000,10000]
+//
+// --horizons takes positive, strictly increasing slot counts; anything else,
+// and any unknown flag, throws dragster::Error naming the flag.
+#include <charconv>
 #include <cmath>
-#include <sstream>
 
 #include "baselines/oracle.hpp"
 #include "bench_util.hpp"
+#include "common/error.hpp"
 #include "online/meters.hpp"
 
 namespace {
@@ -28,7 +36,10 @@ struct SweepPoint {
   double fit;
 };
 
-SweepPoint run_horizon(std::size_t horizon, bool learn, std::uint64_t seed) {
+/// One run to the largest horizon; Reg_T and Fit_T are read at each
+/// checkpoint in `horizons` (ascending).
+std::vector<SweepPoint> run_checkpoints(const std::vector<std::size_t>& horizons, bool learn,
+                                        std::uint64_t seed) {
   const workloads::WorkloadSpec spec = workloads::wordcount();
   streamsim::Engine engine = spec.make_engine(true, streamsim::EngineOptions{}, seed);
   core::DragsterOptions options;
@@ -42,7 +53,8 @@ SweepPoint run_horizon(std::size_t horizon, bool learn, std::uint64_t seed) {
 
   online::RegretMeter regret;
   online::FitMeter fit;
-  for (std::size_t t = 0; t < horizon; ++t) {
+  std::vector<SweepPoint> points;
+  for (std::size_t t = 0; t < horizons.back(); ++t) {
     const auto& report = engine.run_slot();
     controller.on_slot(monitor, engine);
     regret.record(optimal, std::min(report.throughput_rate, optimal));
@@ -55,15 +67,49 @@ SweepPoint run_horizon(std::size_t horizon, bool learn, std::uint64_t seed) {
         constraints.push_back((m.arrival_demand_rate - m.observed_capacity) / optimal);
     }
     fit.record(constraints);
+    if (t + 1 == horizons[points.size()])
+      points.push_back({t + 1, regret.total() / optimal, fit.total_violation()});
   }
-  return {horizon, regret.total() / optimal, fit.total_violation()};
+  return points;
+}
+
+/// Prints to stderr the least-squares slope of log(value) against log(T)
+/// over the points whose value is positive; zeros have no logarithm and are
+/// skipped and counted.
+void print_slope(const char* name, const std::vector<SweepPoint>& points,
+                 double SweepPoint::*value) {
+  std::vector<std::pair<double, double>> logs;
+  for (const SweepPoint& p : points)
+    if (p.*value > 0.0)
+      logs.emplace_back(std::log(static_cast<double>(p.horizon)), std::log(p.*value));
+  const std::size_t skipped = points.size() - logs.size();
+  if (logs.size() < 2) {
+    std::fprintf(stderr, "log-log slope of %s: n/a (%zu usable points, %zu zero skipped)\n", name,
+                 logs.size(), skipped);
+    return;
+  }
+  double mx = 0.0, my = 0.0;
+  for (const auto& [x, y] : logs) {
+    mx += x;
+    my += y;
+  }
+  mx /= static_cast<double>(logs.size());
+  my /= static_cast<double>(logs.size());
+  double sxy = 0.0, sxx = 0.0;
+  for (const auto& [x, y] : logs) {
+    sxy += (x - mx) * (y - my);
+    sxx += (x - mx) * (x - mx);
+  }
+  std::fprintf(stderr, "log-log slope of %s: %.3f over %zu points (%zu zero skipped)\n", name,
+               sxy / sxx, logs.size(), skipped);
 }
 
 void sweep(const std::vector<std::size_t>& horizons, bool learn, std::uint64_t seed) {
   common::Table table({"T (slots)", "Reg_T (opt-slots)", "Reg_T / T", "Fit_T", "Fit_T / T",
                        "sqrt(T (log T)^3) ref"});
-  for (std::size_t T : horizons) {
-    const SweepPoint p = run_horizon(T, learn, seed);
+  const std::vector<SweepPoint> points = run_checkpoints(horizons, learn, seed);
+  for (const SweepPoint& p : points) {
+    const std::size_t T = p.horizon;
     const double logT = std::log(static_cast<double>(std::max<std::size_t>(T, 2)));
     table.add_row({std::to_string(T), common::Table::num(p.regret, 2),
                    common::Table::num(p.regret / static_cast<double>(T), 4),
@@ -72,6 +118,29 @@ void sweep(const std::vector<std::size_t>& horizons, bool learn, std::uint64_t s
                    common::Table::num(std::sqrt(static_cast<double>(T) * logT * logT * logT), 1)});
   }
   std::printf("%s", table.to_string().c_str());
+  std::fflush(stdout);
+  print_slope("Reg_T", points, &SweepPoint::regret);
+  print_slope("Fit_T", points, &SweepPoint::fit);
+}
+
+/// Parses --horizons: comma-separated, positive, strictly increasing.
+std::vector<std::size_t> parse_horizons(const std::string& text) {
+  std::vector<std::size_t> horizons;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t comma = std::min(text.find(',', begin), text.size());
+    const std::string entry = text.substr(begin, comma - begin);
+    std::size_t value = 0;
+    const char* end = entry.data() + entry.size();
+    const auto [stop, error] = std::from_chars(entry.data(), end, value);
+    if (entry.empty() || stop != end || error != std::errc() || value == 0 ||
+        (!horizons.empty() && value <= horizons.back()))
+      throw Error("flag --horizons needs positive, strictly increasing slot counts, got '" +
+                  text + "'");
+    horizons.push_back(value);
+    if (comma == text.size()) return horizons;
+    begin = comma + 1;
+  }
 }
 
 }  // namespace
@@ -133,12 +202,10 @@ void drift_sweep(std::uint64_t seed) {
 int main(int argc, char** argv) {
   const common::Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{4}));
-  std::vector<std::size_t> horizons;
-  {
-    std::stringstream ss(flags.get("horizons", std::string("10,20,40,80,160")));
-    std::string tok;
-    while (std::getline(ss, tok, ',')) horizons.push_back(std::stoul(tok));
-  }
+  const std::vector<std::size_t> horizons =
+      parse_horizons(flags.get("horizons", std::string("10,100,1000,10000")));
+  const std::vector<std::string> unknown = flags.unused();
+  if (!unknown.empty()) throw Error("unknown flag --" + unknown.front());
 
   bench::print_header("Theorem 1: sub-linear dynamic regret and fit", seed);
   std::printf("\nknown throughput functions h (Theorem 1):\n");

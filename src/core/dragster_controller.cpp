@@ -8,7 +8,6 @@
 #include "cluster/pricing.hpp"
 #include "common/error.hpp"
 #include "obs/registry.hpp"
-#include "parallel/task_pool.hpp"
 
 namespace dragster::core {
 
@@ -93,16 +92,10 @@ void DragsterController::observe(const streamsim::JobMonitor& monitor) {
   const streamsim::SlotReport& report = monitor.last_report();
   const std::size_t n = dag_->node_count();
 
-  // Per-operator GP update + posterior refresh.  Each operator owns its
-  // model and its y_est_ slot, so the loop is independence-safe; map entries
-  // are created serially up front because std::map insertion is not.  A pool
-  // of size 1 (the default) runs the identical serial loop.
-  const std::vector<dag::NodeId> ops = dag_->operators();
-  for (dag::NodeId id : ops) models_[id];
-  auto update_operator = [&](std::size_t idx) {
-    const dag::NodeId id = ops[idx];
+  // Per-operator GP update + posterior refresh.
+  for (dag::NodeId id : dag_->operators()) {
     const streamsim::OperatorMetrics& m = report.per_node[id];
-    OperatorModel& model = models_.find(id)->second;
+    OperatorModel& model = models_[id];
 
     // GP input: (tasks) for horizontal-only, (tasks, cpu) with VPA enabled.
     std::vector<double> deployed{static_cast<double>(m.tasks)};
@@ -135,12 +128,7 @@ void DragsterController::observe(const streamsim::JobMonitor& monitor) {
     } else {
       y_est_[id] = std::max(y_est_[id], 1.0);
     }
-  };
-  parallel::TaskPool& pool = parallel::TaskPool::global();
-  if (pool.threads() > 1 && !parallel::TaskPool::in_worker())
-    pool.for_each(ops.size(), update_operator);
-  else
-    for (std::size_t idx = 0; idx < ops.size(); ++idx) update_operator(idx);
+  }
 
   // Theorem 2 mode: refine the throughput-function parameters from the
   // observed per-edge flows (excluding capacity-truncated operators).
@@ -295,12 +283,8 @@ void DragsterController::select_configs(const streamsim::JobMonitor& monitor,
     bool any_feasible = false;
     bool projection_active = false;
 
-    // Enumerate feasible candidates in the exact (cpu outer, tasks inner)
-    // order the scalar loop used, score them with batched posteriors —
-    // chunks fanned out over the pool, each committed to its own slot —
-    // then fold serially with the strict first-max rule.  Posterior bits and
-    // tie-breaks are identical to the scalar loop, so golden traces hold at
-    // any thread count.
+    // Enumerate feasible candidates (cpu outer, tasks inner), score them
+    // with one batched posterior, then fold with the strict first-max rule.
     struct Candidate {
       cluster::PodSpec spec;
       int tasks = 0;
@@ -329,21 +313,7 @@ void DragsterController::select_configs(const streamsim::JobMonitor& monitor,
       }
     }
     std::vector<gp::Posterior> posts(cands.size());
-    if (!cands.empty()) {
-      constexpr std::size_t kChunk = 64;
-      const std::size_t chunks = (cands.size() + kChunk - 1) / kChunk;
-      auto score_chunk = [&](std::size_t c) {
-        const std::size_t begin = c * kChunk;
-        const std::size_t len = std::min(kChunk, cands.size() - begin);
-        model.gp->predict_batch(std::span<const double>(xs).subspan(begin * gp_dim, len * gp_dim),
-                                len, std::span<gp::Posterior>(posts).subspan(begin, len));
-      };
-      parallel::TaskPool& pool = parallel::TaskPool::global();
-      if (chunks > 1 && pool.threads() > 1 && !parallel::TaskPool::in_worker())
-        pool.for_each(chunks, score_chunk);
-      else
-        for (std::size_t c = 0; c < chunks; ++c) score_chunk(c);
-    }
+    model.gp->predict_batch(xs, cands.size(), posts);
     for (std::size_t c = 0; c < cands.size(); ++c) {
       const gp::Posterior post = posts[c];
       // Asymmetric extended UCB (eq. 18 + one-sided constraint weighting).

@@ -1,6 +1,8 @@
 #include "gp/gaussian_process.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "common/error.hpp"
@@ -19,9 +21,9 @@ GaussianProcess::GaussianProcess(const GaussianProcess& other)
       noise_variance_(other.noise_variance_),
       prior_mean_(other.prior_mean_),
       inputs_(other.inputs_),
-      flat_inputs_(other.flat_inputs_),
-      targets_(other.targets_),
-      chol_(other.chol_ ? std::make_unique<linalg::Cholesky>(*other.chol_) : nullptr),
+      counts_(other.counts_),
+      sums_(other.sums_),
+      chol_(other.chol_),
       alpha_(other.alpha_) {}
 
 GaussianProcess& GaussianProcess::operator=(const GaussianProcess& other) {
@@ -31,40 +33,61 @@ GaussianProcess& GaussianProcess::operator=(const GaussianProcess& other) {
   return *this;
 }
 
-void GaussianProcess::add_observation(std::vector<double> x, double y) {
-  DRAGSTER_REQUIRE(x.size() == kernel_->dimension(), "observation dimension mismatch");
-  DRAGSTER_REQUIRE(std::isfinite(y), "observation target must be finite");
-
-  if (inputs_.empty()) {
-    linalg::Matrix k(1, 1, (*kernel_)(x, x) + noise_variance_);
-    chol_ = std::make_unique<linalg::Cholesky>(k);
-  } else {
-    linalg::Vector col(inputs_.size());
-    kernel_->eval_row(flat_inputs_, inputs_.size(), x, col);
-    chol_->extend(col, (*kernel_)(x, x) + noise_variance_);
-  }
-  flat_inputs_.insert(flat_inputs_.end(), x.begin(), x.end());
-  inputs_.push_back(std::move(x));
-  targets_.push_back(y);
-  rebuild_alpha();
+std::span<const double> GaussianProcess::row(std::size_t r) const {
+  const std::size_t d = kernel_->dimension();
+  return std::span<const double>(inputs_).subspan(r * d, d);
 }
 
-void GaussianProcess::rebuild_alpha() {
-  linalg::Vector centered(targets_.size());
-  for (std::size_t i = 0; i < targets_.size(); ++i) centered[i] = targets_[i] - prior_mean_;
+std::size_t GaussianProcess::find_row(std::span<const double> x) const {
+  // Inputs are grid coordinates (task counts, cpu candidates), so a repeat
+  // is the same configuration exactly when every coordinate compares equal.
+  for (std::size_t r = 0; r < counts_.size(); ++r)
+    if (std::ranges::equal(row(r), x)) return r;
+  return counts_.size();
+}
+
+void GaussianProcess::add_observation(const std::vector<double>& x, double y) {
+  DRAGSTER_REQUIRE(x.size() == kernel_->dimension(), "observation dimension mismatch");
+  for (double v : x) DRAGSTER_REQUIRE(std::isfinite(v), "observation input must be finite");
+  DRAGSTER_REQUIRE(std::isfinite(y), "observation target must be finite");
+
+  const std::size_t r = find_row(x);
+  if (r == counts_.size()) {
+    inputs_.insert(inputs_.end(), x.begin(), x.end());
+    counts_.push_back(0);
+    sums_.push_back(0.0);
+  }
+  DRAGSTER_REQUIRE(counts_[r] < std::numeric_limits<int>::max() && std::isfinite(sums_[r] + y),
+                   "observation row count or sum would overflow");
+  counts_[r] += 1;
+  sums_[r] += y;
+  refactor();
+}
+
+void GaussianProcess::refactor() {
+  const std::size_t m = counts_.size();
+  linalg::Matrix k(m, m);
+  linalg::Vector centered(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < i; ++j) k(i, j) = k(j, i) = (*kernel_)(row(i), row(j));
+    const double count = counts_[i];
+    k(i, i) = (*kernel_)(row(i), row(i)) + noise_variance_ / count;
+    centered[i] = sums_[i] / count - prior_mean_;
+  }
+  chol_.emplace(k);
   alpha_ = chol_->solve(centered);
 }
 
 Posterior GaussianProcess::predict(std::span<const double> x) const {
   DRAGSTER_REQUIRE(x.size() == kernel_->dimension(), "prediction dimension mismatch");
-  if (inputs_.empty()) return {prior_mean_, kernel_->prior_variance()};
+  if (counts_.empty()) return {prior_mean_, kernel_->prior_variance()};
 
-  linalg::Vector k(inputs_.size());
-  kernel_->eval_row(flat_inputs_, inputs_.size(), x, k);
+  linalg::Vector k(counts_.size());
+  for (std::size_t i = 0; i < k.size(); ++i) k[i] = (*kernel_)(row(i), x);
 
   Posterior post;
   post.mean = prior_mean_ + linalg::dot(k, alpha_);
-  // variance = k(x,x) - k^T (K + s^2 I)^{-1} k, computed via v = L^{-1} k.
+  // variance = k(x,x) - k^T (K + s^2 D)^{-1} k, computed via v = L^{-1} k.
   const linalg::Vector v = chol_->solve_lower(k);
   post.variance = (*kernel_)(x, x) - linalg::dot(v, v);
   if (post.variance < 0.0) post.variance = 0.0;  // guard FP round-off
@@ -76,56 +99,28 @@ void GaussianProcess::predict_batch(std::span<const double> xs, std::size_t coun
   const std::size_t d = kernel_->dimension();
   DRAGSTER_REQUIRE(xs.size() == count * d, "predict_batch: packed query size mismatch");
   DRAGSTER_REQUIRE(out.size() == count, "predict_batch: output size mismatch");
-  if (count == 0) return;
-  const std::size_t n = inputs_.size();
-  if (n == 0) {
-    for (std::size_t q = 0; q < count; ++q) out[q] = {prior_mean_, kernel_->prior_variance()};
-    return;
-  }
-  // Kernel columns, query-contiguous: column q spans k_all[q*n, q*n + n).
-  std::vector<double> k_all(count * n);
-  for (std::size_t q = 0; q < count; ++q)
-    kernel_->eval_row(flat_inputs_, n, xs.subspan(q * d, d),
-                      std::span<double>(k_all).subspan(q * n, n));
-  std::vector<double> v_all(count * n);
-  chol_->solve_lower_multi(k_all, count, v_all);
-  for (std::size_t q = 0; q < count; ++q) {
-    const std::span<const double> k(k_all.data() + q * n, n);
-    const std::span<const double> v(v_all.data() + q * n, n);
-    const std::span<const double> x = xs.subspan(q * d, d);
-    out[q].mean = prior_mean_ + linalg::dot(k, alpha_);
-    out[q].variance = (*kernel_)(x, x) - linalg::dot(v, v);
-    if (out[q].variance < 0.0) out[q].variance = 0.0;  // guard FP round-off
-  }
+  for (std::size_t q = 0; q < count; ++q) out[q] = predict(xs.subspan(q * d, d));
 }
 
-double GaussianProcess::log_marginal_likelihood() const {
-  if (inputs_.empty()) return 0.0;
-  linalg::Vector centered(targets_.size());
-  for (std::size_t i = 0; i < targets_.size(); ++i) centered[i] = targets_[i] - prior_mean_;
-  const double fit = linalg::dot(centered, alpha_);
-  const double n = static_cast<double>(targets_.size());
-  return -0.5 * fit - 0.5 * chol_->log_det() - 0.5 * n * std::log(2.0 * std::numbers::pi);
+std::size_t GaussianProcess::num_observations() const noexcept {
+  std::size_t total = 0;
+  for (int count : counts_) total += static_cast<std::size_t>(count);
+  return total;
 }
 
 void GaussianProcess::reset() {
   inputs_.clear();
-  flat_inputs_.clear();
-  targets_.clear();
+  counts_.clear();
+  sums_.clear();
   alpha_.clear();
   chol_.reset();
 }
 
 void GaussianProcess::save_state(resilience::SnapshotWriter& writer) const {
   writer.field("gp_dim", static_cast<std::uint64_t>(kernel_->dimension()));
-  writer.field("gp_count", static_cast<std::uint64_t>(inputs_.size()));
-  std::vector<double> flat;
-  flat.reserve(inputs_.size() * kernel_->dimension());
-  for (const auto& x : inputs_) flat.insert(flat.end(), x.begin(), x.end());
-  writer.field("gp_inputs", std::span<const double>(flat));
-  std::vector<double> ys(targets_.size());
-  for (std::size_t i = 0; i < targets_.size(); ++i) ys[i] = targets_[i];
-  writer.field("gp_targets", std::span<const double>(ys));
+  writer.field("gp_inputs", std::span<const double>(inputs_));
+  writer.field("gp_counts", std::span<const int>(counts_));
+  writer.field("gp_sums", std::span<const double>(sums_));
   writer.field("gp_noise", noise_variance_);
   writer.field("gp_prior_mean", prior_mean_);
 }
@@ -137,15 +132,23 @@ void GaussianProcess::load_state(const resilience::SnapshotReader& reader) {
                    "snapshot GP noise variance mismatch");
   DRAGSTER_REQUIRE(reader.get_double("gp_prior_mean") == prior_mean_,
                    "snapshot GP prior mean mismatch");
-  const std::size_t count = reader.get_uint("gp_count");
-  const std::vector<double> flat = reader.get_doubles("gp_inputs");
-  const std::vector<double> ys = reader.get_doubles("gp_targets");
-  DRAGSTER_REQUIRE(flat.size() == count * dim && ys.size() == count,
-                   "snapshot GP observation arrays are inconsistent");
-  reset();
-  for (std::size_t i = 0; i < count; ++i)
-    add_observation(std::vector<double>(flat.begin() + i * dim, flat.begin() + (i + 1) * dim),
-                    ys[i]);
+  GaussianProcess restored(kernel_->clone(), noise_variance_, prior_mean_);
+  restored.inputs_ = reader.get_doubles("gp_inputs");
+  restored.counts_ = reader.get_ints("gp_counts");
+  restored.sums_ = reader.get_doubles("gp_sums");
+  const std::size_t rows = restored.counts_.size();
+  DRAGSTER_REQUIRE(restored.inputs_.size() == rows * dim && restored.sums_.size() == rows,
+                   "snapshot GP table sizes disagree with gp_dim");
+  for (std::size_t r = 0; r < rows; ++r) {
+    DRAGSTER_REQUIRE(restored.counts_[r] > 0, "snapshot GP row count must be positive");
+    DRAGSTER_REQUIRE(std::isfinite(restored.sums_[r]), "snapshot GP row sum must be finite");
+    for (double v : restored.row(r))
+      DRAGSTER_REQUIRE(std::isfinite(v), "snapshot GP input must be finite");
+    DRAGSTER_REQUIRE(restored.find_row(restored.row(r)) == r,
+                     "snapshot GP table repeats an input row");
+  }
+  if (rows > 0) restored.refactor();
+  *this = std::move(restored);
 }
 
 double ucb_beta(std::size_t num_candidates, std::size_t t, double delta) {
@@ -156,17 +159,6 @@ double ucb_beta(std::size_t num_candidates, std::size_t t, double delta) {
   const double beta =
       2.0 * std::log(static_cast<double>(num_candidates) * tt * tt * pi_sq * delta / 6.0);
   return beta > 0.0 ? beta : 1e-3;
-}
-
-InformationGainMeter::InformationGainMeter(double noise_variance)
-    : inv_noise_(1.0 / noise_variance) {
-  DRAGSTER_REQUIRE(noise_variance > 0.0, "noise variance must be positive");
-}
-
-void InformationGainMeter::record(double predictive_variance) {
-  DRAGSTER_REQUIRE(predictive_variance >= 0.0, "variance must be non-negative");
-  half_sum_ += 0.5 * std::log(1.0 + inv_noise_ * predictive_variance);
-  ++rounds_;
 }
 
 }  // namespace dragster::gp

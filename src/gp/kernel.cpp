@@ -27,14 +27,6 @@ void validate(double signal_variance, const std::vector<double>& lengthscales) {
 
 }  // namespace
 
-void Kernel::eval_row(std::span<const double> xs, std::size_t count, std::span<const double> y,
-                      std::span<double> out) const {
-  const std::size_t d = dimension();
-  DRAGSTER_REQUIRE(xs.size() == count * d, "eval_row: packed input size mismatch");
-  DRAGSTER_REQUIRE(out.size() == count, "eval_row: output size mismatch");
-  for (std::size_t i = 0; i < count; ++i) out[i] = (*this)(xs.subspan(i * d, d), y);
-}
-
 SquaredExponentialKernel::SquaredExponentialKernel(double signal_variance,
                                                    std::vector<double> lengthscales)
     : signal_variance_(signal_variance), lengthscales_(std::move(lengthscales)) {
@@ -44,25 +36,6 @@ SquaredExponentialKernel::SquaredExponentialKernel(double signal_variance,
 double SquaredExponentialKernel::operator()(std::span<const double> x,
                                             std::span<const double> y) const {
   return signal_variance_ * std::exp(-0.5 * scaled_sq_dist(x, y, lengthscales_));
-}
-
-void SquaredExponentialKernel::eval_row(std::span<const double> xs, std::size_t count,
-                                        std::span<const double> y, std::span<double> out) const {
-  const std::size_t d = lengthscales_.size();
-  DRAGSTER_REQUIRE(xs.size() == count * d, "eval_row: packed input size mismatch");
-  DRAGSTER_REQUIRE(y.size() == d && out.size() == count, "eval_row: size mismatch");
-  // Same per-element arithmetic as operator() — d = (x_j - y_j) / l_j,
-  // sum += d * d in ascending j — fused over the whole row so the distance
-  // sweep vectorizes and the virtual dispatch happens once, not n times.
-  for (std::size_t i = 0; i < count; ++i) {
-    const double* xi = xs.data() + i * d;
-    double sum = 0.0;
-    for (std::size_t j = 0; j < d; ++j) {
-      const double diff = (xi[j] - y[j]) / lengthscales_[j];
-      sum += diff * diff;
-    }
-    out[i] = signal_variance_ * std::exp(-0.5 * sum);
-  }
 }
 
 std::unique_ptr<Kernel> SquaredExponentialKernel::clone() const {
@@ -78,24 +51,6 @@ double Matern52Kernel::operator()(std::span<const double> x, std::span<const dou
   const double r = std::sqrt(scaled_sq_dist(x, y, lengthscales_));
   const double a = std::sqrt(5.0) * r;
   return signal_variance_ * (1.0 + a + a * a / 3.0) * std::exp(-a);
-}
-
-void Matern52Kernel::eval_row(std::span<const double> xs, std::size_t count,
-                              std::span<const double> y, std::span<double> out) const {
-  const std::size_t d = lengthscales_.size();
-  DRAGSTER_REQUIRE(xs.size() == count * d, "eval_row: packed input size mismatch");
-  DRAGSTER_REQUIRE(y.size() == d && out.size() == count, "eval_row: size mismatch");
-  for (std::size_t i = 0; i < count; ++i) {
-    const double* xi = xs.data() + i * d;
-    double sum = 0.0;
-    for (std::size_t j = 0; j < d; ++j) {
-      const double diff = (xi[j] - y[j]) / lengthscales_[j];
-      sum += diff * diff;
-    }
-    const double r = std::sqrt(sum);
-    const double a = std::sqrt(5.0) * r;
-    out[i] = signal_variance_ * (1.0 + a + a * a / 3.0) * std::exp(-a);
-  }
 }
 
 std::unique_ptr<Kernel> Matern52Kernel::clone() const {

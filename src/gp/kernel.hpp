@@ -25,16 +25,6 @@ class Kernel {
   /// Prior variance k(x, x) — constant for stationary kernels.
   [[nodiscard]] virtual double prior_variance() const noexcept = 0;
 
-  /// Batched kernel row: out[i] = k(X_i, y) for `count` stored points packed
-  /// row-major in `xs` (count * dimension() doubles).  The default loops
-  /// operator(), so every kernel gets the batch API for free; SE and Matern
-  /// override it with a fused sweep that performs the identical per-element
-  /// arithmetic (same accumulation order, same rounding) without a virtual
-  /// call per pair.  Bit-identity with the scalar path is part of the
-  /// contract — golden traces depend on it.
-  virtual void eval_row(std::span<const double> xs, std::size_t count, std::span<const double> y,
-                        std::span<double> out) const;
-
   [[nodiscard]] virtual std::unique_ptr<Kernel> clone() const = 0;
 };
 
@@ -48,8 +38,6 @@ class SquaredExponentialKernel final : public Kernel {
                                   std::span<const double> y) const override;
   [[nodiscard]] std::size_t dimension() const noexcept override { return lengthscales_.size(); }
   [[nodiscard]] double prior_variance() const noexcept override { return signal_variance_; }
-  void eval_row(std::span<const double> xs, std::size_t count, std::span<const double> y,
-                std::span<double> out) const override;
   [[nodiscard]] std::unique_ptr<Kernel> clone() const override;
 
   [[nodiscard]] const std::vector<double>& lengthscales() const noexcept { return lengthscales_; }
@@ -68,8 +56,6 @@ class Matern52Kernel final : public Kernel {
                                   std::span<const double> y) const override;
   [[nodiscard]] std::size_t dimension() const noexcept override { return lengthscales_.size(); }
   [[nodiscard]] double prior_variance() const noexcept override { return signal_variance_; }
-  void eval_row(std::span<const double> xs, std::size_t count, std::span<const double> y,
-                std::span<double> out) const override;
   [[nodiscard]] std::unique_ptr<Kernel> clone() const override;
 
  private:

@@ -1,6 +1,5 @@
 #include "linalg/cholesky.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -10,7 +9,7 @@
 namespace dragster::linalg {
 namespace {
 
-/// Escalation bound for the retry loops: jitter * 10^(kMaxJitterAttempts-1)
+/// Escalation bound for the retry loop: jitter * 10^(kMaxJitterAttempts-1)
 /// is the largest diagonal boost tried before giving up.
 constexpr int kMaxJitterAttempts = 12;
 
@@ -42,7 +41,7 @@ bool try_factor(Matrix& l) {
 
 }  // namespace
 
-Cholesky::Cholesky(const Matrix& a, double jitter) : jitter_(jitter) {
+Cholesky::Cholesky(const Matrix& a, double jitter) {
   DRAGSTER_REQUIRE(a.rows() == a.cols(), "Cholesky requires a square matrix");
   double added = 0.0;
   for (int attempt = 0; attempt < kMaxJitterAttempts; ++attempt) {
@@ -55,7 +54,7 @@ Cholesky::Cholesky(const Matrix& a, double jitter) : jitter_(jitter) {
                             << " to factor (near-singular kernel matrix?)";
       return;
     }
-    added = attempt == 0 ? jitter_ : added * 10.0;
+    added = attempt == 0 ? jitter : added * 10.0;
   }
   // `added` overshot by one escalation when the loop exited; report the
   // largest value actually tried.
@@ -75,49 +74,6 @@ Vector Cholesky::solve_lower(const Vector& b) const {
   return z;
 }
 
-void Cholesky::solve_lower_multi(std::span<const double> b, std::size_t nrhs,
-                                 std::span<double> out) const {
-  const std::size_t n = l_.rows();
-  DRAGSTER_REQUIRE(b.size() == n * nrhs, "size mismatch in Cholesky::solve_lower_multi");
-  DRAGSTER_REQUIRE(out.size() == n * nrhs, "output size mismatch in Cholesky::solve_lower_multi");
-  if (n == 0 || nrhs == 0) return;
-  // Row-major workspace: w[i * nrhs + r] is element i of column r, so the
-  // inner updates stride unit across right-hand sides and vectorize.
-  std::vector<double> w(n * nrhs);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t r = 0; r < nrhs; ++r) w[i * nrhs + r] = b[r * n + i];
-  // Blocked forward substitution.  For each block of rows, first consume the
-  // already-solved prefix (the panel), then the small triangle inside the
-  // block.  Per element the subtraction order stays k = 0 .. i-1 ascending —
-  // the exact solve_lower sequence — so blocking never perturbs a bit.
-  constexpr std::size_t kBlock = 48;
-  for (std::size_t b0 = 0; b0 < n; b0 += kBlock) {
-    const std::size_t b1 = std::min(n, b0 + kBlock);
-    for (std::size_t i = b0; i < b1; ++i) {
-      double* wi = w.data() + i * nrhs;
-      const std::span<const double> li = l_.row(i);
-      for (std::size_t k = 0; k < b0; ++k) {
-        const double lik = li[k];
-        const double* wk = w.data() + k * nrhs;
-        for (std::size_t r = 0; r < nrhs; ++r) wi[r] -= lik * wk[r];
-      }
-    }
-    for (std::size_t i = b0; i < b1; ++i) {
-      double* wi = w.data() + i * nrhs;
-      const std::span<const double> li = l_.row(i);
-      for (std::size_t k = b0; k < i; ++k) {
-        const double lik = li[k];
-        const double* wk = w.data() + k * nrhs;
-        for (std::size_t r = 0; r < nrhs; ++r) wi[r] -= lik * wk[r];
-      }
-      const double lii = li[i];
-      for (std::size_t r = 0; r < nrhs; ++r) wi[r] /= lii;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t r = 0; r < nrhs; ++r) out[r * n + i] = w[i * nrhs + r];
-}
-
 Vector Cholesky::solve(const Vector& b) const {
   Vector z = solve_lower(b);
   const std::size_t n = l_.rows();
@@ -128,37 +84,6 @@ Vector Cholesky::solve(const Vector& b) const {
     x[ii] = value / l_(ii, ii);
   }
   return x;
-}
-
-void Cholesky::extend(const Vector& col, double diag) {
-  DRAGSTER_REQUIRE(col.size() == l_.rows(), "extend column must match current size");
-  const std::size_t n = l_.rows();
-  // New row r solves L r = col; new pivot is sqrt(diag - r.r).
-  const Vector r = solve_lower(col);
-  double pivot_sq = diag - dot(r, r);
-  if (pivot_sq <= 0.0 || !std::isfinite(pivot_sq)) {
-    double added = jitter_;
-    for (int attempt = 1;
-         attempt < kMaxJitterAttempts && std::isfinite(pivot_sq) && pivot_sq + added <= 0.0;
-         ++attempt)
-      added *= 10.0;
-    if (!std::isfinite(pivot_sq) || pivot_sq + added <= 0.0)
-      throw dragster::Error(
-          "Cholesky::extend: update breaks positive definiteness even with jitter " +
-          format_jitter(added));
-    pivot_sq += added;
-    DRAGSTER_LOG(kWarn) << "Cholesky::extend: pivot needed jitter " << format_jitter(added)
-                        << " to stay positive (near-duplicate observation?)";
-  }
-  l_.grow_symmetric();
-  for (std::size_t k = 0; k < n; ++k) l_(n, k) = r[k];
-  l_(n, n) = std::sqrt(pivot_sq);
-}
-
-double Cholesky::log_det() const {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < l_.rows(); ++i) sum += std::log(l_(i, i));
-  return 2.0 * sum;
 }
 
 }  // namespace dragster::linalg

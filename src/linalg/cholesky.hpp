@@ -1,12 +1,10 @@
-// Cholesky factorization with incremental extension.
+// Cholesky factorization of a symmetric positive-definite matrix.
 //
-// The GP posterior (paper eq. 17) solves (K + sigma^2 I)^{-1} against kernel
+// The GP posterior (paper eq. 17) solves (K + sigma^2 D)^{-1} against kernel
 // vectors; Cholesky is the numerically sound way to do that for SPD kernels.
-// `extend` appends one observation in O(n^2) instead of refactorizing in
-// O(n^3), which keeps per-slot controller cost flat as history grows.
+// The GP refactors its m x m table matrix (m <= |X|) after every
+// observation.
 #pragma once
-
-#include <span>
 
 #include "linalg/matrix.hpp"
 
@@ -25,31 +23,11 @@ class Cholesky {
   /// Solves L z = b (forward substitution).
   [[nodiscard]] Vector solve_lower(const Vector& b) const;
 
-  /// Forward-substitutes L Z = B for `nrhs` right-hand sides at once.
-  /// `b` holds the columns contiguously (column r spans b[r*n, r*n + n)),
-  /// `out` likewise.  Every column sees exactly the arithmetic of
-  /// solve_lower — same accumulation order, same rounding — so each result
-  /// is bit-identical to the single-RHS path.  The win is structural: one
-  /// column is a latency-bound dependency chain, but the columns are
-  /// independent, so the blocked row-major sweep turns the chain into
-  /// unit-stride vector updates across right-hand sides.
-  void solve_lower_multi(std::span<const double> b, std::size_t nrhs,
-                         std::span<double> out) const;
-
-  /// Appends one row/column to the factored matrix: `col` is the new
-  /// off-diagonal column of A (length n), `diag` the new diagonal entry.
-  /// The same escalating-jitter policy guards the new pivot.
-  void extend(const Vector& col, double diag);
-
   [[nodiscard]] std::size_t size() const noexcept { return l_.rows(); }
   [[nodiscard]] const Matrix& factor() const noexcept { return l_; }
 
-  /// log det(A) = 2 * sum log L_ii — used by marginal-likelihood fitting.
-  [[nodiscard]] double log_det() const;
-
  private:
   Matrix l_;
-  double jitter_;
 };
 
 }  // namespace dragster::linalg

@@ -32,14 +32,6 @@ std::span<const double> Matrix::row(std::size_t r) const noexcept {
   return {data_.data() + r * cols_, cols_};
 }
 
-void Matrix::grow_symmetric() {
-  DRAGSTER_REQUIRE(rows_ == cols_, "grow_symmetric requires a square matrix");
-  Matrix bigger(rows_ + 1, cols_ + 1);
-  for (std::size_t r = 0; r < rows_; ++r)
-    std::copy_n(data_.data() + r * cols_, cols_, &bigger(r, 0));
-  *this = std::move(bigger);
-}
-
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r)

@@ -34,10 +34,6 @@ class Matrix {
   [[nodiscard]] std::span<double> row(std::size_t r) noexcept;
   [[nodiscard]] std::span<const double> row(std::size_t r) const noexcept;
 
-  /// Grows to (rows+1, cols+1) preserving the existing block; the new row and
-  /// column are zero-filled.  Used by the GP's incremental kernel update.
-  void grow_symmetric();
-
   [[nodiscard]] Matrix transposed() const;
 
   Matrix& operator+=(const Matrix& other);

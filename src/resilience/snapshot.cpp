@@ -214,10 +214,14 @@ std::string SnapshotReader::get_string(const std::string& key) const {
 }
 
 std::vector<double> SnapshotReader::get_doubles(const std::string& key) const {
-  std::istringstream in(lookup(key, 'F').payload);
+  const std::string& payload = lookup(key, 'F').payload;
+  std::istringstream in(payload);
   std::size_t count = 0;
   DRAGSTER_REQUIRE(static_cast<bool>(in >> count),
                    "snapshot vector '" + key + "' is missing its count");
+  // Every element takes at least two bytes, so a count above the payload
+  // length is corrupt; checking first keeps reserve() from a bogus request.
+  DRAGSTER_REQUIRE(count <= payload.size(), "snapshot vector '" + key + "' is truncated");
   std::vector<double> values;
   values.reserve(count);
   std::string token;
@@ -230,10 +234,12 @@ std::vector<double> SnapshotReader::get_doubles(const std::string& key) const {
 }
 
 std::vector<int> SnapshotReader::get_ints(const std::string& key) const {
-  std::istringstream in(lookup(key, 'I').payload);
+  const std::string& payload = lookup(key, 'I').payload;
+  std::istringstream in(payload);
   std::size_t count = 0;
   DRAGSTER_REQUIRE(static_cast<bool>(in >> count),
                    "snapshot vector '" + key + "' is missing its count");
+  DRAGSTER_REQUIRE(count <= payload.size(), "snapshot vector '" + key + "' is truncated");
   std::vector<int> values;
   values.reserve(count);
   int value = 0;

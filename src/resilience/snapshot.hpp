@@ -19,9 +19,9 @@
 //
 // Sections appear in the order they were written; keys are unique within a
 // section.  The Cholesky factor of each GP is deliberately NOT serialized:
-// observations are replayed into a fresh posterior on restore, so the factor
-// is rebuilt by the exact same incremental-extension sequence that built it
-// originally (identical floating-point operation order => identical bits).
+// the GP saves its per-input (count, sum) table and the restore factors that
+// table once, with the same code add_observation runs, so the restored
+// factor has identical bits.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +31,6 @@
 #include <vector>
 
 namespace dragster::resilience {
-
-inline constexpr int kSnapshotVersion = 1;
 
 class SnapshotWriter {
  public:

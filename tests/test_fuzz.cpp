@@ -1,4 +1,5 @@
-// Seeded mutation fuzzing of the two fault-spec grammars.
+// Seeded mutation fuzzing of the two fault-spec grammars and of a saved GP
+// snapshot section.
 //
 // The toolchain has no libFuzzer, so the mutator lives here.  It starts from
 // the specs test_faults.cpp accepts and applies byte flips, truncations and
@@ -8,12 +9,19 @@
 // faults/spec_grammar.hpp: each input either throws dragster::Error, or yields
 // a plan P such that parse(P.to_string()) has bit-identical events and prints
 // the same bytes.  Any other exception fails the test.
+//
+// The GP surface mutates the body of a saved GP section, recomputes the
+// checksum so every mutation reaches GaussianProcess::load_state, and holds
+// the restore to the same kind of promise: throw dragster::Error, or restore
+// exactly the table the section holds, bit for bit, into a GP whose
+// save_state bytes restore to the same bytes again.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <exception>
 #include <limits>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,6 +30,9 @@
 #include "common/rng.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/fleet_fault_plan.hpp"
+#include "gp/gaussian_process.hpp"
+#include "gp/kernel.hpp"
+#include "resilience/snapshot.hpp"
 
 namespace dragster::faults {
 namespace {
@@ -84,8 +95,10 @@ std::size_t position(common::Rng& rng, const std::string& text) {
   return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(text.size())));
 }
 
-/// One to four stacked mutations of `text`.
-std::string mutate(common::Rng& rng, std::string text, const std::vector<std::string>& specs) {
+/// One to four stacked mutations of `text`: bit flips, truncations, token
+/// insertions and overwrites from `tokens`, and crossovers with `specs`.
+std::string mutate(common::Rng& rng, std::string text, const std::vector<std::string>& specs,
+                   const std::vector<std::string>& tokens = kTokens) {
   const std::int64_t steps = rng.uniform_int(1, 4);
   for (std::int64_t step = 0; step < steps; ++step) {
     switch (rng.uniform_int(0, 4)) {
@@ -99,11 +112,11 @@ std::string mutate(common::Rng& rng, std::string text, const std::vector<std::st
         text.resize(position(rng, text));
         break;
       case 2:  // insert a token
-        text.insert(position(rng, text), pick(rng, kTokens));
+        text.insert(position(rng, text), pick(rng, tokens));
         break;
       case 3: {  // overwrite a short range with a token
         const std::size_t at = position(rng, text);
-        text.replace(at, static_cast<std::size_t>(rng.uniform_int(0, 3)), pick(rng, kTokens));
+        text.replace(at, static_cast<std::size_t>(rng.uniform_int(0, 3)), pick(rng, tokens));
         break;
       }
       default: {  // cross over with another accepted spec
@@ -243,6 +256,198 @@ TEST(Fuzz, FaultEventsRoundTripOrThrowError) {
 
 TEST(Fuzz, FleetFaultEventsRoundTripOrThrowError) {
   fuzz_events<FleetFaultPlan>(0xE7E2, kFleetSpecs, &FleetFaultEvent::job);
+}
+
+// ---------------------------------------------------------------------------
+// GP snapshot sections.
+// ---------------------------------------------------------------------------
+
+constexpr int kGpSectionInputs = 20000;
+
+// clang-format off
+/// Splice tokens for the byte-level mutator: the section's keys and tags,
+/// and numbers at the edges of what the table accepts.
+const std::vector<std::string> kGpTokens = {
+    "gp_dim", "gp_inputs", "gp_counts", "gp_sums", "gp_noise", "gp_prior_mean", "[gp]", "\n",
+    " ", " u ", " f ", " fv ", " iv ", "0", "1", "2", "3", "-1", "0x0p+0", "-0x0p+0", "0x1p+0",
+    "0x1.8p+1", "0x1p-1", "nan", "inf", "-inf", "1e308", "0x1p+1023", "2147483647",
+    "-2147483648", "99999999999", "18446744073709551615"};
+
+/// Edge values mutate_table() writes over a table entry.
+const std::vector<std::string> kGpEdgeValues = {
+    "0", "-1", "0x0p+0", "-0x0p+0", "nan", "-nan", "inf", "-inf", "0x1p+1023", "0x1p-1074",
+    "2147483647", "1"};
+
+/// The messages of load_state's table checks; the fuzz must reach each.
+const std::vector<std::string> kGpRejections = {
+    "table sizes disagree", "count must be positive", "sum must be finite",
+    "input must be finite", "repeats an input row"};
+// clang-format on
+
+gp::GaussianProcess make_section_gp() {
+  return gp::GaussianProcess(
+      std::make_unique<gp::SquaredExponentialKernel>(2.25, std::vector<double>{2.5, 0.75}), 0.0064,
+      1.0);
+}
+
+std::string saved_gp_doc(const gp::GaussianProcess& model) {
+  resilience::SnapshotWriter writer;
+  writer.begin_section("gp");
+  model.save_state(writer);
+  return writer.str();
+}
+
+/// A saved section over (tasks, cpu) without its checksum line: five
+/// inputs, three of them sampled more than once.
+std::string saved_gp_body() {
+  gp::GaussianProcess model = make_section_gp();
+  const double samples[][3] = {{2, 1, 0.9},    {3, 1, 1.1}, {2, 1, 0.95}, {4, 0.5, 1.3},
+                               {3, 1, 1.05},   {2, 2, 1.4}, {6, 1, 1.7},  {4, 0.5, 1.25}};
+  for (const auto& sample : samples) model.add_observation({sample[0], sample[1]}, sample[2]);
+  const std::string doc = saved_gp_doc(model);
+  return doc.substr(0, doc.find("!checksum "));
+}
+
+/// `body` with a matching checksum line, so the mutation reaches load_state.
+std::string with_checksum(std::string body) {
+  if (!body.empty() && body.back() != '\n') body += '\n';
+  return body + "!checksum " + std::to_string(resilience::fnv1a64(body)) + "\n";
+}
+
+std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> parts(1);
+  for (char c : text) {
+    if (c == sep)
+      parts.emplace_back();
+    else
+      parts.back() += c;
+  }
+  return parts;
+}
+
+std::string join(const std::vector<std::string>& parts, char sep) {
+  std::string text;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) text += sep;
+    text += parts[i];
+  }
+  return text;
+}
+
+bool is_table_line(const std::string& line) {
+  return line.rfind("gp_inputs ", 0) == 0 || line.rfind("gp_counts ", 0) == 0 ||
+         line.rfind("gp_sums ", 0) == 0;
+}
+
+/// One or two value-level edits of the table lines (`key tag count v...`):
+/// an entry overwritten by another entry of the section (which makes repeated
+/// rows) or by an edge value, or a vector shortened or lengthened by one with
+/// its count prefix kept consistent (which makes size mismatches).
+std::string mutate_table(common::Rng& rng, const std::string& body,
+                         const std::vector<std::string>& entries) {
+  std::vector<std::string> lines = split(body, '\n');
+  std::vector<std::size_t> table;
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    if (is_table_line(lines[i])) table.push_back(i);
+  const std::int64_t edits = rng.uniform_int(1, 2);
+  for (std::int64_t edit = 0; edit < edits; ++edit) {
+    std::string& line = lines[pick(rng, table)];
+    std::vector<std::string> words = split(line, ' ');
+    const std::size_t values = words.size() - 3;
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+      case 1:
+        if (values > 0)
+          words[3 + static_cast<std::size_t>(rng.uniform_int(
+                        0, static_cast<std::int64_t>(values) - 1))] =
+              rng.bernoulli(0.7) ? pick(rng, entries) : pick(rng, kGpEdgeValues);
+        break;
+      case 2:
+        if (values > 0) {
+          words.pop_back();
+          words[2] = std::to_string(values - 1);
+        }
+        break;
+      default:
+        words.push_back(words.back());
+        words[2] = std::to_string(values + 1);
+        break;
+    }
+    line = join(words, ' ');
+  }
+  return join(lines, '\n');
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) return false;
+  return true;
+}
+
+/// Empty when `doc` throws dragster::Error (whose message lands in `error`)
+/// or restores exactly the table its section holds into a GP whose
+/// save_state bytes restore to the same bytes; otherwise what went wrong.
+std::string gp_violation(const std::string& doc, bool& accepted, std::string& error) {
+  accepted = false;
+  std::optional<resilience::SnapshotReader> reader;
+  gp::GaussianProcess restored = make_section_gp();
+  try {
+    reader.emplace(doc);
+    reader->enter_section("gp");
+    restored.load_state(*reader);
+  } catch (const Error& rejection) {
+    error = rejection.what();
+    return {};
+  } catch (const std::exception& foreign) {
+    return std::string("foreign exception: ") + foreign.what();
+  }
+  accepted = true;
+  try {
+    const std::string saved = saved_gp_doc(restored);
+    resilience::SnapshotReader back(saved);
+    back.enter_section("gp");
+    if (!same_bits(reader->get_doubles("gp_inputs"), back.get_doubles("gp_inputs")) ||
+        reader->get_ints("gp_counts") != back.get_ints("gp_counts") ||
+        !same_bits(reader->get_doubles("gp_sums"), back.get_doubles("gp_sums")))
+      return "the restored table differs from the section";
+    gp::GaussianProcess twin = make_section_gp();
+    twin.load_state(back);
+    if (saved_gp_doc(twin) != saved) return "the restored GP does not re-emit its own bytes";
+  } catch (const std::exception& failure) {
+    return std::string("accepted section fails to round-trip: ") + failure.what();
+  }
+  return {};
+}
+
+TEST(Fuzz, GpSnapshotSectionsRestoreExactlyOrThrowError) {
+  const std::string base = saved_gp_body();
+  std::vector<std::string> entries;
+  for (const std::string& line : split(base, '\n')) {
+    if (!is_table_line(line)) continue;
+    const std::vector<std::string> words = split(line, ' ');
+    entries.insert(entries.end(), words.begin() + 3, words.end());
+  }
+  common::Rng rng(0x6A55EC);
+  std::map<std::string, int> rejected;
+  int accepted = 0;
+  int failures = 0;
+  std::string report;
+  for (int i = 0; i < kGpSectionInputs; ++i) {
+    const std::string body = rng.bernoulli(0.5) ? mutate_table(rng, base, entries)
+                                                : mutate(rng, base, {base}, kGpTokens);
+    bool ok = false;
+    std::string error;
+    const std::string problem = gp_violation(with_checksum(body), ok, error);
+    accepted += ok ? 1 : 0;
+    for (const std::string& reason : kGpRejections)
+      if (error.find(reason) != std::string::npos) ++rejected[reason];
+    if (!problem.empty() && failures++ < 5) report += "\n  '" + body + "': " + problem;
+  }
+  EXPECT_EQ(failures, 0) << report;
+  EXPECT_GT(accepted, kGpSectionInputs / 20);
+  EXPECT_LT(accepted, kGpSectionInputs - kGpSectionInputs / 20);
+  for (const std::string& reason : kGpRejections) EXPECT_GT(rejected[reason], 0) << reason;
 }
 
 }  // namespace

@@ -62,15 +62,6 @@ TEST(Matrix, TransposeRoundTrip) {
     for (std::size_t c = 0; c < a.cols(); ++c) EXPECT_DOUBLE_EQ(att(r, c), a(r, c));
 }
 
-TEST(Matrix, GrowSymmetricPreservesBlock) {
-  Matrix m{{1.0, 2.0}, {2.0, 5.0}};
-  m.grow_symmetric();
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_DOUBLE_EQ(m(1, 1), 5.0);
-  EXPECT_DOUBLE_EQ(m(2, 2), 0.0);
-  EXPECT_DOUBLE_EQ(m(0, 2), 0.0);
-}
-
 TEST(VectorOps, DotAndNorm) {
   const Vector a{3.0, 4.0};
   EXPECT_DOUBLE_EQ(dot(a, a), 25.0);
@@ -109,12 +100,6 @@ TEST(Cholesky, FactorReconstructsMatrix) {
     for (std::size_t c = 0; c < 3; ++c) EXPECT_NEAR(reconstructed(r, c), a(r, c), 1e-10);
 }
 
-TEST(Cholesky, LogDetMatchesDirect) {
-  const Matrix a{{4.0, 0.0}, {0.0, 9.0}};
-  const Cholesky chol(a);
-  EXPECT_NEAR(chol.log_det(), std::log(36.0), 1e-12);
-}
-
 TEST(Cholesky, JitterRescuesSemidefinite) {
   // Rank-1 matrix: factorization needs jitter but must not throw.
   const Matrix a{{1.0, 1.0}, {1.0, 1.0}};
@@ -124,33 +109,6 @@ TEST(Cholesky, JitterRescuesSemidefinite) {
 TEST(Cholesky, RejectsIndefinite) {
   const Matrix a{{1.0, 0.0}, {0.0, -5.0}};
   EXPECT_THROW(Cholesky{a}, dragster::Error);
-}
-
-TEST(Cholesky, ExtendMatchesFullFactorization) {
-  common::Rng rng(99);
-  // Random SPD via A = B B^T + n I.
-  const std::size_t n = 6;
-  Matrix b(n, n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < n; ++c) b(r, c) = rng.normal();
-  Matrix a = b * b.transposed();
-  for (std::size_t i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
-
-  // Factor the leading (n-1) block, then extend by the last row/column.
-  Matrix leading(n - 1, n - 1);
-  for (std::size_t r = 0; r + 1 < n; ++r)
-    for (std::size_t c = 0; c + 1 < n; ++c) leading(r, c) = a(r, c);
-  Cholesky incremental(leading);
-  Vector col(n - 1);
-  for (std::size_t r = 0; r + 1 < n; ++r) col[r] = a(r, n - 1);
-  incremental.extend(col, a(n - 1, n - 1));
-
-  const Cholesky full(a);
-  Vector rhs(n);
-  for (std::size_t i = 0; i < n; ++i) rhs[i] = rng.normal();
-  const Vector x1 = incremental.solve(rhs);
-  const Vector x2 = full.solve(rhs);
-  EXPECT_LT(max_abs_diff(x1, x2), 1e-9);
 }
 
 TEST(Cholesky, NearSingularFactorsWithJitterAndSolves) {
@@ -175,17 +133,6 @@ TEST(Cholesky, IndefiniteErrorReportsFinalJitter) {
   } catch (const dragster::Error& error) {
     EXPECT_NE(std::string(error.what()).find("jitter"), std::string::npos) << error.what();
   }
-}
-
-TEST(Cholesky, ExtendWithDuplicatePointStaysFinite) {
-  // Extending with an exact copy of an existing column drives the new pivot
-  // to zero — the duplicate-observation case the GP can feed it.  The
-  // escalating jitter must produce a finite, positive pivot, never NaN.
-  const Matrix a{{2.0, 1.0}, {1.0, 2.0}};
-  Cholesky chol(a);
-  chol.extend({2.0, 1.0}, 2.0);
-  EXPECT_TRUE(std::isfinite(chol.factor()(2, 2)));
-  EXPECT_GT(chol.factor()(2, 2), 0.0);
 }
 
 class CholeskyRandomSolve : public ::testing::TestWithParam<int> {};

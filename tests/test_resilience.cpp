@@ -159,7 +159,7 @@ TEST(Snapshot, DualStateRoundTripIsBitExact) {
     EXPECT_EQ(bits(restored.lambda()[i]), bits(twin.lambda()[i]));
 }
 
-TEST(Snapshot, GaussianProcessReplayIsBitExact) {
+TEST(Snapshot, GaussianProcessRestoreIsBitExact) {
   auto make_gp = [] {
     return gp::GaussianProcess(
         std::make_unique<gp::SquaredExponentialKernel>(1.5 * 1.5, std::vector<double>{2.5}),
@@ -168,7 +168,7 @@ TEST(Snapshot, GaussianProcessReplayIsBitExact) {
   gp::GaussianProcess original = make_gp();
   for (int i = 1; i <= 6; ++i)
     original.add_observation({static_cast<double>(i)}, 1.0 + 0.1 * static_cast<double>(i));
-  original.add_observation({3.0}, 1.31);  // near-duplicate input: jitter path
+  original.add_observation({3.0}, 1.31);  // repeated input: the row's count grows
 
   SnapshotWriter writer;
   writer.begin_section("gp");
@@ -187,13 +187,99 @@ TEST(Snapshot, GaussianProcessReplayIsBitExact) {
     EXPECT_EQ(bits(p_back.variance), bits(p_orig.variance)) << "x=" << x;
   }
 
-  // And the *next* incremental update lands on identical bits too.
+  // And the *next* update lands on identical bits too.
   original.add_observation({7.0}, 1.65);
   restored.add_observation({7.0}, 1.65);
   const auto p_orig = original.predict(std::vector<double>{6.5});
   const auto p_back = restored.predict(std::vector<double>{6.5});
   EXPECT_EQ(bits(p_back.mean), bits(p_orig.mean));
   EXPECT_EQ(bits(p_back.variance), bits(p_orig.variance));
+}
+
+gp::GaussianProcess table_gp() {
+  return gp::GaussianProcess(
+      std::make_unique<gp::SquaredExponentialKernel>(2.25, std::vector<double>{2.5}), 0.01, 1.0);
+}
+
+/// A snapshot holding one GP section with a hand-written 1-D table.
+std::string gp_table_doc(const std::vector<double>& inputs, const std::vector<int>& counts,
+                         const std::vector<double>& sums) {
+  SnapshotWriter writer;
+  writer.begin_section("gp");
+  writer.field("gp_dim", std::uint64_t{1});
+  writer.field("gp_inputs", std::span<const double>(inputs));
+  writer.field("gp_counts", std::span<const int>(counts));
+  writer.field("gp_sums", std::span<const double>(sums));
+  writer.field("gp_noise", 0.01);
+  writer.field("gp_prior_mean", 1.0);
+  return writer.str();
+}
+
+void load_table(gp::GaussianProcess& gp, const std::string& doc) {
+  SnapshotReader reader(doc);
+  reader.enter_section("gp");
+  gp.load_state(reader);
+}
+
+/// Loading `doc` throws dragster::Error naming `reason` and leaves the GP as
+/// it was.
+void expect_rejected(const std::string& doc, const std::string& reason) {
+  gp::GaussianProcess gp = table_gp();
+  gp.add_observation({5.0}, 1.5);
+  const auto before = gp.predict(std::vector<double>{4.0});
+  try {
+    load_table(gp, doc);
+    ADD_FAILURE() << "accepted a table with " << reason;
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find(reason), std::string::npos) << error.what();
+  }
+  EXPECT_EQ(gp.num_observations(), 1u);
+  EXPECT_EQ(gp.distinct_inputs(), 1u);
+  EXPECT_EQ(bits(gp.predict(std::vector<double>{4.0}).mean), bits(before.mean));
+}
+
+TEST(Snapshot, GaussianProcessRestoresAHandWrittenTable) {
+  gp::GaussianProcess gp = table_gp();
+  load_table(gp, gp_table_doc({1.0, 3.0}, {4, 1}, {4.375, 0.75}));
+  EXPECT_EQ(gp.num_observations(), 5u);
+  EXPECT_EQ(gp.distinct_inputs(), 2u);
+  // The same samples added one by one give the same table, so the same bits.
+  gp::GaussianProcess live = table_gp();
+  for (double y : {1.0, 1.25, 1.125}) live.add_observation({1.0}, y);
+  live.add_observation({3.0}, 0.75);
+  live.add_observation({1.0}, 1.0);
+  for (double x : {0.0, 1.0, 2.0, 3.0}) {
+    EXPECT_EQ(bits(gp.predict(std::vector<double>{x}).mean),
+              bits(live.predict(std::vector<double>{x}).mean));
+  }
+}
+
+TEST(Snapshot, GaussianProcessRejectsTableSizesThatDisagreeWithDim) {
+  expect_rejected(gp_table_doc({1.0, 2.0, 3.0}, {1, 2}, {1.0, 2.0}), "table sizes disagree");
+  expect_rejected(gp_table_doc({1.0, 2.0}, {1, 2}, {1.0}), "table sizes disagree");
+}
+
+TEST(Snapshot, GaussianProcessRejectsNonPositiveCounts) {
+  expect_rejected(gp_table_doc({1.0, 2.0}, {0, 2}, {0.0, 2.0}), "count must be positive");
+  expect_rejected(gp_table_doc({1.0, 2.0}, {1, -3}, {1.0, 2.0}), "count must be positive");
+}
+
+TEST(Snapshot, GaussianProcessRejectsNonFiniteInputs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_rejected(gp_table_doc({1.0, inf}, {1, 1}, {1.0, 2.0}), "input must be finite");
+  expect_rejected(gp_table_doc({std::nan(""), 2.0}, {1, 1}, {1.0, 2.0}), "input must be finite");
+}
+
+TEST(Snapshot, GaussianProcessRejectsNonFiniteSums) {
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_rejected(gp_table_doc({1.0, 2.0}, {1, 1}, {1.0, -inf}), "sum must be finite");
+  expect_rejected(gp_table_doc({1.0, 2.0}, {1, 1}, {std::nan(""), 2.0}), "sum must be finite");
+}
+
+TEST(Snapshot, GaussianProcessRejectsRepeatedInputRows) {
+  expect_rejected(gp_table_doc({1.0, 2.0, 1.0}, {1, 1, 1}, {1.0, 2.0, 1.0}),
+                  "repeats an input row");
+  expect_rejected(gp_table_doc({0.0, -0.0}, {1, 1}, {1.0, 1.0}), "repeats an input row");
 }
 
 // ---------------------------------------------------------------------------
