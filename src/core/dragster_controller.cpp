@@ -411,7 +411,7 @@ std::size_t DragsterController::non_finite_constraints() const {
 
 void DragsterController::save_state(resilience::SnapshotWriter& writer) const {
   DRAGSTER_REQUIRE(dag_ != nullptr, "initialize() must run before save_state()");
-  const std::vector<dag::NodeId> ops = dag_->operators();
+  const std::vector<dag::NodeId>& ops = dag_->operators();
 
   writer.begin_section("controller");
   writer.field("method", static_cast<std::uint64_t>(options_.method));
@@ -464,7 +464,7 @@ void DragsterController::save_state(resilience::SnapshotWriter& writer) const {
 
 void DragsterController::load_state(resilience::SnapshotReader& reader) {
   DRAGSTER_REQUIRE(dag_ != nullptr, "initialize() must run before load_state()");
-  const std::vector<dag::NodeId> ops = dag_->operators();
+  const std::vector<dag::NodeId>& ops = dag_->operators();
 
   reader.enter_section("controller");
   DRAGSTER_REQUIRE(reader.get_uint("method") == static_cast<std::uint64_t>(options_.method),

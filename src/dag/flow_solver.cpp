@@ -21,32 +21,50 @@ FlowSolver::FlowSolver(const StreamDag& dag) : dag_(dag) {
 
 FlowResult FlowSolver::solve(std::span<const double> source_rates,
                              std::span<const double> capacity) const {
+  FlowResult result;
+  solve(source_rates, capacity, result);
+  return result;
+}
+
+void FlowSolver::solve(std::span<const double> source_rates, std::span<const double> capacity,
+                       FlowResult& result, std::size_t from) const {
   const std::size_t n = dag_.node_count();
   DRAGSTER_REQUIRE(source_rates.size() == n && capacity.size() == n,
                    "source_rates/capacity must be node-indexed");
+  const std::vector<NodeId>& order = dag_.topo_order();
+  DRAGSTER_REQUIRE(from <= order.size(), "solve() from past the topological order");
+  if (from == 0) {
+    result.edge_flow.resize(dag_.edge_count());
+    result.node_inflow.resize(n);
+    result.node_demand.resize(n);
+    result.node_outflow.resize(n);
+  }
+  DRAGSTER_REQUIRE(result.edge_flow.size() == dag_.edge_count() &&
+                       result.node_inflow.size() == n && result.node_demand.size() == n &&
+                       result.node_outflow.size() == n,
+                   "re-propagating needs a result solved on this DAG");
 
-  FlowResult result;
-  result.edge_flow.assign(dag_.edge_count(), 0.0);
-  result.node_inflow.assign(n, 0.0);
-  result.node_demand.assign(n, 0.0);
-  result.node_outflow.assign(n, 0.0);
-
-  std::vector<double> inputs;
-  for (NodeId id : dag_.topo_order()) {
+  // Every edge is the out-edge of exactly one node, so resetting a node's
+  // sums and rewriting its out-edges recomputes it from scratch.
+  for (std::size_t pos = from; pos < order.size(); ++pos) {
+    const NodeId id = order[pos];
     const Component& comp = dag_.component(id);
+    result.node_inflow[id] = 0.0;
+    result.node_demand[id] = 0.0;
+    result.node_outflow[id] = 0.0;
     if (comp.kind == ComponentKind::kSink) {
       for (std::size_t eidx : dag_.in_edges(id)) result.node_inflow[id] += result.edge_flow[eidx];
       continue;
     }
 
-    // Assemble the input vector h_{i,j} consumes: the offered rate for a
-    // source, the realized in-edge flows for an operator.
-    inputs.clear();
-    if (comp.kind == ComponentKind::kSource) {
-      inputs.push_back(source_rates[id]);
-    } else {
-      for (std::size_t eidx : dag_.in_edges(id)) inputs.push_back(result.edge_flow[eidx]);
-      for (double v : inputs) result.node_inflow[id] += v;
+    // The input vector h_{i,j} consumes: the offered rate for a source, the
+    // realized in-edge flows for an operator.
+    std::span<const double> inputs = source_rates.subspan(id, 1);
+    if (comp.kind == ComponentKind::kOperator) {
+      result.inputs.clear();
+      for (std::size_t eidx : dag_.in_edges(id)) result.inputs.push_back(result.edge_flow[eidx]);
+      for (double v : result.inputs) result.node_inflow[id] += v;
+      inputs = result.inputs;
     }
 
     for (std::size_t eidx : dag_.out_edges(id)) {
@@ -64,7 +82,6 @@ FlowResult FlowSolver::solve(std::span<const double> source_rates,
   }
 
   result.app_throughput = result.node_inflow[dag_.sink()];
-  return result;
 }
 
 double FlowSolver::app_throughput(std::span<const double> source_rates,
@@ -72,35 +89,46 @@ double FlowSolver::app_throughput(std::span<const double> source_rates,
   return solve(source_rates, capacity).app_throughput;
 }
 
-LagrangianResult FlowSolver::lagrangian(std::span<const double> source_rates,
-                                        std::span<const double> capacity,
-                                        std::span<const double> lambda,
-                                        std::span<const double> observed_demand) const {
+double FlowSolver::lagrangian_value(double throughput, std::span<const double> capacity,
+                                    std::span<const double> lambda,
+                                    std::span<const double> observed_demand,
+                                    std::span<double> hinge_slope) const {
   const std::size_t n = dag_.node_count();
+  DRAGSTER_REQUIRE(capacity.size() == n, "capacity must be node-indexed");
   DRAGSTER_REQUIRE(lambda.size() == n && observed_demand.size() == n,
                    "lambda/observed_demand must be node-indexed");
-
-  const FlowResult flow = solve(source_rates, capacity);  // checks the other two sizes
-
-  LagrangianResult out;
-  out.throughput = flow.app_throughput;
-  out.value = flow.app_throughput;
-  out.dvalue_dy.assign(n, 0.0);
+  DRAGSTER_REQUIRE(hinge_slope.empty() || hinge_slope.size() == n,
+                   "hinge_slope must be node-indexed when present");
 
   // L = f(y) - sum_i lambda_i * max(0, observed_demand_i - y_i).
   // The hinge keeps the multiplier from pushing y past the point where the
   // constraint is already satisfied (complementary slackness during
-  // transients).  An active hinge contributes +lambda_i to dL/dy_i; it is
-  // the first term of that sum, the sweep below adds the flow terms.
-  for (NodeId id = 0; id < n; ++id) {
-    if (dag_.component(id).kind != ComponentKind::kOperator) continue;
+  // transients).  An active hinge contributes +lambda_i to dL/dy_i.
+  double value = throughput;
+  for (NodeId id : dag_.operators()) {
     // draglint:allow(DL004 sparsity skip: an exactly-zero multiplier contributes nothing)
     if (lambda[id] == 0.0) continue;
     const double gap = observed_demand[id] - capacity[id];
     if (0.0 >= gap) continue;  // max(0, gap) = 0 on a tie too; a NaN gap stays active
-    out.value -= gap * lambda[id];
-    out.dvalue_dy[id] = lambda[id];
+    value -= gap * lambda[id];
+    if (!hinge_slope.empty()) hinge_slope[id] = lambda[id];
   }
+  return value;
+}
+
+LagrangianResult FlowSolver::lagrangian(std::span<const double> source_rates,
+                                        std::span<const double> capacity,
+                                        std::span<const double> lambda,
+                                        std::span<const double> observed_demand) const {
+  const FlowResult flow = solve(source_rates, capacity);
+
+  // The hinge slopes are the first term of each dL/dy_i; the sweep below
+  // adds the flow terms.
+  LagrangianResult out;
+  out.throughput = flow.app_throughput;
+  out.dvalue_dy.assign(dag_.node_count(), 0.0);
+  out.value = lagrangian_value(flow.app_throughput, capacity, lambda, observed_demand,
+                               out.dvalue_dy);
 
   // One reverse sweep over the DAG.  edge_adjoint holds dL/d(edge flow);
   // every sink in-edge flow enters f(y) with weight 1.  An operator's

@@ -13,6 +13,8 @@ StreamDag::StreamDag(const StreamDag& other)
       in_edges_(other.in_edges_),
       out_edges_(other.out_edges_),
       topo_(other.topo_),
+      sources_(other.sources_),
+      operators_(other.operators_),
       sink_(other.sink_),
       validated_(other.validated_) {
   edges_.reserve(other.edges_.size());
@@ -148,6 +150,8 @@ void StreamDag::validate() {
   }
 
   compute_topo_order();
+  sources_ = nodes_of_kind(ComponentKind::kSource);
+  operators_ = nodes_of_kind(ComponentKind::kOperator);
   validated_ = true;
 }
 
@@ -174,6 +178,16 @@ std::vector<NodeId> StreamDag::nodes_of_kind(ComponentKind kind) const {
   for (NodeId id = 0; id < components_.size(); ++id)
     if (components_[id].kind == kind) out.push_back(id);
   return out;
+}
+
+const std::vector<NodeId>& StreamDag::sources() const {
+  DRAGSTER_REQUIRE(validated_, "call validate() first");
+  return sources_;
+}
+
+const std::vector<NodeId>& StreamDag::operators() const {
+  DRAGSTER_REQUIRE(validated_, "call validate() first");
+  return operators_;
 }
 
 NodeId StreamDag::sink() const {

@@ -76,10 +76,12 @@ class StreamDag {
 
   /// All nodes of a kind, ascending id.
   [[nodiscard]] std::vector<NodeId> nodes_of_kind(ComponentKind kind) const;
-  [[nodiscard]] std::vector<NodeId> sources() const { return nodes_of_kind(ComponentKind::kSource); }
-  [[nodiscard]] std::vector<NodeId> operators() const {
-    return nodes_of_kind(ComponentKind::kOperator);
-  }
+
+  /// Sources / operators, ascending id (valid after validate(), which builds
+  /// both lists once the virtual sink has turned explicit sinks into
+  /// operators).
+  [[nodiscard]] const std::vector<NodeId>& sources() const;
+  [[nodiscard]] const std::vector<NodeId>& operators() const;
 
   /// The unique sink (valid after validate()).
   [[nodiscard]] NodeId sink() const;
@@ -99,6 +101,8 @@ class StreamDag {
   std::vector<std::vector<std::size_t>> in_edges_;
   std::vector<std::vector<std::size_t>> out_edges_;
   std::vector<NodeId> topo_;
+  std::vector<NodeId> sources_;    ///< set by validate()
+  std::vector<NodeId> operators_;  ///< set by validate()
   NodeId sink_ = 0;  ///< set by validate()
   bool validated_ = false;
 };

@@ -38,10 +38,11 @@ class SaddlePointSolver {
   explicit SaddlePointSolver(SaddlePointOptions options = {});
 
   /// Maximizes L(y, lambda) for the observed last-slot source rates,
-  /// starting from `y_start` (node-indexed).  `observed_demand` (node-indexed,
-  /// optional) adds backlog-drain load to each operator's constraint.
-  /// Returns the target capacity vector y_t (node-indexed; only operator
-  /// entries are meaningful).
+  /// starting from `y_start`.  `observed_demand` adds backlog-drain load to
+  /// each operator's constraint.  All four spans are node-indexed.  Returns
+  /// the target capacity vector y_t (node-indexed; only operator entries are
+  /// meaningful).  Probes read only L's value and re-solve the flows from
+  /// the searched operator's topological position on.
   [[nodiscard]] std::vector<double> solve(const dag::FlowSolver& flow,
                                           std::span<const double> source_rates,
                                           std::span<const double> lambda,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/error.hpp"
 #include "obs/registry.hpp"
@@ -449,11 +450,10 @@ void Engine::micro_step(double dt, std::vector<double>& edge_rate, common::Rng& 
       const double amount = noisy_rate * dt + source_pending_[id];
       source_pending_[id] = 0.0;
       const double in_rate = amount / dt;
-      const std::vector<double> inputs{in_rate};
       double emitted = 0.0;
       for (std::size_t eidx : dag_.out_edges(id)) {
         const dag::Edge& edge = dag_.edge(eidx);
-        const double out = edge.fn->eval(inputs);
+        const double out = edge.fn->eval(std::span<const double>(&in_rate, 1));
         edge_rate[eidx] = out * dt;
         emitted += out;
       }
@@ -476,12 +476,13 @@ void Engine::micro_step(double dt, std::vector<double>& edge_rate, common::Rng& 
     // Operator: offer backlog + arrivals, truncate by hidden capacity.
     OperatorState& state = ops_.at(id);
     const auto& in_edges = dag_.in_edges(id);
-    std::vector<double> avail(in_edges.size());
-    std::vector<double> inputs(in_edges.size());
+    avail_.resize(in_edges.size());
+    inputs_.resize(in_edges.size());
+    fresh_.resize(in_edges.size());
     double arrivals = 0.0;
     for (std::size_t k = 0; k < in_edges.size(); ++k) {
-      avail[k] = state.backlog[k] + edge_rate[in_edges[k]];
-      inputs[k] = avail[k] / dt;
+      avail_[k] = state.backlog[k] + edge_rate[in_edges[k]];
+      inputs_[k] = avail_[k] / dt;
       arrivals += edge_rate[in_edges[k]];
     }
 
@@ -491,17 +492,16 @@ void Engine::micro_step(double dt, std::vector<double>& edge_rate, common::Rng& 
 
     // Demand from fresh arrivals only — the "can it keep up with the
     // incoming rate" signal backpressure detection uses.
-    std::vector<double> fresh(in_edges.size());
-    for (std::size_t k = 0; k < in_edges.size(); ++k) fresh[k] = edge_rate[in_edges[k]] / dt;
+    for (std::size_t k = 0; k < in_edges.size(); ++k) fresh_[k] = edge_rate[in_edges[k]] / dt;
 
     double demand = 0.0;
     double arrival_demand = 0.0;
     double out_total = 0.0;
     for (std::size_t eidx : dag_.out_edges(id)) {
       const dag::Edge& edge = dag_.edge(eidx);
-      const double d = edge.fn->eval(inputs);
+      const double d = edge.fn->eval(inputs_);
       demand += d;
-      arrival_demand += edge.fn->eval(fresh);
+      arrival_demand += edge.fn->eval(fresh_);
       const double out = std::min(edge.alpha * y_now, d);
       edge_rate[eidx] = out * dt;
       out_total += out;
@@ -510,14 +510,14 @@ void Engine::micro_step(double dt, std::vector<double>& edge_rate, common::Rng& 
     const double rho = demand > 1e-12 ? std::min(1.0, out_total / demand) : 0.0;
     double backlog_total = 0.0;
     for (std::size_t k = 0; k < in_edges.size(); ++k) {
-      double remaining = avail[k] * (1.0 - rho);
+      double remaining = avail_[k] * (1.0 - rho);
       if (remaining > options_.buffer_limit) {
         acc.dropped += remaining - options_.buffer_limit;
         remaining = options_.buffer_limit;
       }
       state.backlog[k] = remaining;
       backlog_total += remaining;
-      acc.consumed_sum += avail[k] * rho;
+      acc.consumed_sum += avail_[k] * rho;
     }
     acc.backlog_sum += backlog_total;
 

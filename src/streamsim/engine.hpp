@@ -296,6 +296,11 @@ class Engine final : public ScalingActuator {
   std::map<dag::NodeId, double> source_pending_;  // tuples parked during pauses
   std::vector<StepAccum> accum_;                  // node-indexed, per-slot scratch
   std::vector<double> edge_sum_;                  // edge-indexed, per-slot scratch
+  // micro_step scratch, per in-edge of the operator being stepped: buffered
+  // plus arrived tuples, that as a rate, and the arrivals-only rate.
+  std::vector<double> avail_;
+  std::vector<double> inputs_;
+  std::vector<double> fresh_;
   std::size_t processing_steps_ = 0;              // non-paused steps this slot
   std::optional<SlotReport> report_;
   int armed_checkpoint_retries_ = 0;              // fault seam; consumed by next reconfig

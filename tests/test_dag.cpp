@@ -325,23 +325,41 @@ TEST(StreamDag, CopyIsDeep) {
 }
 
 TEST(StreamDag, CopiesAndMovesKeepTheSink) {
+  // Two explicit sinks: validate() funnels them into a virtual sink and turns
+  // both into operators, so the cached operator list must be built after
+  // that synthesis.
   StreamDag dag;
   const NodeId src = dag.add_source("s");
   const NodeId op = dag.add_operator("o");
+  const NodeId left = dag.add_sink("left");
+  const NodeId right = dag.add_sink("right");
   dag.add_edge(src, op, identity_fn());
+  dag.add_edge(op, left, identity_fn());
+  dag.add_edge(op, right, identity_fn());
   EXPECT_THROW((void)dag.sink(), Error);
+  EXPECT_THROW((void)dag.sources(), Error);
+  EXPECT_THROW((void)dag.operators(), Error);
   dag.validate();
   const NodeId sink = dag.sink();
   EXPECT_EQ(dag.component(sink).kind, ComponentKind::kSink);
   EXPECT_EQ(dag.nodes_of_kind(ComponentKind::kSink), std::vector<NodeId>{sink});
+  const std::vector<NodeId> sources{src};
+  const std::vector<NodeId> operators{op, left, right};
+  EXPECT_EQ(dag.sources(), sources);
+  EXPECT_EQ(dag.operators(), operators);
 
+  auto expect_same_lists = [&](const StreamDag& other) {
+    EXPECT_EQ(other.sink(), sink);
+    EXPECT_EQ(other.sources(), sources);
+    EXPECT_EQ(other.operators(), operators);
+  };
   const StreamDag copy(dag);
-  EXPECT_EQ(copy.sink(), sink);
+  expect_same_lists(copy);
   StreamDag assigned;
   assigned = dag;
-  EXPECT_EQ(assigned.sink(), sink);
+  expect_same_lists(assigned);
   const StreamDag moved(std::move(assigned));
-  EXPECT_EQ(moved.sink(), sink);
+  expect_same_lists(moved);
 }
 
 TEST(StreamDag, FindByName) {

@@ -1,5 +1,6 @@
-// Tests for the truncated-flow solver (paper eq. 4), the throughput function
-// f_t(y), and the Lagrangian (eq. 13) with its reverse-sweep gradient.
+// Tests for the truncated-flow solver (paper eq. 4) and its re-propagation
+// from a topological position, the throughput function f_t(y), and the
+// Lagrangian (eq. 13) with its reverse-sweep gradient.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -10,6 +11,7 @@
 #include "common/rng.hpp"
 #include "dag/flow_solver.hpp"
 #include "dag/throughput_fn.hpp"
+#include "test_support.hpp"
 #include "workloads/workloads.hpp"
 
 namespace dragster::dag {
@@ -245,32 +247,6 @@ TEST(FlowSolver, LagrangianReducesToThroughputWithZeroLambda) {
   EXPECT_DOUBLE_EQ(lr.value, lr.throughput);
 }
 
-// A fan-out with a split alpha, a Tanh edge and a MinWeighted join:
-//   src -> a;  a -> b (alpha 0.3), a -> c (alpha 0.7);  b -> d (tanh);
-//   d -> j, c -> j;  j -> sink (min_weighted over [d, c]).
-struct BranchFixture {
-  StreamDag dag;
-  NodeId src, a, b, c, d, j, sink;
-
-  BranchFixture() {
-    src = dag.add_source("src");
-    a = dag.add_operator("a");
-    b = dag.add_operator("b");
-    c = dag.add_operator("c");
-    d = dag.add_operator("d");
-    j = dag.add_operator("j");
-    sink = dag.add_sink("sink");
-    dag.add_edge(src, a, identity_fn());
-    dag.add_edge(a, b, selectivity_fn(1.0), 0.3);
-    dag.add_edge(a, c, selectivity_fn(2.0), 0.7);
-    dag.add_edge(b, d, std::make_unique<TanhFn>(400.0, std::vector{1.0 / 300.0}));
-    dag.add_edge(d, j, identity_fn());
-    dag.add_edge(c, j, selectivity_fn(0.5));
-    dag.add_edge(j, sink, std::make_unique<MinWeightedFn>(std::vector{1.0, 0.8}));
-    dag.validate();
-  }
-};
-
 TEST(FlowSolver, LagrangianGradientMatchesFiniteDifferenceOnBranchingDag) {
   BranchFixture fx;
   const FlowSolver flow(fx.dag);
@@ -364,6 +340,50 @@ TEST(FlowSolver, LagrangianBitsArePinned) {
   EXPECT_EQ(lagrangian_bits_hash(workloads::join().dag, 13), 0xa6637f71c8aaf80aULL);
 }
 
+// For every topological position p: solve at capacities A, redraw the
+// capacities at positions >= p only, re-propagate from p into the same
+// result, and compare every entry's bits with a fresh solve.  Capacities sit
+// on a coarse grid and include 0 and infinity, so capacity-share and
+// MinWeighted ties occur.
+void expect_repropagation_matches_fresh_solve(const StreamDag& dag, std::uint64_t seed) {
+  const FlowSolver flow(dag);
+  const std::size_t n = dag.node_count();
+  const std::vector<NodeId>& order = dag.topo_order();
+  common::Rng rng(seed);
+  auto redraw_from = [&](std::vector<double>& caps, std::size_t from) {
+    for (std::size_t pos = from; pos < order.size(); ++pos) {
+      if (dag.component(order[pos]).kind != ComponentKind::kOperator) continue;
+      const auto step = rng.uniform_int(0, 40);
+      caps[order[pos]] = step == 40 ? kInf : 50.0 * static_cast<double>(step);
+    }
+  };
+  FlowResult result;
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<double> rates(n, 0.0);
+    for (NodeId id : dag.sources()) rates[id] = 25.0 * static_cast<double>(rng.uniform_int(0, 80));
+    for (std::size_t p = 0; p <= order.size(); ++p) {
+      std::vector<double> caps(n, 0.0);
+      redraw_from(caps, 0);
+      flow.solve(rates, caps, result);
+      redraw_from(caps, p);
+      flow.solve(rates, caps, result, p);
+      const FlowResult fresh = flow.solve(rates, caps);
+      EXPECT_EQ(bits(result.edge_flow), bits(fresh.edge_flow)) << "trial " << trial << " p " << p;
+      EXPECT_EQ(bits(result.node_inflow), bits(fresh.node_inflow)) << "trial " << trial;
+      EXPECT_EQ(bits(result.node_demand), bits(fresh.node_demand)) << "trial " << trial;
+      EXPECT_EQ(bits(result.node_outflow), bits(fresh.node_outflow)) << "trial " << trial;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.app_throughput),
+                std::bit_cast<std::uint64_t>(fresh.app_throughput))
+          << "trial " << trial << " p " << p;
+    }
+  }
+}
+
+TEST(FlowSolver, RepropagationMatchesFreshSolve) {
+  expect_repropagation_matches_fresh_solve(workloads::yahoo().dag, 5);
+  expect_repropagation_matches_fresh_solve(BranchFixture().dag, 6);
+}
+
 TEST(FlowSolver, ZeroSourceRateGivesZeroFlow) {
   ChainFixture fx;
   const FlowSolver flow(fx.dag);
@@ -382,6 +402,15 @@ TEST(FlowSolver, RejectsWrongSizes) {
   EXPECT_THROW(flow.lagrangian(fx.rates(1.0), fx.caps(1.0, 1.0), one, zeros),
                std::invalid_argument);
   EXPECT_THROW(flow.lagrangian(fx.rates(1.0), fx.caps(1.0, 1.0), zeros, one),
+               std::invalid_argument);
+
+  // Re-propagating needs a result already solved on this DAG, and a start
+  // position inside the topological order.
+  FlowResult unsized;
+  EXPECT_THROW(flow.solve(fx.rates(1.0), fx.caps(1.0, 1.0), unsized, 1), std::invalid_argument);
+  FlowResult solved;
+  flow.solve(fx.rates(1.0), fx.caps(1.0, 1.0), solved);
+  EXPECT_THROW(flow.solve(fx.rates(1.0), fx.caps(1.0, 1.0), solved, fx.dag.node_count() + 1),
                std::invalid_argument);
 }
 

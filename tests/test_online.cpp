@@ -1,11 +1,17 @@
 // Tests for the online-optimization layer: dual updates (eq. 15), budget
 // projection (Pi_X), regret/fit meters, and both target-capacity solvers on
-// hand-analyzable DAGs.
+// hand-analyzable DAGs; the saddle-point solve is also checked bit for bit
+// against a per-probe lagrangian() reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 
+#include "common/rng.hpp"
 #include "dag/flow_solver.hpp"
 #include "dag/stream_dag.hpp"
 #include "dag/throughput_fn.hpp"
@@ -14,6 +20,8 @@
 #include "online/meters.hpp"
 #include "online/ogd.hpp"
 #include "online/saddle_point.hpp"
+#include "test_support.hpp"
+#include "workloads/workloads.hpp"
 
 namespace dragster::online {
 namespace {
@@ -220,6 +228,185 @@ TEST(SaddlePoint, RejectsFloorBelowEpsilon) {
   options.capacity_regularization = 0.1;
   options.lambda_floor = 0.05;
   EXPECT_THROW(SaddlePointSolver{options}, std::invalid_argument);
+}
+
+TEST(SaddlePoint, RejectsWrongSizes) {
+  ChainFixture fx;
+  const dag::FlowSolver flow(fx.dag);
+  const SaddlePointSolver solver;
+  const std::vector<double> full(fx.dag.node_count(), 1.0);
+  const std::vector<double> short_by_one(fx.dag.node_count() - 1, 1.0);
+  EXPECT_THROW((void)solver.solve(flow, short_by_one, full, full, full), std::invalid_argument);
+  EXPECT_THROW((void)solver.solve(flow, full, short_by_one, full, full), std::invalid_argument);
+  EXPECT_THROW((void)solver.solve(flow, full, full, short_by_one, full), std::invalid_argument);
+  EXPECT_THROW((void)solver.solve(flow, full, full, full, short_by_one), std::invalid_argument);
+}
+
+// SaddlePointSolver::solve as it was when every probe called lagrangian()
+// on a full solve: the reference its value-only probes, which re-solve only
+// downstream of the searched operator, must match bit for bit.
+std::vector<double> per_probe_lagrangian_solve(const SaddlePointOptions& options,
+                                               const dag::FlowSolver& flow,
+                                               std::span<const double> source_rates,
+                                               std::span<const double> lambda,
+                                               std::span<const double> y_start,
+                                               std::span<const double> observed_demand) {
+  const dag::StreamDag& dag = flow.dag();
+  const std::size_t n = dag.node_count();
+  std::vector<double> lam(n, 0.0);
+  for (dag::NodeId id = 0; id < n; ++id) {
+    if (dag.component(id).kind != dag::ComponentKind::kOperator) continue;
+    lam[id] = std::max(lambda[id], options.lambda_floor);
+  }
+
+  std::vector<double> y(y_start.begin(), y_start.end());
+  for (dag::NodeId id = 0; id < n; ++id) {
+    if (dag.component(id).kind == dag::ComponentKind::kOperator)
+      y[id] = std::clamp(y[id], options.y_min, options.y_max);
+  }
+
+  const double eps = options.capacity_regularization;
+  auto objective = [&](const std::vector<double>& cap) {
+    const dag::LagrangianResult lr = flow.lagrangian(source_rates, cap, lam, observed_demand);
+    double value = lr.value;
+    for (dag::NodeId id = 0; id < n; ++id)
+      if (dag.component(id).kind == dag::ComponentKind::kOperator) value -= eps * cap[id];
+    return value;
+  };
+
+  for (int round = 0; round < options.rounds; ++round) {
+    double moved = 0.0;
+    for (dag::NodeId id : dag.topo_order()) {
+      if (dag.component(id).kind != dag::ComponentKind::kOperator) continue;
+      double lo = options.y_min;
+      double hi = options.y_max;
+      for (int it = 0; it < options.ternary_iterations && hi - lo > 1e-9 * options.y_max; ++it) {
+        const double m1 = lo + (hi - lo) / 3.0;
+        const double m2 = hi - (hi - lo) / 3.0;
+        y[id] = m1;
+        const double v1 = objective(y);
+        y[id] = m2;
+        const double v2 = objective(y);
+        if (v1 > v2) {
+          hi = m2;
+        } else {
+          lo = m1;
+        }
+      }
+      const double candidate = 0.5 * (lo + hi);
+      moved = std::max(moved, std::abs(candidate - y[id]));
+      y[id] = candidate;
+    }
+    if (moved < 1e-6 * options.y_max) break;
+  }
+  return y;
+}
+
+struct SaddleCase {
+  SaddlePointOptions options;
+  std::vector<double> rates;
+  std::vector<double> lambda;
+  std::vector<double> y_start;
+  std::vector<double> demand;
+};
+
+// Seeded draws that reach the solver's edge cases: multipliers at zero,
+// below and above the floor; starts outside the box; zero and very large
+// source rates; and observed demand on the first ternary probe points, on a
+// coarse grid, or anywhere.  Entries the solver must ignore hold junk.  A
+// shallow ternary search leaves a wide last bracket, so `moved` passes the
+// stop test and later sweeps run on the flows the earlier ones left.
+std::vector<SaddleCase> saddle_cases(const dag::StreamDag& dag, std::uint64_t seed, int count) {
+  common::Rng rng(seed);
+  const std::size_t n = dag.node_count();
+  std::vector<SaddleCase> cases;
+  for (int trial = 0; trial < count; ++trial) {
+    SaddleCase c;
+    const double y_max = 1000.0 * static_cast<double>(rng.uniform_int(1, 200));
+    c.options.y_max = y_max;
+    if (rng.uniform_int(0, 3) == 0) c.options.y_min = 0.1 * y_max;
+    if (rng.uniform_int(0, 2) == 0)
+      c.options.ternary_iterations = static_cast<int>(rng.uniform_int(5, 12));
+    const double lo = c.options.y_min;
+    const double first_m1 = lo + (y_max - lo) / 3.0;
+    const double first_m2 = y_max - (y_max - lo) / 3.0;
+    c.rates.assign(n, 0.0);
+    c.lambda.assign(n, 0.0);
+    c.y_start.assign(n, 0.0);
+    c.demand.assign(n, 0.0);
+    for (dag::NodeId id = 0; id < n; ++id) {
+      c.lambda[id] = rng.uniform(-1.0, 5.0);
+      c.y_start[id] = rng.uniform(-y_max, 2.0 * y_max);
+      c.demand[id] = rng.uniform(-y_max, 2.0 * y_max);
+    }
+    for (dag::NodeId id : dag.sources()) {
+      const auto pick = rng.uniform_int(0, 3);
+      c.rates[id] = pick == 0 ? 0.0 : pick == 1 ? 1e9 : rng.uniform(0.0, y_max);
+    }
+    for (dag::NodeId id : dag.operators()) {
+      const auto pick_lambda = rng.uniform_int(0, 2);
+      c.lambda[id] = pick_lambda == 0   ? 0.0
+                     : pick_lambda == 1 ? rng.uniform(0.0, c.options.lambda_floor)
+                                        : rng.uniform(c.options.lambda_floor, 3.0);
+      c.y_start[id] = rng.uniform(-0.5 * y_max, 1.5 * y_max);
+      const auto pick_demand = rng.uniform_int(0, 3);
+      c.demand[id] = pick_demand == 0   ? first_m1
+                     : pick_demand == 1 ? first_m2
+                     : pick_demand == 2 ? 500.0 * static_cast<double>(rng.uniform_int(0, 400))
+                                        : rng.uniform(0.0, y_max);
+    }
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+void expect_matches_reference(const dag::StreamDag& dag, std::uint64_t seed) {
+  const dag::FlowSolver flow(dag);
+  int trial = 0;
+  for (const SaddleCase& c : saddle_cases(dag, seed, 40)) {
+    const SaddlePointSolver solver(c.options);
+    const std::vector<double> y = solver.solve(flow, c.rates, c.lambda, c.y_start, c.demand);
+    const std::vector<double> reference =
+        per_probe_lagrangian_solve(c.options, flow, c.rates, c.lambda, c.y_start, c.demand);
+    EXPECT_EQ(dag::bits(y), dag::bits(reference)) << "trial " << trial;
+    ++trial;
+  }
+}
+
+TEST(SaddlePoint, MatchesPerProbeLagrangianReference) {
+  expect_matches_reference(workloads::yahoo().dag, 31);
+  expect_matches_reference(workloads::join().dag, 32);
+  expect_matches_reference(workloads::window().dag, 33);
+  expect_matches_reference(workloads::wordcount().dag, 34);
+  expect_matches_reference(dag::BranchFixture().dag, 35);
+}
+
+// FNV-1a over the bits of every target vector for a fixed seeded batch.
+std::uint64_t saddle_bits_hash(const dag::StreamDag& dag, std::uint64_t seed) {
+  const dag::FlowSolver flow(dag);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const SaddleCase& c : saddle_cases(dag, seed, 40)) {
+    const SaddlePointSolver solver(c.options);
+    for (double v : solver.solve(flow, c.rates, c.lambda, c.y_start, c.demand)) {
+      const auto word = std::bit_cast<std::uint64_t>(v);
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (word >> (8 * byte)) & 0xffU;
+        hash *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return hash;
+}
+
+TEST(SaddlePoint, TargetBitsArePinned) {
+  // Produced by the solver whose every probe ran a full lagrangian(), so the
+  // solver and the reference above cannot drift together.  Linear and
+  // MinWeighted edges only involve exactly rounded + * / min, so the pin
+  // holds on any libm.
+  EXPECT_EQ(saddle_bits_hash(workloads::yahoo().dag, 41), 0x5c8b9ca98a6c8bd6ULL);
+  EXPECT_EQ(saddle_bits_hash(workloads::join().dag, 42), 0x1f24b25406dcc627ULL);
+  EXPECT_EQ(saddle_bits_hash(workloads::window().dag, 43), 0x918a9f92263a1063ULL);
+  EXPECT_EQ(saddle_bits_hash(workloads::wordcount().dag, 44), 0x2ae10eca962ee6a8ULL);
 }
 
 TEST(Ogd, StepMovesTowardDemandAndIsBounded) {

@@ -1,0 +1,48 @@
+// Shared by the flow-solver and saddle-point tests: a branching DAG and the
+// bit patterns of a double vector, for bit-for-bit comparisons.
+#pragma once
+
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "dag/stream_dag.hpp"
+#include "dag/throughput_fn.hpp"
+
+namespace dragster::dag {
+
+// A fan-out with a split alpha, a Tanh edge and a MinWeighted join:
+//   src -> a;  a -> b (alpha 0.3), a -> c (alpha 0.7);  b -> d (tanh);
+//   d -> j, c -> j;  j -> sink (min_weighted over [d, c]).
+struct BranchFixture {
+  StreamDag dag;
+  NodeId src, a, b, c, d, j, sink;
+
+  BranchFixture() {
+    src = dag.add_source("src");
+    a = dag.add_operator("a");
+    b = dag.add_operator("b");
+    c = dag.add_operator("c");
+    d = dag.add_operator("d");
+    j = dag.add_operator("j");
+    sink = dag.add_sink("sink");
+    dag.add_edge(src, a, identity_fn());
+    dag.add_edge(a, b, selectivity_fn(1.0), 0.3);
+    dag.add_edge(a, c, selectivity_fn(2.0), 0.7);
+    dag.add_edge(b, d, std::make_unique<TanhFn>(400.0, std::vector{1.0 / 300.0}));
+    dag.add_edge(d, j, identity_fn());
+    dag.add_edge(c, j, selectivity_fn(0.5));
+    dag.add_edge(j, sink, std::make_unique<MinWeightedFn>(std::vector{1.0, 0.8}));
+    dag.validate();
+  }
+};
+
+inline std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  out.reserve(values.size());
+  for (double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+}  // namespace dragster::dag
