@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const common::Flags flags(argc, argv);
   const double minutes = flags.get("minutes", 300.0);
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{9}));
+  flags.reject_unused();
 
   bench::print_header("Ablation: checkpoint cost vs autoscaling benefit (Yahoo)", seed);
 

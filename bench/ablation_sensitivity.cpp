@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
   const common::Flags flags(argc, argv);
   const auto slots = static_cast<std::size_t>(flags.get("slots", std::int64_t{25}));
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{12}));
+  flags.reject_unused();
 
   bench::print_header("Ablations: hyperparameter sensitivity and extra baselines", seed);
 

@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   const common::Flags flags(argc, argv);
   const auto slots = static_cast<std::size_t>(flags.get("slots", std::int64_t{18}));
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{6}));
+  flags.reject_unused();
 
   bench::print_header("Ablation: horizontal-only vs horizontal+vertical scaling", seed);
   std::printf("memory-capped operator, 30k tuples/s offered; 1-CPU pods cap at 25k total\n\n");

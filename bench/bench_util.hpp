@@ -50,18 +50,13 @@ template <typename Result, typename Fn>
 /// null and the run is telemetry-free, exactly as before.  Pass registry()
 /// as the `obs` argument of run_scenario; runs must be sequential (the
 /// registry is not thread-safe — do not share it across sweep_indexed cells).
+/// The constructor only reads the two flags; the first registry() call opens
+/// the trace, so a binary rejects unknown flags before touching any file.
 class Observability {
  public:
   explicit Observability(const common::Flags& flags)
-      : metrics_path_(flags.get("metrics", std::string())) {
-    const std::string trace_path = flags.get("trace-jsonl", std::string());
-    if (trace_path.empty() && metrics_path_.empty()) return;
-    registry_ = std::make_unique<obs::Registry>();
-    if (!trace_path.empty()) {
-      trace_ = std::make_unique<obs::FileTraceSink>(trace_path);
-      registry_->set_trace(trace_.get());
-    }
-  }
+      : metrics_path_(flags.get("metrics", std::string())),
+        trace_path_(flags.get("trace-jsonl", std::string())) {}
 
   ~Observability() {
     if (registry_ == nullptr || metrics_path_.empty()) return;
@@ -76,10 +71,20 @@ class Observability {
   Observability(const Observability&) = delete;
   Observability& operator=(const Observability&) = delete;
 
-  [[nodiscard]] obs::Registry* registry() noexcept { return registry_.get(); }
+  [[nodiscard]] obs::Registry* registry() {
+    if (registry_ != nullptr || (trace_path_.empty() && metrics_path_.empty()))
+      return registry_.get();
+    registry_ = std::make_unique<obs::Registry>();
+    if (!trace_path_.empty()) {
+      trace_ = std::make_unique<obs::FileTraceSink>(trace_path_);
+      registry_->set_trace(trace_.get());
+    }
+    return registry_.get();
+  }
 
  private:
   std::string metrics_path_;
+  std::string trace_path_;
   std::unique_ptr<obs::FileTraceSink> trace_;
   std::unique_ptr<obs::Registry> registry_;
 };

@@ -135,6 +135,7 @@ int main(int argc, char** argv) {
   const auto seed0 = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{17}));
   const std::string json_path = flags.get("json", std::string("BENCH_fig10.json"));
   bench::Observability obs(flags);
+  flags.reject_unused();
 
   bench::print_header("Figure 10: asynchronous actuation on WordCount", seed0);
   std::printf("pod crash + scheduler outage at slot %zu (window %zu), %zu seeds\n\n",

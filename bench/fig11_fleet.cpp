@@ -151,6 +151,7 @@ int main(int argc, char** argv) {
   // quantities, so the bytes are invariant to the thread count (the CI gate
   // cmp's a --threads 8 run against the serial one).
   bench::configure_threads(flags);
+  flags.reject_unused();
 
   bench::print_header("Figure 11: fleet cross-job allocation", seed);
   std::printf("%zu slots per sweep, arms: static vs arbiter\n\n", slots);

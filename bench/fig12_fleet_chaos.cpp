@@ -183,6 +183,7 @@ int main(int argc, char** argv) {
   const std::string json_path = flags.get("json", std::string("BENCH_fig12.json"));
   const double max_slot_ms = flags.get("max-slot-ms", 0.0);
   bench::Observability obs(flags);
+  flags.reject_unused();
 
   bench::print_header("Figure 12: fleet chaos + graceful degradation", seed);
   std::printf("%zu slots per sweep, arms: static vs arbiter\n\n", slots);

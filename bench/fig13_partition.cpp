@@ -124,6 +124,7 @@ int main(int argc, char** argv) {
   const auto recover_bound = static_cast<std::size_t>(flags.get("recover-bound", std::int64_t{10}));
   const std::string json_path = flags.get("json", std::string("BENCH_fig13.json"));
   bench::Observability obs(flags);
+  flags.reject_unused();
 
   bench::print_header("Figure 13: control-plane partitions + degraded-mode policies", seed);
   std::printf("%zu slots, partition at slot %zu, SLO %.0f s, drop x length sweep\n\n", slots,

@@ -107,6 +107,7 @@ int main(int argc, char** argv) {
   const auto slots = static_cast<std::size_t>(flags.get("slots", std::int64_t{16}));
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{42}));
   const double budget_rate = flags.get("budget-rate", 35'000.0);
+  flags.reject_unused();
 
   bench::print_header("Figure 4: configuration-search trajectories on WordCount", seed);
   const workloads::WorkloadSpec spec = workloads::wordcount();

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{42}));
   const auto num_seeds = static_cast<std::size_t>(flags.get("seeds", std::int64_t{5}));
   bench::configure_threads(flags);
+  flags.reject_unused();
 
   bench::print_header("Figure 5: convergence time across 11 workloads", seed);
   std::printf("mean over %zu seeds; non-converged runs are censored at the horizon\n\n",

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   const double period = flags.get("period", 200.0);
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{17}));
   const std::string csv_path = flags.get("csv", std::string(""));
+  flags.reject_unused();
 
   bench::print_header("Figure 6: WordCount throughput under workload changes", seed);
   std::printf("load flips high/low every %.0f min over %.0f min\n\n", period, minutes);

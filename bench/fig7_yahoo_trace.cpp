@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const double step_min = flags.get("step", 300.0);
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{23}));
   const std::string csv_path = flags.get("csv", std::string(""));
+  flags.reject_unused();
 
   bench::print_header("Figure 7: Yahoo streaming benchmark trace", seed);
   std::printf("low rate for %.0f min, then stepped to the high rate (not announced)\n\n",

@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   const std::string csv_path = flags.get("csv", std::string(""));
   const std::string json_path = flags.get("json", std::string(""));
   bench::Observability obs(flags);
+  flags.reject_unused();
 
   bench::print_header("Figure 8: fault recovery on WordCount", seed);
   const faults::FaultPlan plan = faults::FaultPlan::parse(spec_text);

@@ -96,6 +96,7 @@ int main(int argc, char** argv) {
   const std::string json_path = flags.get("json", std::string("BENCH_fig9.json"));
   bench::Observability obs(flags);
   bench::configure_threads(flags);
+  flags.reject_unused();
 
   bench::print_header("Figure 9: controller crash recovery on WordCount", seed0);
   std::printf("crash at slot %zu, rate step at slot %zu, %zu seeds\n\n", crash_slot,

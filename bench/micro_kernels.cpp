@@ -310,6 +310,7 @@ int speed_harness(const common::Flags& flags) {
   const auto fleet_slots = static_cast<std::size_t>(flags.get("fleet-slots", std::int64_t{4}));
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{7}));
   bench::configure_threads(flags);
+  flags.reject_unused();
   bench::print_header("micro_kernels speed harness", seed);
   FleetReport fleet;
   bool deterministic = true;

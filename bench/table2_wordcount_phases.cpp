@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
   const double minutes = flags.get("minutes", 1000.0);
   const double period = flags.get("period", 200.0);
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{17}));
+  flags.reject_unused();
 
   bench::print_header("Table 2: WordCount phase statistics under workload changes", seed);
 

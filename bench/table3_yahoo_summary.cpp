@@ -10,6 +10,7 @@ int main(int argc, char** argv) {
   const common::Flags flags(argc, argv);
   const double minutes = flags.get("minutes", 300.0);
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{23}));
+  flags.reject_unused();
 
   bench::print_header("Table 3: Yahoo benchmark summary", seed);
 

@@ -204,8 +204,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{4}));
   const std::vector<std::size_t> horizons =
       parse_horizons(flags.get("horizons", std::string("10,100,1000,10000")));
-  const std::vector<std::string> unknown = flags.unused();
-  if (!unknown.empty()) throw Error("unknown flag --" + unknown.front());
+  flags.reject_unused();
 
   bench::print_header("Theorem 1: sub-linear dynamic regret and fit", seed);
   std::printf("\nknown throughput functions h (Theorem 1):\n");

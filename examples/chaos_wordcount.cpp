@@ -26,6 +26,10 @@ int main(int argc, char** argv) {
   const auto slots = static_cast<std::size_t>(flags.get("slots", std::int64_t{50}));
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{17}));
   const bool random_plan = flags.get("random", false);
+  const std::string fault_spec =
+      flags.get("faults", std::string("crash@15:shuffle_count;straggler@22+2*0.3:map;"
+                                      "ckptfail@28*2;dropout@34+3:shuffle_count"));
+  flags.reject_unused();
 
   const workloads::WorkloadSpec spec = workloads::wordcount();
 
@@ -39,10 +43,7 @@ int main(int argc, char** argv) {
     common::Rng chaos = rng.substream("chaos");
     plan = faults::FaultPlan::sample(chaos, sample);
   } else {
-    plan = faults::FaultPlan::parse(flags.get(
-        "faults",
-        std::string("crash@15:shuffle_count;straggler@22+2*0.3:map;"
-                    "ckptfail@28*2;dropout@34+3:shuffle_count")));
+    plan = faults::FaultPlan::parse(fault_spec);
   }
   std::printf("WordCount + Dragster(saddle), %zu slots, seed %llu\nfault plan: %s\n\n", slots,
               static_cast<unsigned long long>(seed),

@@ -86,6 +86,7 @@ int main(int argc, char** argv) {
   const common::Flags flags(argc, argv);
   const auto slots = static_cast<std::size_t>(flags.get("slots", std::int64_t{20}));
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{31}));
+  flags.reject_unused();
 
   const CustomApp app;
   std::printf("custom topology: clicks->enrich(tanh) + views->sample --> min-join --> sink\n");

@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
   const auto default_nodes =
       static_cast<std::int64_t>((budget_pods + node_cap - 1) / node_cap + 1);
   const auto nodes = static_cast<int>(flags.get("nodes", chaos.empty() ? 0 : default_nodes));
+  flags.reject_unused();
 
   // 1. Describe the fleet: each JobSpec is a full single-job bundle (workload
   //    + controller + SLO + arrival slot); index order is the deterministic

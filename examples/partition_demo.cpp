@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{17}));
   const double drop = flags.get("drop", 0.0);
   const bool guard = !flags.get("no-guard", false);
+  flags.reject_unused();
 
   const workloads::WorkloadSpec spec = workloads::wordcount();
   streamsim::Engine engine = spec.make_engine(/*high=*/true, streamsim::EngineOptions{}, seed);

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{42}));
   const bool high = flags.get("high", true);
   const std::string method = flags.get("method", std::string("saddle"));
+  flags.reject_unused();
 
   // 1. Pick a workload: WordCount = Source -> Map -> Shuffle/Count -> Sink.
   const workloads::WorkloadSpec spec = workloads::wordcount();

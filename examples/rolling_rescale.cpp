@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   using namespace dragster;
   const common::Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{17}));
+  flags.reject_unused();
 
   const workloads::WorkloadSpec spec = workloads::wordcount();
   streamsim::Engine engine = spec.make_engine(/*high=*/true, streamsim::EngineOptions{}, seed);

@@ -17,6 +17,7 @@
 //   --step-at M  step-up time in minutes (schedule=step)       [300]
 //   --budget D   $/hour budget (0 = unlimited)                 [0]
 //   --seed S / --csv PATH / --vertical
+// Any other flag is rejected (dragster::Error naming it).
 #include <fstream>
 
 #include "baselines/dhalion.hpp"
@@ -107,9 +108,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{1}));
   const std::string csv_path = flags.get("csv", std::string(""));
   const bool vertical = flags.get("vertical", false);
-
-  for (const auto& unknown : flags.unused())
-    std::fprintf(stderr, "warning: unused flag --%s\n", unknown.c_str());
+  flags.reject_unused();
 
   const workloads::WorkloadSpec spec = pick_workload(workload_name);
   const online::Budget budget = budget_dollars > 0.0 ? online::Budget(budget_dollars, 0.10)

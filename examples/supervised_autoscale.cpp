@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{17}));
   const std::string plan_text =
       flags.get("crashes", std::string("ctrlcrash@10;ctrlcrash@20"));
+  flags.reject_unused();
 
   const workloads::WorkloadSpec spec = workloads::wordcount();
   streamsim::Engine engine = spec.make_engine(/*high=*/true, streamsim::EngineOptions{}, seed);

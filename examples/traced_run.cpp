@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{17}));
   const std::string trace_path = flags.get("trace-jsonl", std::string());
   const std::string metrics_path = flags.get("metrics", std::string());
+  flags.reject_unused();
 
   const workloads::WorkloadSpec spec = workloads::wordcount();
   const faults::FaultPlan plan = faults::FaultPlan::parse(

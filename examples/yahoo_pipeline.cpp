@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   const double step_min = flags.get("step", 200.0);
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{23}));
   const std::string method = flags.get("method", std::string("saddle"));
+  flags.reject_unused();
 
   const workloads::WorkloadSpec spec = workloads::yahoo();
 

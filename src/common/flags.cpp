@@ -84,4 +84,10 @@ std::vector<std::string> Flags::unused() const {
   return names;
 }
 
+void Flags::reject_unused() const {
+  std::string names;
+  for (const std::string& name : unused()) names += (names.empty() ? "--" : ", --") + name;
+  DRAGSTER_REQUIRE(names.empty(), "unknown flag " + names);
+}
+
 }  // namespace dragster::common

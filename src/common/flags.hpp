@@ -4,7 +4,7 @@
 // getters are strict: a number must be the whole value, and a string or
 // number flag given without a value throws dragster::Error naming the flag
 // (a bare `--json` must not write a file named "true").  Unknown flags are
-// collected so binaries can warn instead of silently ignoring typos.
+// collected, and reject_unused() turns them into an error.
 // Deliberately dependency-free.
 #pragma once
 
@@ -31,6 +31,10 @@ class Flags {
 
   /// Names seen on the command line but never queried via get()/has().
   [[nodiscard]] std::vector<std::string> unused() const;
+
+  /// Throws dragster::Error naming every unused() flag.  Binaries call it
+  /// after their last get()/has() and before any work, so a typo fails fast.
+  void reject_unused() const;
 
  private:
   /// The flag's value (nullopt for a bare `--name`), or null when absent.

@@ -1,7 +1,6 @@
 #include "common/rng.hpp"
 
 #include <cmath>
-#include <numbers>
 
 namespace dragster::common {
 namespace {
@@ -13,8 +12,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
-
-std::uint64_t rotl(std::uint64_t x, int k) noexcept { return (x << k) | (x >> (64 - k)); }
 
 // FNV-1a over the label bytes: cheap, stable stream identifiers.
 std::uint64_t hash_label(std::string_view label) noexcept {
@@ -39,23 +36,6 @@ Rng Rng::substream(std::string_view label, std::uint64_t index) const noexcept {
   return Rng(mix);
 }
 
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 random mantissa bits -> uniform double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) noexcept { return lo + (hi - lo) * uniform(); }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
@@ -63,23 +43,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(next_u64() % span);
 }
-
-double Rng::normal() noexcept {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  double u1 = uniform();
-  while (u1 <= 0.0) u1 = uniform();
-  const double u2 = uniform();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = radius * std::sin(angle);
-  has_cached_normal_ = true;
-  return radius * std::cos(angle);
-}
-
-double Rng::normal(double mean, double stddev) noexcept { return mean + stddev * normal(); }
 
 std::uint64_t Rng::poisson(double mean) noexcept {
   if (mean <= 0.0) return 0;

@@ -6,9 +6,15 @@
 // one uint64.  The generator is SplitMix64 for stream derivation and
 // xoshiro256** for the sampling stream — both tiny, fast and adequate for
 // simulation noise (we make no cryptographic claims).
+//
+// The per-draw samplers (next_u64, uniform, normal) are defined in this
+// header so they inline into the simulator's micro-step; the rest lives in
+// rng.cpp.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <string_view>
 
 namespace dragster::common {
@@ -50,9 +56,47 @@ class Rng {
   [[nodiscard]] bool bernoulli(double p) noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t state_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
 };
+
+inline std::uint64_t Rng::next_u64() noexcept {
+  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+  const std::uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = rotl(state_[3], 45);
+  return result;
+}
+
+inline double Rng::uniform() noexcept {
+  // 53 random mantissa bits -> uniform double in [0, 1).
+  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+}
+
+inline double Rng::normal() noexcept {
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    return cached_normal_;
+  }
+  double u1 = uniform();
+  while (u1 <= 0.0) u1 = uniform();
+  const double u2 = uniform();
+  const double radius = std::sqrt(-2.0 * std::log(u1));
+  const double angle = 2.0 * std::numbers::pi * u2;
+  cached_normal_ = radius * std::sin(angle);
+  has_cached_normal_ = true;
+  return radius * std::cos(angle);
+}
+
+inline double Rng::normal(double mean, double stddev) noexcept { return mean + stddev * normal(); }
 
 }  // namespace dragster::common

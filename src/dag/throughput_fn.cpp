@@ -20,9 +20,7 @@ LinearFn::LinearFn(std::vector<double> weights) : weights_(std::move(weights)) {
 
 double LinearFn::eval(std::span<const double> inputs) const {
   check_arity(weights_.size(), inputs.size());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < inputs.size(); ++i) sum += weights_[i] * inputs[i];
-  return sum;
+  return linear_eval(weights_, inputs);
 }
 
 void LinearFn::backprop(std::span<const double> inputs, double adjoint,
@@ -40,29 +38,16 @@ MinWeightedFn::MinWeightedFn(std::vector<double> weights) : weights_(std::move(w
     DRAGSTER_REQUIRE(w >= 0.0, "MinWeightedFn weights must be non-negative");
 }
 
-std::size_t MinWeightedFn::active_input(std::span<const double> inputs) const {
-  check_arity(weights_.size(), inputs.size());
-  std::size_t active = 0;
-  double best = weights_[0] * inputs[0];
-  for (std::size_t i = 1; i < inputs.size(); ++i) {
-    const double candidate = weights_[i] * inputs[i];
-    if (candidate < best) {  // strict: a tie keeps the earlier index
-      best = candidate;
-      active = i;
-    }
-  }
-  return active;
-}
-
 double MinWeightedFn::eval(std::span<const double> inputs) const {
-  const std::size_t j = active_input(inputs);
-  return weights_[j] * inputs[j];
+  check_arity(weights_.size(), inputs.size());
+  return min_weighted_eval(weights_, inputs);
 }
 
 void MinWeightedFn::backprop(std::span<const double> inputs, double adjoint,
                              std::span<double> input_adjoints) const {
+  check_arity(weights_.size(), inputs.size());
   check_arity(weights_.size(), input_adjoints.size());
-  const std::size_t j = active_input(inputs);
+  const std::size_t j = min_weighted_index(weights_, inputs);
   input_adjoints[j] += adjoint * weights_[j];
 }
 

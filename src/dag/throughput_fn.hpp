@@ -40,6 +40,39 @@ class ThroughputFn {
   [[nodiscard]] virtual std::unique_ptr<ThroughputFn> clone() const = 0;
 };
 
+/// Paper eq. (2a) arithmetic: k . e summed in index order.  `weights` has at
+/// least `inputs.size()` entries.  LinearFn::eval and the simulator's step
+/// plan both evaluate through here.
+[[nodiscard]] inline double linear_eval(std::span<const double> weights,
+                                        std::span<const double> inputs) noexcept {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) sum += weights[i] * inputs[i];
+  return sum;
+}
+
+/// Paper eq. (2b): the index j minimizing k_j * e_j; on a tie the first index
+/// is the active one.  `inputs` is non-empty.
+[[nodiscard]] inline std::size_t min_weighted_index(std::span<const double> weights,
+                                                    std::span<const double> inputs) noexcept {
+  std::size_t active = 0;
+  double best = weights[0] * inputs[0];
+  for (std::size_t i = 1; i < inputs.size(); ++i) {
+    const double candidate = weights[i] * inputs[i];
+    if (candidate < best) {  // strict: a tie keeps the earlier index
+      best = candidate;
+      active = i;
+    }
+  }
+  return active;
+}
+
+/// Paper eq. (2b): min_j (k_j * e_j), shared like linear_eval.
+[[nodiscard]] inline double min_weighted_eval(std::span<const double> weights,
+                                              std::span<const double> inputs) noexcept {
+  const std::size_t j = min_weighted_index(weights, inputs);
+  return weights[j] * inputs[j];
+}
+
 /// Paper eq. (2a):  h(e) = k . e   (inner product).
 class LinearFn final : public ThroughputFn {
  public:
@@ -74,8 +107,6 @@ class MinWeightedFn final : public ThroughputFn {
   [[nodiscard]] std::unique_ptr<ThroughputFn> clone() const override;
 
  private:
-  [[nodiscard]] std::size_t active_input(std::span<const double> inputs) const;
-
   std::vector<double> weights_;
 };
 

@@ -1,8 +1,8 @@
 #include "obs/trace.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/error.hpp"
 
@@ -11,12 +11,18 @@ namespace dragster::obs {
 std::string format_double(double value) {
   if (std::isnan(value)) return "NaN";
   if (std::isinf(value)) return value > 0.0 ? "+Inf" : "-Inf";
+  // The %.15g / %.16g / %.17g loop: the first precision that parses back to
+  // the same value.  to_chars(general, p) prints the bytes of "%.*g".
   char buf[40];
+  char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
+    end = std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::general, precision).ptr;
+    double parsed = 0.0;
+    std::from_chars(buf, end, parsed);
+    // draglint:allow(DL004 round-trip test: the printed text must parse back to the same bits)
+    if (parsed == value) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 void append_json_escaped(std::string& out, std::string_view text) {

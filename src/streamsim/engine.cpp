@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <utility>
 
 #include "common/error.hpp"
 #include "obs/registry.hpp"
@@ -87,81 +88,130 @@ Engine::Engine(dag::StreamDag dag, std::map<dag::NodeId, UslParams> usl,
       options_(options),
       cluster_(pricing),
       metrics_(),
-      root_rng_(seed),
-      schedules_(std::move(schedules)) {
+      root_rng_(seed) {
   DRAGSTER_REQUIRE(dag_.validated(), "Engine requires a validated DAG");
   DRAGSTER_REQUIRE(options_.slot_duration_s > 0.0 && options_.micro_step_s > 0.0,
                    "durations must be positive");
+  DRAGSTER_REQUIRE(options_.micro_step_s <= options_.slot_duration_s,
+                   "the micro-step must fit inside a slot");
   DRAGSTER_REQUIRE(options_.checkpoint_pause_s >= 0.0 &&
                        options_.checkpoint_pause_s < options_.slot_duration_s,
                    "checkpoint pause must fit inside a slot");
+  DRAGSTER_REQUIRE(options_.buffer_limit >= 0.0, "buffer limit must be non-negative");
   DRAGSTER_REQUIRE(options_.max_tasks >= 1, "max_tasks must be positive");
 
+  const std::size_t nodes = dag_.node_count();
+  ops_.resize(nodes);
   for (dag::NodeId id : dag_.operators()) {
     const auto it = usl.find(id);
     DRAGSTER_REQUIRE(it != usl.end(),
                      "missing USL parameters for operator " + dag_.component(id).name);
-    OperatorState state;
-    state.model = std::make_unique<CapacityModel>(it->second);
-    state.backlog.assign(dag_.in_edges(id).size(), 0.0);
-    ops_.emplace(id, std::move(state));
+    ops_[id].model = std::make_unique<CapacityModel>(it->second);
+    ops_[id].backlog.assign(dag_.in_edges(id).size(), 0.0);
     cluster_.add_deployment(dag_.component(id).name, 1);
   }
   for (dag::NodeId id : dag_.sources()) {
-    DRAGSTER_REQUIRE(schedules_.count(id),
+    DRAGSTER_REQUIRE(schedules.count(id),
                      "missing rate schedule for source " + dag_.component(id).name);
-    source_pending_[id] = 0.0;
   }
-  for (const auto& [id, schedule] : schedules_) {
-    DRAGSTER_REQUIRE(dag_.component(id).kind == dag::ComponentKind::kSource,
+  schedules_.resize(nodes);
+  for (auto& [id, schedule] : schedules) {
+    DRAGSTER_REQUIRE(id < nodes && dag_.component(id).kind == dag::ComponentKind::kSource,
                      "schedule attached to a non-source node");
     DRAGSTER_REQUIRE(schedule != nullptr, "null rate schedule");
+    schedules_[id] = std::move(schedule);
   }
+  source_pending_.assign(nodes, 0.0);
+  compile_plan();
+}
+
+void Engine::compile_plan() {
+  std::size_t max_in = 0;
+  for (dag::NodeId id : dag_.topo_order()) {
+    PlanNode node;
+    node.id = id;
+    node.kind = dag_.component(id).kind;
+    node.in_begin = plan_in_.size();
+    for (std::size_t eidx : dag_.in_edges(id)) plan_in_.push_back(eidx);
+    node.in_end = plan_in_.size();
+    max_in = std::max(max_in, node.in_end - node.in_begin);
+    node.out_begin = plan_out_.size();
+    for (std::size_t eidx : dag_.out_edges(id)) {
+      const dag::Edge& edge = dag_.edge(eidx);
+      PlanEdge step{eidx, edge.alpha, EdgeForm::kVirtual, 0, edge.fn.get()};
+      const bool linear = dynamic_cast<const dag::LinearFn*>(edge.fn.get()) != nullptr;
+      if (linear || dynamic_cast<const dag::MinWeightedFn*>(edge.fn.get()) != nullptr) {
+        step.form = linear ? EdgeForm::kLinear : EdgeForm::kMinWeighted;
+        step.weights = plan_weights_.size();
+        const std::span<const double> weights = std::as_const(*edge.fn).params();
+        plan_weights_.insert(plan_weights_.end(), weights.begin(), weights.end());
+      }
+      plan_out_.push_back(step);
+    }
+    node.out_end = plan_out_.size();
+    plan_.push_back(node);
+  }
+  avail_.assign(max_in, 0.0);
+  inputs_.assign(max_in, 0.0);
+  fresh_.assign(max_in, 0.0);
+  edge_rate_.assign(dag_.edge_count(), 0.0);
+  path_delay_.assign(dag_.node_count(), 0.0);
+}
+
+inline double Engine::demand(const PlanEdge& edge, std::span<const double> inputs) const {
+  if (edge.form == EdgeForm::kVirtual) return edge.fn->eval(inputs);
+  const std::span<const double> weights(plan_weights_.data() + edge.weights, inputs.size());
+  return edge.form == EdgeForm::kLinear ? dag::linear_eval(weights, inputs)
+                                        : dag::min_weighted_eval(weights, inputs);
+}
+
+void Engine::require_operator(dag::NodeId op, const char* method) const {
+  DRAGSTER_REQUIRE(op < ops_.size() && ops_[op].model != nullptr,
+                   std::string(method) + " on a non-operator node");
 }
 
 void Engine::set_tasks(dag::NodeId op, int new_tasks) {
-  auto it = ops_.find(op);
-  DRAGSTER_REQUIRE(it != ops_.end(), "set_tasks on a non-operator node");
+  require_operator(op, "set_tasks");
+  OperatorState& state = ops_[op];
   DRAGSTER_REQUIRE(new_tasks >= 1 && new_tasks <= options_.max_tasks,
                    "task count outside [1, max_tasks]");
-  if (it->second.tasks == new_tasks) return;
-  if (!it->second.reconfig_pending) {  // first change this slot: rollback point
-    it->second.prev_tasks = it->second.tasks;
-    it->second.prev_spec = it->second.spec;
+  if (state.tasks == new_tasks) return;
+  if (!state.reconfig_pending) {  // first change this slot: rollback point
+    state.prev_tasks = state.tasks;
+    state.prev_spec = state.spec;
   }
-  it->second.tasks = new_tasks;
-  it->second.reconfig_pending = true;
+  state.tasks = new_tasks;
+  state.reconfig_pending = true;
   cluster_.scale_replicas(dag_.component(op).name, new_tasks);
 }
 
 void Engine::set_pod_spec(dag::NodeId op, cluster::PodSpec spec) {
-  auto it = ops_.find(op);
-  DRAGSTER_REQUIRE(it != ops_.end(), "set_pod_spec on a non-operator node");
-  if (it->second.spec == spec) return;
-  if (!it->second.reconfig_pending) {
-    it->second.prev_tasks = it->second.tasks;
-    it->second.prev_spec = it->second.spec;
+  require_operator(op, "set_pod_spec");
+  OperatorState& state = ops_[op];
+  if (state.spec == spec) return;
+  if (!state.reconfig_pending) {
+    state.prev_tasks = state.tasks;
+    state.prev_spec = state.spec;
   }
-  it->second.spec = spec;
-  it->second.reconfig_pending = true;
+  state.spec = spec;
+  state.reconfig_pending = true;
   cluster_.resize_pods(dag_.component(op).name, spec);
 }
 
 void Engine::inject_pod_failure(dag::NodeId op) {
-  auto it = ops_.find(op);
-  DRAGSTER_REQUIRE(it != ops_.end(), "inject_pod_failure on a non-operator node");
-  it->second.crashed_this_slot = true;  // restart churn taints the slot either way
-  if (it->second.tasks <= 1) return;    // last pod: Kubernetes would reschedule
-  it->second.tasks -= 1;
+  require_operator(op, "inject_pod_failure");
+  OperatorState& state = ops_[op];
+  state.crashed_this_slot = true;  // restart churn taints the slot either way
+  if (state.tasks <= 1) return;    // last pod: Kubernetes would reschedule
+  state.tasks -= 1;
   // No reconfig_pending: crashes do not checkpoint.
-  cluster_.scale_replicas(dag_.component(op).name, it->second.tasks);
+  cluster_.scale_replicas(dag_.component(op).name, state.tasks);
 }
 
 void Engine::set_capacity_degradation(dag::NodeId op, double factor) {
-  auto it = ops_.find(op);
-  DRAGSTER_REQUIRE(it != ops_.end(), "set_capacity_degradation on a non-operator node");
+  require_operator(op, "set_capacity_degradation");
   DRAGSTER_REQUIRE(factor > 0.0 && factor <= 1.0, "degradation factor must be in (0, 1]");
-  it->second.degradation = factor;
+  ops_[op].degradation = factor;
 }
 
 void Engine::arm_checkpoint_failure(int retries) {
@@ -170,9 +220,8 @@ void Engine::arm_checkpoint_failure(int retries) {
 }
 
 void Engine::set_metric_dropout(dag::NodeId op, bool active) {
-  auto it = ops_.find(op);
-  DRAGSTER_REQUIRE(it != ops_.end(), "set_metric_dropout on a non-operator node");
-  it->second.metrics_down = active;
+  require_operator(op, "set_metric_dropout");
+  ops_[op].metrics_down = active;
 }
 
 const SlotReport& Engine::last_report() const {
@@ -181,62 +230,67 @@ const SlotReport& Engine::last_report() const {
 }
 
 int Engine::tasks(dag::NodeId op) const {
-  const auto it = ops_.find(op);
-  DRAGSTER_REQUIRE(it != ops_.end(), "tasks() on a non-operator node");
-  return it->second.tasks;
+  require_operator(op, "tasks()");
+  return ops_[op].tasks;
 }
 
 cluster::PodSpec Engine::pod_spec(dag::NodeId op) const {
-  const auto it = ops_.find(op);
-  DRAGSTER_REQUIRE(it != ops_.end(), "pod_spec() on a non-operator node");
-  return it->second.spec;
+  require_operator(op, "pod_spec()");
+  return ops_[op].spec;
 }
 
 double Engine::true_capacity(dag::NodeId op, int task_count,
                              std::optional<cluster::PodSpec> spec) const {
-  const auto it = ops_.find(op);
-  DRAGSTER_REQUIRE(it != ops_.end(), "true_capacity() on a non-operator node");
-  return it->second.model->capacity(task_count, spec.value_or(it->second.spec));
+  require_operator(op, "true_capacity()");
+  return ops_[op].model->capacity(task_count, spec.value_or(ops_[op].spec));
 }
 
 double Engine::offered_rate(dag::NodeId source, double at_seconds) const {
-  const auto it = schedules_.find(source);
-  DRAGSTER_REQUIRE(it != schedules_.end(), "offered_rate() on a non-source node");
-  return it->second->rate_at(at_seconds);
+  DRAGSTER_REQUIRE(source < schedules_.size() && schedules_[source] != nullptr,
+                   "offered_rate() on a non-source node");
+  return schedules_[source]->rate_at(at_seconds);
 }
 
 const CapacityModel& Engine::capacity_model(dag::NodeId op) const {
-  const auto it = ops_.find(op);
-  DRAGSTER_REQUIRE(it != ops_.end(), "capacity_model() on a non-operator node");
-  return *it->second.model;
+  require_operator(op, "capacity_model()");
+  return *ops_[op].model;
 }
 
 const SlotReport& Engine::run_slot() {
   ++slot_index_;
   common::Rng slot_rng = root_rng_.substream("slot", slot_index_);
 
-  SlotReport report;
+  // The previous report's buffers are reused; every field starts afresh.
+  SlotReport& report = report_ ? *report_ : report_.emplace();
+  {
+    std::vector<OperatorMetrics> per_node = std::move(report.per_node);
+    std::vector<double> source_rate = std::move(report.source_rate);
+    std::vector<double> edge_rate = std::move(report.edge_rate);
+    std::vector<std::pair<double, double>> series = std::move(report.throughput_series);
+    report = SlotReport{};
+    report.per_node = std::move(per_node);
+    report.source_rate = std::move(source_rate);
+    report.edge_rate = std::move(edge_rate);
+    report.throughput_series = std::move(series);
+  }
   report.slot_index = slot_index_ - 1;
   report.start_seconds = now_s_;
   report.duration_s = options_.slot_duration_s;
   report.per_node.assign(dag_.node_count(), OperatorMetrics{});
   report.source_rate.assign(dag_.node_count(), 0.0);
   report.edge_rate.assign(dag_.edge_count(), 0.0);
+  report.throughput_series.clear();
   edge_sum_.assign(dag_.edge_count(), 0.0);
   processing_steps_ = 0;
   report.cost_rate_per_hour = cluster_.cost_rate_per_hour();
 
   // Resample cloud noise and decide whether a checkpoint pause is due.
   bool reconfigured = false;
-  std::vector<dag::NodeId> reconfiguring;
-  for (auto& [id, state] : ops_) {
+  for (dag::NodeId id : dag_.operators()) {
+    OperatorState& state = ops_[id];
     common::Rng cloud = slot_rng.substream("cloud", id);
     state.slot_cloud_factor = std::clamp(cloud.normal(1.0, options_.capacity_noise), 0.7, 1.3);
-    if (state.reconfig_pending) {
-      reconfigured = true;
-      reconfiguring.push_back(id);
-      state.reconfig_pending = false;
-    }
+    reconfigured = reconfigured || state.reconfig_pending;
   }
   report.pause_s = reconfigured ? options_.checkpoint_pause_s : 0.0;
 
@@ -252,8 +306,9 @@ const SlotReport& Engine::run_slot() {
     const double abort_cap = options_.checkpoint_abort_fraction * options_.slot_duration_s;
     if (extended > abort_cap) {
       report.checkpoint_aborted = true;
-      for (dag::NodeId id : reconfiguring) {
-        OperatorState& state = ops_.at(id);
+      for (dag::NodeId id : dag_.operators()) {
+        OperatorState& state = ops_[id];
+        if (!state.reconfig_pending) continue;
         state.tasks = state.prev_tasks;
         state.spec = state.prev_spec;
         cluster_.scale_replicas(dag_.component(id).name, state.tasks);
@@ -268,7 +323,12 @@ const SlotReport& Engine::run_slot() {
   }
 
   accum_.assign(dag_.node_count(), StepAccum{});
-  for (auto& [id, state] : ops_) {
+  for (dag::NodeId id : dag_.operators()) {
+    OperatorState& state = ops_[id];
+    state.reconfig_pending = false;
+    // The configuration is final for this slot: its capacity is fixed.
+    state.slot_capacity = state.model->capacity(state.tasks, state.spec) * state.degradation *
+                          state.slot_cloud_factor;
     double total = 0.0;
     for (double b : state.backlog) total += b;
     report.per_node[id].backlog_start = total;
@@ -279,7 +339,6 @@ const SlotReport& Engine::run_slot() {
   const auto total_steps = static_cast<std::size_t>(options_.slot_duration_s / dt + 0.5);
   const auto pause_steps = static_cast<std::size_t>(report.pause_s / dt + 0.5);
 
-  std::vector<double> edge_rate(dag_.edge_count(), 0.0);
   common::Rng step_rng = slot_rng.substream("steps");
 
   double sample_tuples = 0.0;
@@ -290,9 +349,9 @@ const SlotReport& Engine::run_slot() {
     if (step < pause_steps) {
       // Checkpoint: offered tuples park upstream (e.g. in Kafka); nothing is
       // processed anywhere.
-      for (auto& [id, pending] : source_pending_) {
-        const double rate = schedules_.at(id)->rate_at(now_s_);
-        pending += rate * dt;
+      for (dag::NodeId id : dag_.sources()) {
+        const double rate = schedules_[id]->rate_at(now_s_);
+        source_pending_[id] += rate * dt;
         accum_[id].offered_sum += rate;
         accum_[id].steps += 1;
       }
@@ -301,7 +360,7 @@ const SlotReport& Engine::run_slot() {
     }
 
     const double before = total_tuples_;
-    micro_step(dt, edge_rate, step_rng);
+    micro_step(dt, step_rng);
     const double processed = total_tuples_ - before;
     slot_tuples += processed;
     sample_tuples += processed;
@@ -333,23 +392,20 @@ const SlotReport& Engine::run_slot() {
     // Little's law: average buffered tuples over the average drain rate.
     const double consumed_rate = a.consumed_sum / (steps * options_.micro_step_s);
     m.queue_delay_s = consumed_rate > 1e-9 ? (a.backlog_sum / steps) / consumed_rate : 0.0;
-    if (dag_.component(id).kind == dag::ComponentKind::kSource)
-      report.source_rate[id] = a.offered_sum / steps;
+    if (schedules_[id] != nullptr) report.source_rate[id] = a.offered_sum / steps;
   }
 
   // End-to-end latency estimate: longest source->sink path of queue delays.
-  {
-    std::vector<double> path_delay(dag_.node_count(), 0.0);
-    for (dag::NodeId id : dag_.topo_order()) {
-      double upstream = 0.0;
-      for (std::size_t eidx : dag_.in_edges(id))
-        upstream = std::max(upstream, path_delay[dag_.edge(eidx).from]);
-      path_delay[id] = upstream + report.per_node[id].queue_delay_s;
-    }
-    report.latency_estimate_s = path_delay[dag_.sink()];
+  for (const PlanNode& node : plan_) {
+    double upstream = 0.0;
+    for (std::size_t k = node.in_begin; k < node.in_end; ++k)
+      upstream = std::max(upstream, path_delay_[dag_.edge(plan_in_[k]).from]);
+    path_delay_[node.id] = upstream + report.per_node[node.id].queue_delay_s;
   }
+  report.latency_estimate_s = path_delay_[dag_.sink()];
 
-  for (auto& [id, state] : ops_) {
+  for (dag::NodeId id : dag_.operators()) {
+    OperatorState& state = ops_[id];
     double total = 0.0;
     for (double b : state.backlog) total += b;
     OperatorMetrics& m = report.per_node[id];
@@ -391,9 +447,8 @@ const SlotReport& Engine::run_slot() {
   cluster_.accrue(options_.slot_duration_s);
   report.cost = cluster_.accrued_cost() - cost_before;
 
-  report_ = std::move(report);
   if (obs_ != nullptr) publish_observability();
-  return *report_;
+  return report;
 }
 
 void Engine::publish_observability() const {
@@ -413,8 +468,7 @@ void Engine::publish_observability() const {
         .field("checkpoint_retries", r.checkpoint_retries)
         .field("checkpoint_aborted", r.checkpoint_aborted);
   }
-  for (const auto& entry : ops_) {
-    const dag::NodeId id = entry.first;
+  for (dag::NodeId id : dag_.operators()) {
     const OperatorMetrics& m = r.per_node[id];
     const std::string& name = dag_.component(id).name;
     obs_->gauge("engine_backlog", "Buffered tuples at slot end", {{"op", name}})
@@ -436,25 +490,30 @@ void Engine::publish_observability() const {
   }
 }
 
-void Engine::micro_step(double dt, std::vector<double>& edge_rate, common::Rng& step_rng) {
-  std::fill(edge_rate.begin(), edge_rate.end(), 0.0);
+void Engine::micro_step(double dt, common::Rng& step_rng) {
+  // Every edge is written by its upstream node before its downstream node
+  // reads it (plan_ is topological), so edge_rate_ needs no reset.
+  double* const edge_rate = edge_rate_.data();
 
-  for (dag::NodeId id : dag_.topo_order()) {
-    const dag::Component& comp = dag_.component(id);
+  for (const PlanNode& node : plan_) {
+    const dag::NodeId id = node.id;
     StepAccum& acc = accum_[id];
+    const std::span<const std::size_t> in_edges(plan_in_.data() + node.in_begin,
+                                                node.in_end - node.in_begin);
+    const std::span<const PlanEdge> out_edges(plan_out_.data() + node.out_begin,
+                                              node.out_end - node.out_begin);
 
-    if (comp.kind == dag::ComponentKind::kSource) {
-      const double base_rate = schedules_.at(id)->rate_at(now_s_);
+    if (node.kind == dag::ComponentKind::kSource) {
+      const double base_rate = schedules_[id]->rate_at(now_s_);
       const double noisy_rate =
           std::max(0.0, base_rate * (1.0 + step_rng.normal(0.0, options_.source_noise)));
       const double amount = noisy_rate * dt + source_pending_[id];
       source_pending_[id] = 0.0;
       const double in_rate = amount / dt;
       double emitted = 0.0;
-      for (std::size_t eidx : dag_.out_edges(id)) {
-        const dag::Edge& edge = dag_.edge(eidx);
-        const double out = edge.fn->eval(std::span<const double>(&in_rate, 1));
-        edge_rate[eidx] = out * dt;
+      for (const PlanEdge& edge : out_edges) {
+        const double out = demand(edge, std::span<const double>(&in_rate, 1));
+        edge_rate[edge.edge] = out * dt;
         emitted += out;
       }
       acc.offered_sum += noisy_rate;
@@ -464,9 +523,9 @@ void Engine::micro_step(double dt, std::vector<double>& edge_rate, common::Rng& 
       continue;
     }
 
-    if (comp.kind == dag::ComponentKind::kSink) {
+    if (node.kind == dag::ComponentKind::kSink) {
       double inflow = 0.0;
-      for (std::size_t eidx : dag_.in_edges(id)) inflow += edge_rate[eidx];
+      for (std::size_t eidx : in_edges) inflow += edge_rate[eidx];
       total_tuples_ += inflow;
       acc.in_sum += inflow / dt;
       acc.steps += 1;
@@ -474,42 +533,39 @@ void Engine::micro_step(double dt, std::vector<double>& edge_rate, common::Rng& 
     }
 
     // Operator: offer backlog + arrivals, truncate by hidden capacity.
-    OperatorState& state = ops_.at(id);
-    const auto& in_edges = dag_.in_edges(id);
-    avail_.resize(in_edges.size());
-    inputs_.resize(in_edges.size());
-    fresh_.resize(in_edges.size());
+    OperatorState& state = ops_[id];
+    const std::size_t n = in_edges.size();
     double arrivals = 0.0;
-    for (std::size_t k = 0; k < in_edges.size(); ++k) {
-      avail_[k] = state.backlog[k] + edge_rate[in_edges[k]];
+    for (std::size_t k = 0; k < n; ++k) {
+      const double arrived = edge_rate[in_edges[k]];
+      avail_[k] = state.backlog[k] + arrived;
       inputs_[k] = avail_[k] / dt;
-      arrivals += edge_rate[in_edges[k]];
+      // Demand from fresh arrivals only — the "can it keep up with the
+      // incoming rate" signal backpressure detection uses.
+      fresh_[k] = arrived / dt;
+      arrivals += arrived;
     }
+    const std::span<const double> inputs(inputs_.data(), n);
+    const std::span<const double> fresh(fresh_.data(), n);
 
-    const double y_true = state.model->capacity(state.tasks, state.spec) * state.degradation;
-    const double y_now = std::max(
-        1.0, y_true * state.slot_cloud_factor * (1.0 + step_rng.normal(0.0, options_.step_noise)));
+    const double y_now =
+        std::max(1.0, state.slot_capacity * (1.0 + step_rng.normal(0.0, options_.step_noise)));
 
-    // Demand from fresh arrivals only — the "can it keep up with the
-    // incoming rate" signal backpressure detection uses.
-    for (std::size_t k = 0; k < in_edges.size(); ++k) fresh_[k] = edge_rate[in_edges[k]] / dt;
-
-    double demand = 0.0;
+    double demand_total = 0.0;
     double arrival_demand = 0.0;
     double out_total = 0.0;
-    for (std::size_t eidx : dag_.out_edges(id)) {
-      const dag::Edge& edge = dag_.edge(eidx);
-      const double d = edge.fn->eval(inputs_);
-      demand += d;
-      arrival_demand += edge.fn->eval(fresh_);
+    for (const PlanEdge& edge : out_edges) {
+      const double d = demand(edge, inputs);
+      demand_total += d;
+      arrival_demand += demand(edge, fresh);
       const double out = std::min(edge.alpha * y_now, d);
-      edge_rate[eidx] = out * dt;
+      edge_rate[edge.edge] = out * dt;
       out_total += out;
     }
 
-    const double rho = demand > 1e-12 ? std::min(1.0, out_total / demand) : 0.0;
+    const double rho = demand_total > 1e-12 ? std::min(1.0, out_total / demand_total) : 0.0;
     double backlog_total = 0.0;
-    for (std::size_t k = 0; k < in_edges.size(); ++k) {
+    for (std::size_t k = 0; k < n; ++k) {
       double remaining = avail_[k] * (1.0 - rho);
       if (remaining > options_.buffer_limit) {
         acc.dropped += remaining - options_.buffer_limit;
@@ -521,26 +577,25 @@ void Engine::micro_step(double dt, std::vector<double>& edge_rate, common::Rng& 
     }
     acc.backlog_sum += backlog_total;
 
-    const double util_true = std::min(1.0, demand / y_now);
+    const double util_true = std::min(1.0, demand_total / y_now);
     const double util_obs = std::clamp(
         util_true * (1.0 + step_rng.normal(0.0, options_.cpu_read_noise)), 0.005, 1.0);
 
     acc.in_sum += arrivals / dt;
     acc.out_sum += out_total;
-    acc.demand_sum += demand;
+    acc.demand_sum += demand_total;
     acc.arrival_demand_sum += arrival_demand;
     acc.overload_sum += arrival_demand / y_now;
     acc.util_obs_sum += util_obs;
-    acc.util_true_sum += util_true;
     // eq. (8): the capacity estimate is only informative under load.
-    if (demand > 0.05 * y_now) {
+    if (demand_total > 0.05 * y_now) {
       acc.cap_obs_sum += out_total / util_obs;
       acc.cap_obs_count += 1;
     }
     acc.steps += 1;
   }
 
-  for (std::size_t e = 0; e < edge_rate.size(); ++e) edge_sum_[e] += edge_rate[e];
+  for (std::size_t e = 0; e < edge_rate_.size(); ++e) edge_sum_[e] += edge_rate[e];
   ++processing_steps_;
   now_s_ += dt;
 }

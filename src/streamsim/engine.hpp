@@ -18,9 +18,11 @@
 // (actions: HPA/VPA analogue); the ground truth stays hidden behind them.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -258,6 +260,9 @@ class Engine final : public ScalingActuator {
     cluster::PodSpec spec;
     std::vector<double> backlog;      // per in-edge
     double slot_cloud_factor = 1.0;   // resampled each slot
+    // capacity(tasks, spec) * degradation * slot_cloud_factor, set once per
+    // slot after any checkpoint rollback: nothing changes it inside a slot.
+    double slot_capacity = 0.0;
     bool reconfig_pending = false;
     int prev_tasks = 1;               // rollback target for aborted checkpoints
     cluster::PodSpec prev_spec;
@@ -273,7 +278,6 @@ class Engine final : public ScalingActuator {
     double arrival_demand_sum = 0.0;
     double overload_sum = 0.0;  // arrival demand / capacity, for backpressure
     double util_obs_sum = 0.0;
-    double util_true_sum = 0.0;
     double cap_obs_sum = 0.0;
     std::size_t cap_obs_count = 0;
     double dropped = 0.0;
@@ -283,7 +287,30 @@ class Engine final : public ScalingActuator {
     std::size_t steps = 0;
   };
 
-  void micro_step(double dt, std::vector<double>& edge_rate, common::Rng& step_rng);
+  // The step plan: the DAG compiled once, in topological order, into flat
+  // arrays micro_step walks without lookups.  Linear and MinWeighted edges
+  // evaluate inline from a copy of their weights; Tanh and Custom edges call
+  // the virtual eval.
+  enum class EdgeForm : std::uint8_t { kLinear, kMinWeighted, kVirtual };
+  struct PlanEdge {
+    std::size_t edge = 0;     // dag edge index (edge_rate slot)
+    double alpha = 1.0;
+    EdgeForm form = EdgeForm::kVirtual;
+    std::size_t weights = 0;  // offset into plan_weights_ (inline forms)
+    const dag::ThroughputFn* fn = nullptr;
+  };
+  struct PlanNode {
+    dag::NodeId id = 0;
+    dag::ComponentKind kind = dag::ComponentKind::kOperator;
+    std::size_t in_begin = 0, in_end = 0;    // range of plan_in_
+    std::size_t out_begin = 0, out_end = 0;  // range of plan_out_
+  };
+
+  void compile_plan();
+  [[nodiscard]] double demand(const PlanEdge& edge, std::span<const double> inputs) const;
+  /// Throws naming `method` unless `op` is an operator's id.
+  void require_operator(dag::NodeId op, const char* method) const;
+  void micro_step(double dt, common::Rng& step_rng);
   void publish_observability() const;
 
   dag::StreamDag dag_;
@@ -291,18 +318,26 @@ class Engine final : public ScalingActuator {
   cluster::Cluster cluster_;
   cluster::MetricsServer metrics_;
   common::Rng root_rng_;
-  std::map<dag::NodeId, OperatorState> ops_;
-  std::map<dag::NodeId, std::unique_ptr<RateSchedule>> schedules_;
-  std::map<dag::NodeId, double> source_pending_;  // tuples parked during pauses
+  // Node-indexed state; the dag's sources() and operators() list the ids in
+  // ascending order.  A schedule is null off sources, a model off operators.
+  std::vector<OperatorState> ops_;
+  std::vector<std::unique_ptr<RateSchedule>> schedules_;
+  std::vector<double> source_pending_;            // tuples parked during pauses
+  std::vector<PlanNode> plan_;                    // topological order
+  std::vector<std::size_t> plan_in_;              // in-edge indexes, per node
+  std::vector<PlanEdge> plan_out_;                // out-edges, per node
+  std::vector<double> plan_weights_;              // weights of the inline forms
   std::vector<StepAccum> accum_;                  // node-indexed, per-slot scratch
   std::vector<double> edge_sum_;                  // edge-indexed, per-slot scratch
+  std::vector<double> edge_rate_;                 // edge-indexed, per-step flow
+  std::vector<double> path_delay_;                // node-indexed, latency scratch
   // micro_step scratch, per in-edge of the operator being stepped: buffered
   // plus arrived tuples, that as a rate, and the arrivals-only rate.
   std::vector<double> avail_;
   std::vector<double> inputs_;
   std::vector<double> fresh_;
   std::size_t processing_steps_ = 0;              // non-paused steps this slot
-  std::optional<SlotReport> report_;
+  std::optional<SlotReport> report_;              // buffers reused slot to slot
   int armed_checkpoint_retries_ = 0;              // fault seam; consumed by next reconfig
   std::size_t slot_index_ = 0;
   double now_s_ = 0.0;

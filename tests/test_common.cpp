@@ -2,10 +2,13 @@
 // sanity, running statistics, tables, CSV quoting, and flag parsing.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <set>
 #include <span>
 #include <sstream>
+#include <vector>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -117,6 +120,52 @@ TEST(Rng, BernoulliProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
+// FNV-1a over 10^4 draws of each sampler from three seeds, each seed's root
+// stream and two substreams of it.  The hashes were taken from the
+// out-of-line generator, so moving the samplers (inlining, reordering) must
+// keep every draw's bits.
+TEST(Rng, SequenceBitsArePinned) {
+  auto real = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  struct Pin {
+    const char* sampler;
+    std::function<std::uint64_t(Rng&)> draw;
+    std::uint64_t hash;
+  };
+  const std::vector<Pin> pins{
+      {"next_u64", [](Rng& r) { return r.next_u64(); }, 0x65073a0985a9a6f4ULL},
+      {"uniform", [&](Rng& r) { return real(r.uniform()); }, 0x4db5c698c5af8e9aULL},
+      {"uniform_range", [&](Rng& r) { return real(r.uniform(-3.0, 5.0)); },
+       0xe0b5120d027d3b69ULL},
+      {"uniform_int", [](Rng& r) { return static_cast<std::uint64_t>(r.uniform_int(-7, 1000)); },
+       0xb2efd5a80941fcadULL},
+      {"normal", [&](Rng& r) { return real(r.normal()); }, 0xfca12891bf94c05bULL},
+      {"normal_scaled", [&](Rng& r) { return real(r.normal(2.0, 0.5)); }, 0x3510b68fce05aaeeULL},
+      // The cached second Box-Muller value must survive other draws.
+      {"normal_interleaved",
+       [&](Rng& r) { return real(r.normal()) ^ real(r.uniform()) ^ r.next_u64(); },
+       0x85c1e480336bf891ULL},
+      {"poisson_small", [](Rng& r) { return r.poisson(3.5); }, 0x66a7c6693ff3710cULL},
+      {"poisson_large", [](Rng& r) { return r.poisson(200.0); }, 0x8594ed1cdcf9f3e4ULL},
+      {"bernoulli", [](Rng& r) { return std::uint64_t{r.bernoulli(0.3)}; }, 0xb2e094b36c43fd24ULL},
+  };
+  for (const Pin& pin : pins) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::uint64_t seed : {1ULL, 42ULL, 0xDEADBEEFULL}) {
+      const Rng root(seed);
+      for (Rng rng : {root, root.substream("steps"), root.substream("cloud", 7)}) {
+        for (int i = 0; i < 10'000; ++i) {
+          const std::uint64_t w = pin.draw(rng);
+          for (int byte = 0; byte < 8; ++byte) {
+            h ^= (w >> (8 * byte)) & 0xffU;
+            h *= 0x100000001b3ULL;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(h, pin.hash) << pin.sampler << " 0x" << std::hex << h;
+  }
+}
+
 TEST(RunningStats, Empty) {
   RunningStats stats;
   EXPECT_EQ(stats.count(), 0u);
@@ -211,6 +260,23 @@ TEST(Flags, TracksUnusedFlags) {
   const auto unused = flags.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
+}
+
+TEST(Flags, RejectUnusedNamesEveryUnqueriedFlag) {
+  const char* argv[] = {"prog", "--used=1", "--typo=2", "--bare", "pos"};
+  const Flags flags(5, argv);
+  (void)flags.get("used", std::int64_t{0});
+  try {
+    flags.reject_unused();
+    FAIL() << "expected dragster::Error";
+  } catch (const Error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("--bare, --typo"), std::string::npos) << message;
+    EXPECT_EQ(message.find("--used"), std::string::npos) << message;
+  }
+  (void)flags.has("typo");
+  (void)flags.get("bare", false);
+  EXPECT_NO_THROW(flags.reject_unused());  // positional arguments are not flags
 }
 
 TEST(Flags, FallbacksWhenMissing) {

@@ -1,13 +1,17 @@
 // Integration-level tests for the stream-processing simulator: steady-state
 // flow, buffering under overload, checkpoint pauses, observation quality
 // (eq. 8 capacity estimates), backpressure semantics, cost accounting, and
-// determinism.
+// determinism — plus a bit pin over every SlotReport field.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
-#include "streamsim/engine.hpp"
 #include "dag/throughput_fn.hpp"
+#include "streamsim/engine.hpp"
+#include "test_support.hpp"
+#include "workloads/workloads.hpp"
 
 namespace dragster::streamsim {
 namespace {
@@ -202,10 +206,52 @@ TEST(Engine, EdgeRatesReported) {
 
 TEST(Engine, RejectsBadConfiguration) {
   SingleOpSim sim(500.0);
-  EXPECT_THROW(sim.engine->set_tasks(sim.op, 0), std::invalid_argument);
-  EXPECT_THROW(sim.engine->set_tasks(sim.op, 99), std::invalid_argument);
-  EXPECT_THROW(sim.engine->set_tasks(sim.src, 2), std::invalid_argument);
-  EXPECT_THROW((void)sim.engine->true_capacity(sim.sink, 1), std::invalid_argument);
+  Engine& engine = *sim.engine;
+  EXPECT_THROW(engine.set_tasks(sim.op, 0), std::invalid_argument);
+  EXPECT_THROW(engine.set_tasks(sim.op, 99), std::invalid_argument);
+  EXPECT_THROW(engine.set_capacity_degradation(sim.op, 0.0), std::invalid_argument);
+  EXPECT_THROW(engine.set_capacity_degradation(sim.op, 1.5), std::invalid_argument);
+  EXPECT_THROW(engine.arm_checkpoint_failure(0), std::invalid_argument);
+
+  // Every node-keyed method rejects a source, the sink and an unknown id.
+  const dag::NodeId unknown = engine.dag().node_count();
+  for (const dag::NodeId id : {sim.src, sim.sink, unknown, dag::NodeId{1} << 40}) {
+    EXPECT_THROW(engine.set_tasks(id, 2), std::invalid_argument) << id;
+    EXPECT_THROW(engine.set_pod_spec(id, cluster::PodSpec{2.0, 4.0}), std::invalid_argument)
+        << id;
+    EXPECT_THROW(engine.inject_pod_failure(id), std::invalid_argument) << id;
+    EXPECT_THROW(engine.set_capacity_degradation(id, 0.5), std::invalid_argument) << id;
+    EXPECT_THROW(engine.set_metric_dropout(id, true), std::invalid_argument) << id;
+    EXPECT_THROW((void)engine.tasks(id), std::invalid_argument) << id;
+    EXPECT_THROW((void)engine.pod_spec(id), std::invalid_argument) << id;
+    EXPECT_THROW((void)engine.true_capacity(id, 1), std::invalid_argument) << id;
+    EXPECT_THROW((void)engine.capacity_model(id), std::invalid_argument) << id;
+  }
+  // offered_rate is keyed by source: an operator, the sink and an unknown
+  // id are rejected.
+  for (const dag::NodeId id : {sim.op, sim.sink, unknown})
+    EXPECT_THROW((void)engine.offered_rate(id, 0.0), std::invalid_argument) << id;
+  EXPECT_EQ(engine.tasks(sim.op), 1);  // the rejected calls changed nothing
+
+  // Options the engine cannot simulate: a negative or NaN buffer bound, and a
+  // micro-step longer than the slot (it would round to zero steps per slot).
+  auto rejected = [](EngineOptions options) {
+    EXPECT_THROW(SingleOpSim(500.0, SingleOpSim::make_default_usl(), options),
+                 std::invalid_argument);
+  };
+  EngineOptions options = SingleOpSim::fast_options();
+  options.buffer_limit = -1.0;
+  rejected(options);
+  options.buffer_limit = std::numeric_limits<double>::quiet_NaN();
+  rejected(options);
+  options = SingleOpSim::fast_options();
+  options.micro_step_s = options.slot_duration_s * 2.5;
+  rejected(options);
+  options.micro_step_s = options.slot_duration_s;  // one step per slot is fine
+  EXPECT_NO_THROW(SingleOpSim(500.0, SingleOpSim::make_default_usl(), options));
+  options = SingleOpSim::fast_options();
+  options.buffer_limit = 0.0;  // no buffering at all is fine too
+  EXPECT_NO_THROW(SingleOpSim(500.0, SingleOpSim::make_default_usl(), options));
 }
 
 TEST(Engine, MonitorExposesReadOnlyView) {
@@ -275,6 +321,158 @@ TEST(Engine, LatencyDropsAfterScaleUp) {
   const double drained = sim.engine->run_slot().latency_estimate_s;
   EXPECT_GT(congested, 10.0);
   EXPECT_LT(drained, 0.5);
+}
+
+// -- bit pin -------------------------------------------------------------------
+
+// FNV-1a over the bytes of every field of every SlotReport a run produces.
+struct ReportHash {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+
+  void word(std::uint64_t w) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (w >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void real(double v) { word(std::bit_cast<std::uint64_t>(v)); }
+  void flag(bool b) { word(b ? 1 : 0); }
+  void integer(int i) { word(static_cast<std::uint64_t>(static_cast<std::int64_t>(i))); }
+
+  void add(const SlotReport& r) {
+    word(r.slot_index);
+    for (double v : {r.start_seconds, r.duration_s, r.pause_s, r.tuples_processed,
+                     r.throughput_rate, r.cost, r.cost_rate_per_hour, r.latency_estimate_s})
+      real(v);
+    integer(r.checkpoint_retries);
+    flag(r.checkpoint_aborted);
+    word(r.per_node.size());
+    for (const OperatorMetrics& m : r.per_node) {
+      for (double v : {m.in_rate, m.out_rate, m.demand_rate, m.arrival_demand_rate,
+                       m.cpu_utilization, m.observed_capacity, m.backlog_start, m.backlog_end,
+                       m.dropped, m.queue_delay_s})
+        real(v);
+      integer(m.tasks);
+      flag(m.backpressured);
+      flag(m.fault_tainted);
+      flag(m.metrics_stale);
+    }
+    word(r.source_rate.size());
+    for (double v : r.source_rate) real(v);
+    word(r.edge_rate.size());
+    for (double v : r.edge_rate) real(v);
+    word(r.throughput_series.size());
+    for (const auto& [t, rate] : r.throughput_series) {
+      real(t);
+      real(rate);
+    }
+  }
+};
+
+// What the scripted run exercised, summed over every engine in the pin.
+struct Coverage {
+  int retries_landed = 0;
+  int aborts = 0;
+  int stale = 0;
+  int tainted = 0;
+  double dropped = 0.0;
+};
+
+// 40 slots through every actuator and fault seam: rescale, resize, a pod
+// crash (alone and on top of a pending rescale), a straggler, a metric
+// outage, one checkpoint failure whose retries land, and one whose chain
+// aborts and rolls the rescale and resize back.
+void drive(Engine& engine, ReportHash& hash, Coverage& coverage) {
+  const std::vector<dag::NodeId>& ops = engine.dag().operators();
+  const dag::NodeId first = ops.front();
+  const dag::NodeId last = ops.back();
+  for (int slot = 0; slot < 40; ++slot) {
+    switch (slot) {
+      case 2:
+        for (dag::NodeId op : ops) engine.set_tasks(op, 2);
+        break;
+      case 5:
+        engine.set_pod_spec(first, cluster::PodSpec{2.0, 4.0});
+        engine.set_tasks(last, 3);
+        break;
+      case 8:
+        engine.inject_pod_failure(first);
+        engine.inject_pod_failure(last);
+        break;
+      case 10: engine.set_capacity_degradation(last, 0.6); break;
+      case 12: engine.set_metric_dropout(first, true); break;
+      case 15: engine.set_capacity_degradation(last, 1.0); break;
+      case 17: engine.set_metric_dropout(first, false); break;
+      case 20:  // 30 + 60 s of checkpointing: under the 300 s abort cap
+        engine.arm_checkpoint_failure(1);
+        engine.set_tasks(first, 4);
+        break;
+      case 25:  // 30 * (1 + 2 + 4 + 8 + 16) s: past the cap, rolled back
+        engine.arm_checkpoint_failure(4);
+        engine.set_tasks(first, 6);
+        engine.set_pod_spec(last, cluster::PodSpec{4.0, 8.0});
+        break;
+      case 30:
+        engine.set_tasks(first, 5);
+        engine.inject_pod_failure(first);
+        break;
+      case 33: engine.arm_checkpoint_failure(2); break;  // waits for a reconfiguration
+      case 35:
+        for (dag::NodeId op : ops) engine.set_tasks(op, 3);
+        break;
+      default: break;
+    }
+    const SlotReport& report = engine.run_slot();
+    hash.add(report);
+    coverage.retries_landed += report.checkpoint_retries > 0 && !report.checkpoint_aborted;
+    coverage.aborts += report.checkpoint_aborted;
+    for (dag::NodeId op : ops) {
+      coverage.stale += report.per_node[op].metrics_stale;
+      coverage.tainted += report.per_node[op].fault_tainted;
+      coverage.dropped += report.per_node[op].dropped;
+    }
+  }
+}
+
+EngineOptions pinned_options() {
+  EngineOptions options;
+  options.buffer_limit = 2e4;  // small enough that the overloaded slots drop tuples
+  return options;
+}
+
+TEST(Engine, SlotReportBitsArePinned) {
+  ReportHash hash;
+  Coverage coverage;
+  std::vector<workloads::WorkloadSpec> specs = workloads::nexmark_suite();
+  specs.push_back(workloads::yahoo());
+  std::uint64_t seed = 11;
+  for (const workloads::WorkloadSpec& spec : specs) {
+    Engine engine = spec.make_engine(/*high=*/true, pinned_options(), seed++);
+    drive(engine, hash, coverage);
+  }
+
+  const dag::BranchFixture fx(/*custom_edge=*/true);
+  std::map<dag::NodeId, UslParams> usl;
+  double per_task = 900.0;
+  for (dag::NodeId op : fx.dag.operators()) {
+    UslParams p;
+    p.per_task_rate = per_task;
+    p.contention = 0.04;
+    p.coherence = 0.002;
+    usl[op] = p;
+    per_task += 350.0;
+  }
+  std::map<dag::NodeId, std::unique_ptr<RateSchedule>> schedules;
+  schedules[fx.src] = std::make_unique<ConstantRate>(2600.0);
+  Engine branch(fx.dag, usl, std::move(schedules), pinned_options(), seed);
+  drive(branch, hash, coverage);
+
+  EXPECT_EQ(coverage.retries_landed, 14);  // slots 20 and 35 on each of 7 engines
+  EXPECT_EQ(coverage.aborts, 7);
+  EXPECT_GT(coverage.stale, 0);
+  EXPECT_GT(coverage.tainted, 0);
+  EXPECT_GT(coverage.dropped, 0.0);
+  EXPECT_EQ(hash.h, 0xf5e6350f0d279508ULL) << std::hex << "0x" << hash.h;
 }
 
 }  // namespace

@@ -15,10 +15,18 @@
 // the restore to the same kind of promise: throw dragster::Error, or restore
 // exactly the table the section holds, bit for bit, into a GP whose
 // save_state bytes restore to the same bytes again.
+//
+// obs::format_double is fuzzed differentially: its to_chars / from_chars form
+// must print the bytes of the snprintf / strtod loop it replaced, kept below
+// as the reference, for random bit patterns, subnormals, signed zeros, the
+// extremes and values one ulp around every power of ten.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <limits>
 #include <map>
@@ -32,6 +40,7 @@
 #include "faults/fleet_fault_plan.hpp"
 #include "gp/gaussian_process.hpp"
 #include "gp/kernel.hpp"
+#include "obs/trace.hpp"
 #include "resilience/snapshot.hpp"
 
 namespace dragster::faults {
@@ -448,6 +457,56 @@ TEST(Fuzz, GpSnapshotSectionsRestoreExactlyOrThrowError) {
   EXPECT_GT(accepted, kGpSectionInputs / 20);
   EXPECT_LT(accepted, kGpSectionInputs - kGpSectionInputs / 20);
   for (const std::string& reason : kGpRejections) EXPECT_GT(rejected[reason], 0) << reason;
+}
+
+// The snprintf / strtod loop obs::format_double used before to_chars.
+std::string reference_format_double(double value) {
+  if (std::isnan(value)) return "NaN";
+  if (std::isinf(value)) return value > 0.0 ? "+Inf" : "-Inf";
+  char buf[40];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    if (std::strtod(buf, nullptr) == value) break;
+  }
+  return buf;
+}
+
+TEST(Fuzz, FormatDoubleMatchesSnprintfReference) {
+  using limits = std::numeric_limits<double>;
+  // clang-format off
+  std::vector<double> values = {
+      0.0, -0.0, limits::max(), -limits::max(), limits::min(), -limits::min(),
+      limits::denorm_min(), -limits::denorm_min(), limits::infinity(), -limits::infinity(),
+      limits::quiet_NaN(), 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0, 1e15 + 0.3, 9007199254740993.0};
+  // clang-format on
+  // One ulp either side of every representable power of ten (the decimal
+  // boundaries where %.15g and %.17g disagree), and their negatives.
+  for (int e = -323; e <= 308; ++e) {
+    const std::string text = "1e" + std::to_string(e);
+    const double p = std::strtod(text.c_str(), nullptr);
+    for (double v : {p, std::nextafter(p, 0.0), std::nextafter(p, limits::infinity()),
+                     5.0 * p, 0.5 * p})
+      values.insert(values.end(), {v, -v});
+  }
+  common::Rng rng(0xF0F3A7);
+  for (int i = 0; i < 100'000; ++i) {
+    values.push_back(std::bit_cast<double>(rng.next_u64()));  // any bit pattern
+    // Subnormals: zero exponent, random mantissa and sign.
+    values.push_back(std::bit_cast<double>(rng.next_u64() & 0x800FFFFFFFFFFFFFULL));
+    // Short decimals, which round-trip below 17 digits.
+    const double scale = std::pow(10.0, static_cast<double>(rng.uniform_int(-12, 12)));
+    values.push_back(static_cast<double>(rng.uniform_int(-999'999, 999'999)) * scale);
+  }
+  int mismatches = 0;
+  std::string report;
+  for (double v : values) {
+    const std::string got = obs::format_double(v);
+    const std::string want = reference_format_double(v);
+    if (got != want && mismatches++ < 5)
+      report += "\n  bits " + std::to_string(std::bit_cast<std::uint64_t>(v)) + ": '" + got +
+                "' vs '" + want + "'";
+  }
+  EXPECT_EQ(mismatches, 0) << report;
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// Shared by the flow-solver and saddle-point tests: a branching DAG and the
-// bit patterns of a double vector, for bit-for-bit comparisons.
+// Shared by the flow-solver, saddle-point and engine tests: a branching DAG
+// and the bit patterns of a double vector, for bit-for-bit comparisons.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dag/stream_dag.hpp"
@@ -15,11 +16,13 @@ namespace dragster::dag {
 // A fan-out with a split alpha, a Tanh edge and a MinWeighted join:
 //   src -> a;  a -> b (alpha 0.3), a -> c (alpha 0.7);  b -> d (tanh);
 //   d -> j, c -> j;  j -> sink (min_weighted over [d, c]).
+// `custom_edge` adds c -> sink through a CustomFn, e / (1 + e / 4000)
+// (c's two out-edges then split its capacity equally).
 struct BranchFixture {
   StreamDag dag;
   NodeId src, a, b, c, d, j, sink;
 
-  BranchFixture() {
+  explicit BranchFixture(bool custom_edge = false) {
     src = dag.add_source("src");
     a = dag.add_operator("a");
     b = dag.add_operator("b");
@@ -34,6 +37,16 @@ struct BranchFixture {
     dag.add_edge(d, j, identity_fn());
     dag.add_edge(c, j, selectivity_fn(0.5));
     dag.add_edge(j, sink, std::make_unique<MinWeightedFn>(std::vector{1.0, 0.8}));
+    if (custom_edge) {
+      dag.add_edge(
+          c, sink,
+          std::make_unique<CustomFn>(
+              1, [](std::span<const double> e) { return e[0] / (1.0 + e[0] / 4000.0); },
+              [](std::span<const double> e, double adjoint, std::span<double> adjoints) {
+                const double q = 1.0 + e[0] / 4000.0;
+                adjoints[0] += adjoint / (q * q);
+              }));
+    }
     dag.validate();
   }
 };
