@@ -41,14 +41,12 @@ struct CustomApp {
     dag.add_edge(views, sample, dag::identity_fn());
     // Enrichment saturates: an external lookup service caps its useful
     // output at ~20k/s no matter how fast clicks arrive (eq. 2c).
-    dag.add_edge(enrich, join,
-                 std::make_unique<dag::TanhFn>(20'000.0, std::vector{1.0 / 9'000.0}));
+    dag.add_edge(enrich, join, dag::TanhFn(20'000.0, {1.0 / 9'000.0}));
     // Sampling keeps 40% of views.
     dag.add_edge(sample, join, dag::selectivity_fn(0.4));
     // The join emits one match per click-view pair, limited by the slower
     // side: every enriched click matches, views match at half weight.
-    dag.add_edge(join, sink,
-                 std::make_unique<dag::MinWeightedFn>(std::vector{1.0, 0.5}));
+    dag.add_edge(join, sink, dag::MinWeightedFn({1.0, 0.5}));
     dag.validate();
 
     streamsim::UslParams enrich_usl;

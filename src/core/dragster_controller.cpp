@@ -31,7 +31,7 @@ void DragsterController::initialize(const streamsim::JobMonitor& monitor,
     learner_ = std::make_unique<ThroughputLearner>(*dag_);
     // Start from a deliberately wrong prior: unit selectivity everywhere.
     for (std::size_t e = 0; e < dag_->edge_count(); ++e) {
-      auto params = dag_->edge_mutable(e).fn->params();
+      auto params = dag_->edge_mutable(e).fn.params();
       if (dag_->component(dag_->edge(e).from).kind == dag::ComponentKind::kSource) continue;
       for (double& p : params) p = 1.0;
     }
@@ -156,7 +156,7 @@ void DragsterController::observe(const streamsim::JobMonitor& monitor) {
     std::vector<double> inputs(ins.size());
     for (std::size_t k = 0; k < ins.size(); ++k) inputs[k] = report.edge_rate[ins[k]];
     for (std::size_t eidx : dag_->out_edges(id))
-      demand_est_[id] += dag_->edge(eidx).fn->eval(inputs);
+      demand_est_[id] += dag_->edge(eidx).fn.eval(inputs);
     if (options_.include_backlog_in_demand)
       demand_est_[id] += report.per_node[id].backlog_end / report.duration_s;
   }
@@ -465,7 +465,11 @@ void DragsterController::save_state(resilience::SnapshotWriter& writer) const {
 void DragsterController::load_state(resilience::SnapshotReader& reader) {
   DRAGSTER_REQUIRE(dag_ != nullptr, "initialize() must run before load_state()");
   const std::vector<dag::NodeId>& ops = dag_->operators();
+  const std::size_t n = dag_->node_count();
 
+  // Every section is read and checked into locals first; the controller
+  // changes only once the whole snapshot has been accepted, so a rejected
+  // one leaves it as it was.
   reader.enter_section("controller");
   DRAGSTER_REQUIRE(reader.get_uint("method") == static_cast<std::uint64_t>(options_.method),
                    "snapshot was taken with a different primal method");
@@ -473,17 +477,16 @@ void DragsterController::load_state(resilience::SnapshotReader& reader) {
                    "snapshot was taken with a different learn_throughput mode");
   DRAGSTER_REQUIRE((reader.get_uint("enable_vertical") != 0) == options_.enable_vertical,
                    "snapshot was taken with a different vertical-scaling mode");
-  DRAGSTER_REQUIRE(reader.get_uint("node_count") == dag_->node_count(),
+  DRAGSTER_REQUIRE(reader.get_uint("node_count") == n,
                    "snapshot was taken against a different application topology");
-  slot_ = reader.get_uint("slot");
-  y_est_ = reader.get_doubles("y_est");
-  y_target_ = reader.get_doubles("y_target");
-  demand_est_ = reader.get_doubles("demand_est");
-  DRAGSTER_REQUIRE(y_est_.size() == dag_->node_count() && y_target_.size() == dag_->node_count() &&
-                       demand_est_.size() == dag_->node_count(),
+  const std::size_t slot = reader.get_uint("slot");
+  std::vector<double> y_est = reader.get_doubles("y_est");
+  std::vector<double> y_target = reader.get_doubles("y_target");
+  std::vector<double> demand_est = reader.get_doubles("demand_est");
+  DRAGSTER_REQUIRE(y_est.size() == n && y_target.size() == n && demand_est.size() == n,
                    "snapshot state vectors do not match the topology");
-  bottlenecks_.clear();
-  for (int id : reader.get_ints("bottlenecks")) bottlenecks_.push_back(static_cast<dag::NodeId>(id));
+  std::vector<dag::NodeId> bottlenecks;
+  for (int id : reader.get_ints("bottlenecks")) bottlenecks.push_back(static_cast<dag::NodeId>(id));
   const std::vector<int> op_ids = reader.get_ints("operators");
   const std::vector<int> cmd_tasks = reader.get_ints("commanded_tasks");
   const std::vector<double> cmd_cpu = reader.get_doubles("commanded_cpu");
@@ -491,13 +494,13 @@ void DragsterController::load_state(resilience::SnapshotReader& reader) {
   DRAGSTER_REQUIRE(op_ids.size() == ops.size() && cmd_tasks.size() == ops.size() &&
                        cmd_cpu.size() == ops.size() && cmd_mem.size() == ops.size(),
                    "snapshot commanded configuration does not match the topology");
-  commanded_tasks_.clear();
-  commanded_spec_.clear();
+  std::map<dag::NodeId, int> commanded_tasks;
+  std::map<dag::NodeId, cluster::PodSpec> commanded_spec;
   for (std::size_t k = 0; k < ops.size(); ++k) {
     DRAGSTER_REQUIRE(static_cast<dag::NodeId>(op_ids[k]) == ops[k],
                      "snapshot operator ids do not match the topology");
-    commanded_tasks_[ops[k]] = cmd_tasks[k];
-    commanded_spec_[ops[k]] = cluster::PodSpec{cmd_cpu[k], cmd_mem[k]};
+    commanded_tasks[ops[k]] = cmd_tasks[k];
+    commanded_spec[ops[k]] = cluster::PodSpec{cmd_cpu[k], cmd_mem[k]};
   }
 
   reader.enter_section("budget");
@@ -510,12 +513,13 @@ void DragsterController::load_state(resilience::SnapshotReader& reader) {
                    "snapshot was taken under a different pod price");
 
   reader.enter_section("dual");
-  dual_->load_state(reader);
+  online::DualState dual = *dual_;
+  dual.load_state(reader);
 
-  models_.clear();
+  std::map<dag::NodeId, OperatorModel> models;
   for (dag::NodeId id : ops) {
     reader.enter_section("op" + std::to_string(id));
-    OperatorModel& model = models_[id];
+    OperatorModel& model = models[id];
     model.scale = reader.get_double("scale");
     if (reader.get_uint("gp_present") != 0) {
       model.gp.emplace(make_operator_gp());
@@ -523,9 +527,24 @@ void DragsterController::load_state(resilience::SnapshotReader& reader) {
     }
   }
 
+  std::optional<ThroughputLearner> learner;
   if (learner_) {
     reader.enter_section("learner");
-    learner_->load_state(reader);
+    learner.emplace(*learner_);
+    learner->load_state(reader);
+  }
+
+  slot_ = slot;
+  y_est_ = std::move(y_est);
+  y_target_ = std::move(y_target);
+  demand_est_ = std::move(demand_est);
+  bottlenecks_ = std::move(bottlenecks);
+  commanded_tasks_ = std::move(commanded_tasks);
+  commanded_spec_ = std::move(commanded_spec);
+  *dual_ = std::move(dual);
+  models_ = std::move(models);
+  if (learner_) {
+    *learner_ = std::move(*learner);
     // The planning DAG's edge parameters are a pure function of the learner
     // state; re-applying restores them exactly.
     learner_->apply(*dag_);

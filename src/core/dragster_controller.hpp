@@ -101,7 +101,9 @@ class DragsterController final : public Controller, public resilience::Snapshota
   /// initialize() must have run first (against the same application) so the
   /// planning DAG and solver exist; GP posteriors are rebuilt by replaying
   /// the serialized observations, after which the controller's decisions are
-  /// bit-identical to the snapshotted one's given identical inputs.
+  /// bit-identical to the snapshotted one's given identical inputs.  A
+  /// snapshot that fails any check throws dragster::Error and leaves the
+  /// controller unchanged.
   void load_state(resilience::SnapshotReader& reader) override;
 
   // -- introspection (tests and benches) -------------------------------------

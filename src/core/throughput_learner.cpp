@@ -57,54 +57,44 @@ void RlsEstimator::load_state(const resilience::SnapshotReader& reader,
                    "snapshot RLS forgetting-factor mismatch");
   std::vector<double> w = reader.get_doubles(prefix + "w");
   const std::vector<double> flat = reader.get_doubles(prefix + "p");
+  const std::size_t count = reader.get_uint(prefix + "count");
   const std::size_t n = w_.size();
   DRAGSTER_REQUIRE(w.size() == n && flat.size() == n * n, "snapshot RLS dimension mismatch");
   w_ = std::move(w);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) p_[i][j] = flat[i * n + j];
-  count_ = reader.get_uint(prefix + "count");
+  count_ = count;
 }
 
-namespace {
-
-ThroughputLearner::FnKind kind_of_name(const std::string& name) {
-  using K = ThroughputLearner::FnKind;
-  if (name == "linear") return K::kLinear;
-  if (name == "min_weighted") return K::kMinWeighted;
-  if (name == "tanh") return K::kTanh;
-  return K::kOther;
-}
-
-}  // namespace
+using Form = dag::ThroughputFn::Form;
 
 ThroughputLearner::ThroughputLearner(const dag::StreamDag& dag, double forgetting) {
   DRAGSTER_REQUIRE(dag.validated(), "learner requires a validated DAG");
   for (std::size_t e = 0; e < dag.edge_count(); ++e) {
     const dag::Edge& edge = dag.edge(e);
-    if (edge.fn->params().empty()) continue;
-    // Sources emit the offered load through known identity mappings.
+    // Sources emit the offered load through known identity mappings, and a
+    // custom form has no parameters to fit.
     if (dag.component(edge.from).kind == dag::ComponentKind::kSource) continue;
-    const FnKind kind = kind_of_name(edge.fn->name());
-    if (kind == FnKind::kOther) continue;
+    if (edge.fn.form() == Form::kCustom) continue;
 
     EdgeState state;
     state.edge_index = e;
-    state.kind = kind;
-    const std::size_t arity = edge.fn->arity();
-    switch (kind) {
-      case FnKind::kLinear:
+    state.kind = edge.fn.form();
+    const std::size_t arity = edge.fn.arity();
+    switch (state.kind) {
+      case Form::kLinear:
         state.rls.emplace(arity, forgetting);
         break;
-      case FnKind::kMinWeighted:
+      case Form::kMinWeighted:
         state.branch_weights.assign(arity, 1.0);
         for (std::size_t k = 0; k < arity; ++k) state.branch.emplace_back(1, forgetting);
         break;
-      case FnKind::kTanh: {
-        const auto params = edge.fn->params();
+      case Form::kTanh: {
+        const auto params = edge.fn.params();
         state.tanh_params.assign(params.begin(), params.end());
         break;
       }
-      case FnKind::kOther:
+      case Form::kCustom:
         break;
     }
     state_.push_back(std::move(state));
@@ -133,7 +123,7 @@ void ThroughputLearner::observe(const dag::StreamDag& dag, std::span<const doubl
     const double y = edge_rate[st.edge_index];
 
     switch (st.kind) {
-      case FnKind::kLinear: {
+      case Form::kLinear: {
         const double before = st.rls->predict(x);
         st.rls->observe(x, y);
         const double after = st.rls->predict(x);
@@ -141,17 +131,9 @@ void ThroughputLearner::observe(const dag::StreamDag& dag, std::span<const doubl
         last_delta_ = std::max(last_delta_, std::abs(after - before) / scale);
         break;
       }
-      case FnKind::kMinWeighted: {
+      case Form::kMinWeighted: {
         // Update the branch the current estimate believes is active.
-        std::size_t active = 0;
-        double best = st.branch_weights[0] * x[0];
-        for (std::size_t k = 1; k < x.size(); ++k) {
-          const double v = st.branch_weights[k] * x[k];
-          if (v < best) {
-            best = v;
-            active = k;
-          }
-        }
+        const std::size_t active = dag::min_weighted_index(st.branch_weights, x);
         const std::vector<double> xv{x[active]};
         st.branch[active].observe(xv, y);
         const double updated = st.branch[active].weights()[0];
@@ -160,7 +142,7 @@ void ThroughputLearner::observe(const dag::StreamDag& dag, std::span<const doubl
         st.branch_weights[active] = updated;
         break;
       }
-      case FnKind::kTanh: {
+      case Form::kTanh: {
         // Normalized LMS on k1 * tanh(w . x).
         double dot = 0.0;
         for (std::size_t k = 0; k < x.size(); ++k) dot += st.tanh_params[k + 1] * x[k];
@@ -187,7 +169,7 @@ void ThroughputLearner::observe(const dag::StreamDag& dag, std::span<const doubl
         last_delta_ = std::max(last_delta_, delta);
         break;
       }
-      case FnKind::kOther:
+      case Form::kCustom:
         break;
     }
   }
@@ -202,18 +184,18 @@ void ThroughputLearner::save_state(resilience::SnapshotWriter& writer) const {
     writer.field(prefix + "edge", static_cast<std::uint64_t>(st.edge_index));
     writer.field(prefix + "kind", static_cast<std::uint64_t>(st.kind));
     switch (st.kind) {
-      case FnKind::kLinear:
+      case Form::kLinear:
         st.rls->save_state(writer, prefix + "rls_");
         break;
-      case FnKind::kMinWeighted:
+      case Form::kMinWeighted:
         writer.field(prefix + "bw", std::span<const double>(st.branch_weights));
         for (std::size_t k = 0; k < st.branch.size(); ++k)
           st.branch[k].save_state(writer, prefix + "b" + std::to_string(k) + "_");
         break;
-      case FnKind::kTanh:
+      case Form::kTanh:
         writer.field(prefix + "tanh", std::span<const double>(st.tanh_params));
         break;
-      case FnKind::kOther:
+      case Form::kCustom:
         break;
     }
   }
@@ -222,19 +204,22 @@ void ThroughputLearner::save_state(resilience::SnapshotWriter& writer) const {
 void ThroughputLearner::load_state(const resilience::SnapshotReader& reader) {
   DRAGSTER_REQUIRE(reader.get_uint("tl_edges") == state_.size(),
                    "snapshot learner edge-count mismatch");
-  last_delta_ = reader.get_double("tl_last_delta");
-  for (std::size_t s = 0; s < state_.size(); ++s) {
-    EdgeState& st = state_[s];
+  const double last_delta = reader.get_double("tl_last_delta");
+  // Restored into a copy: a later edge's rejection must not leave the
+  // earlier edges restored.
+  std::vector<EdgeState> state = state_;
+  for (std::size_t s = 0; s < state.size(); ++s) {
+    EdgeState& st = state[s];
     const std::string prefix = "tl_e" + std::to_string(s) + "_";
     DRAGSTER_REQUIRE(reader.get_uint(prefix + "edge") == st.edge_index,
                      "snapshot learner edge-index mismatch");
     DRAGSTER_REQUIRE(reader.get_uint(prefix + "kind") == static_cast<std::uint64_t>(st.kind),
                      "snapshot learner function-kind mismatch");
     switch (st.kind) {
-      case FnKind::kLinear:
+      case Form::kLinear:
         st.rls->load_state(reader, prefix + "rls_");
         break;
-      case FnKind::kMinWeighted: {
+      case Form::kMinWeighted: {
         std::vector<double> bw = reader.get_doubles(prefix + "bw");
         DRAGSTER_REQUIRE(bw.size() == st.branch_weights.size(),
                          "snapshot learner branch-count mismatch");
@@ -243,24 +228,26 @@ void ThroughputLearner::load_state(const resilience::SnapshotReader& reader) {
           st.branch[k].load_state(reader, prefix + "b" + std::to_string(k) + "_");
         break;
       }
-      case FnKind::kTanh: {
+      case Form::kTanh: {
         std::vector<double> params = reader.get_doubles(prefix + "tanh");
         DRAGSTER_REQUIRE(params.size() == st.tanh_params.size(),
                          "snapshot learner tanh-parameter mismatch");
         st.tanh_params = std::move(params);
         break;
       }
-      case FnKind::kOther:
+      case Form::kCustom:
         break;
     }
   }
+  state_ = std::move(state);
+  last_delta_ = last_delta;
 }
 
 void ThroughputLearner::apply(dag::StreamDag& dag) const {
   for (const EdgeState& st : state_) {
-    auto params = dag.edge_mutable(st.edge_index).fn->params();
+    auto params = dag.edge_mutable(st.edge_index).fn.params();
     switch (st.kind) {
-      case FnKind::kLinear: {
+      case Form::kLinear: {
         // Before any observation, keep the user's prior instead of zeros.
         if (st.rls->observations() == 0) break;
         const auto& w = st.rls->weights();
@@ -268,15 +255,15 @@ void ThroughputLearner::apply(dag::StreamDag& dag) const {
           params[k] = std::max(0.0, w[k]);
         break;
       }
-      case FnKind::kMinWeighted:
+      case Form::kMinWeighted:
         for (std::size_t k = 0; k < params.size() && k < st.branch_weights.size(); ++k)
           params[k] = std::max(0.0, st.branch_weights[k]);
         break;
-      case FnKind::kTanh:
+      case Form::kTanh:
         for (std::size_t k = 0; k < params.size() && k < st.tanh_params.size(); ++k)
           params[k] = std::max(1e-9, st.tanh_params[k]);
         break;
-      case FnKind::kOther:
+      case Form::kCustom:
         break;
     }
   }

@@ -52,7 +52,7 @@ class RlsEstimator {
 class ThroughputLearner {
  public:
   /// `dag` must be validated; the learner keeps per-edge estimators for all
-  /// edges whose ThroughputFn exposes parameters.
+  /// operator edges of a built-in form (a custom form has no parameters).
   explicit ThroughputLearner(const dag::StreamDag& dag, double forgetting = 0.995);
 
   /// `edge_rate` is the edge-indexed average realized flow of one slot.
@@ -72,17 +72,15 @@ class ThroughputLearner {
 
   /// Snapshot hooks: every estimator's weights/covariances into the writer's
   /// current section (keys prefixed `tl_`).  The learner must have been
-  /// constructed from an identically shaped DAG before load_state().
+  /// constructed from an identically shaped DAG before load_state(), which
+  /// either restores every edge or throws and leaves the learner unchanged.
   void save_state(resilience::SnapshotWriter& writer) const;
   void load_state(const resilience::SnapshotReader& reader);
-
-  /// Built-in form classification (public so tests can assert on coverage).
-  enum class FnKind { kLinear, kMinWeighted, kTanh, kOther };
 
  private:
   struct EdgeState {
     std::size_t edge_index = 0;
-    FnKind kind = FnKind::kOther;
+    dag::ThroughputFn::Form kind = dag::ThroughputFn::Form::kLinear;
     std::optional<RlsEstimator> rls;       ///< linear form
     std::vector<RlsEstimator> branch;      ///< min_weighted: scalar per input
     std::vector<double> branch_weights;    ///< min_weighted current estimates

@@ -69,7 +69,7 @@ void FlowSolver::solve(std::span<const double> source_rates, std::span<const dou
 
     for (std::size_t eidx : dag_.out_edges(id)) {
       const Edge& edge = dag_.edge(eidx);
-      const double demand = edge.fn->eval(inputs);
+      const double demand = edge.fn.eval(inputs);
       result.node_demand[id] += demand;
       // Sources are not capacity-limited; an operator edge is truncated at
       // its capacity share (eq. 4).
@@ -156,7 +156,7 @@ LagrangianResult FlowSolver::lagrangian(std::span<const double> source_rates,
       if (adjoint == 0.0) continue;
       const Edge& edge = dag_.edge(eidx);
       if (flow.edge_flow[eidx] < capacity_share(edge, capacity[id])) {
-        edge.fn->backprop(inputs, adjoint, input_adjoints);  // demand binds
+        edge.fn.backprop(inputs, adjoint, input_adjoints);  // demand binds
       } else {
         out.dvalue_dy[id] += adjoint * edge.alpha;  // capacity share binds (or ties)
       }

@@ -8,27 +8,6 @@
 
 namespace dragster::dag {
 
-StreamDag::StreamDag(const StreamDag& other)
-    : components_(other.components_),
-      in_edges_(other.in_edges_),
-      out_edges_(other.out_edges_),
-      topo_(other.topo_),
-      sources_(other.sources_),
-      operators_(other.operators_),
-      sink_(other.sink_),
-      validated_(other.validated_) {
-  edges_.reserve(other.edges_.size());
-  for (const Edge& e : other.edges_)
-    edges_.push_back(Edge{e.from, e.to, e.fn->clone(), e.alpha});
-}
-
-StreamDag& StreamDag::operator=(const StreamDag& other) {
-  if (this == &other) return *this;
-  StreamDag copy(other);
-  *this = std::move(copy);
-  return *this;
-}
-
 NodeId StreamDag::add_component(std::string name, ComponentKind kind) {
   DRAGSTER_REQUIRE(!validated_, "cannot modify a validated DAG");
   DRAGSTER_REQUIRE(!find(name).has_value(), "duplicate component name: " + name);
@@ -50,13 +29,11 @@ NodeId StreamDag::add_sink(std::string name) {
   return add_component(std::move(name), ComponentKind::kSink);
 }
 
-void StreamDag::add_edge(NodeId from, NodeId to, std::unique_ptr<ThroughputFn> fn,
-                         std::optional<double> alpha) {
+void StreamDag::add_edge(NodeId from, NodeId to, ThroughputFn fn, std::optional<double> alpha) {
   DRAGSTER_REQUIRE(!validated_, "cannot modify a validated DAG");
   DRAGSTER_REQUIRE(from < components_.size() && to < components_.size(),
                    "edge references unknown node");
   DRAGSTER_REQUIRE(from != to, "self-loops are not allowed");
-  DRAGSTER_REQUIRE(fn != nullptr, "edge needs a throughput function");
   DRAGSTER_REQUIRE(components_[to].kind != ComponentKind::kSource,
                    "sources cannot receive edges");
   DRAGSTER_REQUIRE(components_[from].kind != ComponentKind::kSink, "sinks cannot emit edges");
@@ -120,7 +97,7 @@ void StreamDag::validate() {
   for (const Edge& e : edges_) {
     const std::size_t expected =
         components_[e.from].kind == ComponentKind::kSource ? 1 : in_edges_[e.from].size();
-    DRAGSTER_REQUIRE(e.fn->arity() == expected,
+    DRAGSTER_REQUIRE(e.fn.arity() == expected,
                      "throughput function arity does not match in-degree at " +
                          components_[e.from].name);
   }

@@ -6,7 +6,6 @@
 // sink is synthesized when several components have no successor).
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,18 +26,12 @@ struct Component {
 struct Edge {
   NodeId from = 0;
   NodeId to = 0;
-  std::unique_ptr<ThroughputFn> fn;  ///< h_{from,to}; consumes `from`'s inputs
-  double alpha = 1.0;                ///< capacity split weight alpha_{from,to}
+  ThroughputFn fn;     ///< h_{from,to}; consumes `from`'s inputs
+  double alpha = 1.0;  ///< capacity split weight alpha_{from,to}
 };
 
 class StreamDag {
  public:
-  StreamDag() = default;
-  StreamDag(const StreamDag& other);
-  StreamDag& operator=(const StreamDag& other);
-  StreamDag(StreamDag&&) noexcept = default;
-  StreamDag& operator=(StreamDag&&) noexcept = default;
-
   NodeId add_source(std::string name);
   NodeId add_operator(std::string name);
   NodeId add_sink(std::string name);
@@ -46,7 +39,7 @@ class StreamDag {
   /// Adds edge from->to carrying throughput function `fn`.  `alpha` defaults
   /// to "rebalance equally among successors" (fixed up in validate()); an
   /// explicit alpha must lie in [0, 1].
-  void add_edge(NodeId from, NodeId to, std::unique_ptr<ThroughputFn> fn,
+  void add_edge(NodeId from, NodeId to, ThroughputFn fn,
                 std::optional<double> alpha = std::nullopt);
 
   /// Checks the structure: acyclic, edges reference valid nodes, sources

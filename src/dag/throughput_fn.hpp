@@ -6,43 +6,25 @@
 // paper's convexity argument for f_t(y) requires.  Each form evaluates its
 // demand and back-propagates an adjoint through it, which is all the reverse
 // sweep in FlowSolver::lagrangian needs for dL/dy.
+//
+// The paper's set of forms is closed, so ThroughputFn is one value type: a
+// form tag, the form's parameters and arity, and for a custom form its two
+// callbacks.  LinearFn, MinWeightedFn, TanhFn and CustomFn only construct
+// one, and a DAG edge stores the ThroughputFn itself.  The simulator's step
+// plan, FlowSolver and the controller evaluate through the one inline
+// eval(); the throughput learner reads the tag through form().
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace dragster::dag {
 
-class ThroughputFn {
- public:
-  virtual ~ThroughputFn() = default;
-
-  /// Demand toward the successor given the inputs received by the operator.
-  [[nodiscard]] virtual double eval(std::span<const double> inputs) const = 0;
-
-  /// Adds `adjoint * d eval / d inputs[i]` to `input_adjoints[i]` (a
-  /// subgradient at kinks).  Both spans have the function's arity.
-  virtual void backprop(std::span<const double> inputs, double adjoint,
-                        std::span<double> input_adjoints) const = 0;
-
-  /// Number of inputs this function consumes (the operator's in-degree).
-  [[nodiscard]] virtual std::size_t arity() const noexcept = 0;
-
-  /// Mutable parameter view for online learning (Theorem 2); empty when the
-  /// form has no learnable parameters.
-  [[nodiscard]] virtual std::span<double> params() noexcept { return {}; }
-  [[nodiscard]] virtual std::span<const double> params() const noexcept { return {}; }
-
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual std::unique_ptr<ThroughputFn> clone() const = 0;
-};
-
 /// Paper eq. (2a) arithmetic: k . e summed in index order.  `weights` has at
-/// least `inputs.size()` entries.  LinearFn::eval and the simulator's step
-/// plan both evaluate through here.
+/// least `inputs.size()` entries.
 [[nodiscard]] inline double linear_eval(std::span<const double> weights,
                                         std::span<const double> inputs) noexcept {
   double sum = 0.0;
@@ -66,29 +48,69 @@ class ThroughputFn {
   return active;
 }
 
-/// Paper eq. (2b): min_j (k_j * e_j), shared like linear_eval.
-[[nodiscard]] inline double min_weighted_eval(std::span<const double> weights,
-                                              std::span<const double> inputs) noexcept {
-  const std::size_t j = min_weighted_index(weights, inputs);
-  return weights[j] * inputs[j];
-}
+class ThroughputFn {
+ public:
+  /// The snapshot of the throughput learner stores these values.
+  enum class Form : std::uint8_t { kLinear, kMinWeighted, kTanh, kCustom };
+  using EvalFn = std::function<double(std::span<const double>)>;
+  using BackpropFn = std::function<void(std::span<const double>, double, std::span<double>)>;
+
+  /// Demand toward the successor given the inputs received by the operator.
+  [[nodiscard]] double eval(std::span<const double> inputs) const {
+    if (inputs.size() != arity_) [[unlikely]] arity_mismatch();
+    switch (form_) {
+      case Form::kLinear:
+        return linear_eval(params_, inputs);
+      case Form::kMinWeighted: {
+        const std::size_t j = min_weighted_index(params_, inputs);
+        return params_[j] * inputs[j];
+      }
+      case Form::kTanh:
+        return params_[0] * std::tanh(linear_eval(tanh_weights(), inputs));
+      case Form::kCustom:
+        break;
+    }
+    return eval_(inputs);
+  }
+
+  /// Adds `adjoint * d eval / d inputs[i]` to `input_adjoints[i]` (a
+  /// subgradient at kinks).  Both spans have the function's arity.
+  void backprop(std::span<const double> inputs, double adjoint,
+                std::span<double> input_adjoints) const;
+
+  [[nodiscard]] Form form() const noexcept { return form_; }
+
+  /// Number of inputs this function consumes (the operator's in-degree).
+  [[nodiscard]] std::size_t arity() const noexcept { return arity_; }
+
+  /// Mutable parameter view for online learning (Theorem 2): the weights,
+  /// led by the scale for Tanh; empty for a custom form.
+  [[nodiscard]] std::span<double> params() noexcept { return params_; }
+  [[nodiscard]] std::span<const double> params() const noexcept { return params_; }
+
+ protected:
+  /// A built-in form over `params` (Tanh: [scale, weights...]).
+  ThroughputFn(Form form, std::vector<double> params);
+  /// A custom form; both callbacks must be set.
+  ThroughputFn(std::size_t arity, EvalFn eval, BackpropFn backprop);
+
+ private:
+  [[noreturn]] static void arity_mismatch();
+  [[nodiscard]] std::span<const double> tanh_weights() const noexcept {
+    return std::span<const double>(params_).subspan(1);
+  }
+
+  Form form_;
+  std::size_t arity_;
+  std::vector<double> params_;
+  EvalFn eval_;          ///< custom form only
+  BackpropFn backprop_;  ///< custom form only
+};
 
 /// Paper eq. (2a):  h(e) = k . e   (inner product).
 class LinearFn final : public ThroughputFn {
  public:
   explicit LinearFn(std::vector<double> weights);
-
-  [[nodiscard]] double eval(std::span<const double> inputs) const override;
-  void backprop(std::span<const double> inputs, double adjoint,
-                std::span<double> input_adjoints) const override;
-  [[nodiscard]] std::size_t arity() const noexcept override { return weights_.size(); }
-  [[nodiscard]] std::span<double> params() noexcept override { return weights_; }
-  [[nodiscard]] std::span<const double> params() const noexcept override { return weights_; }
-  [[nodiscard]] std::string name() const override { return "linear"; }
-  [[nodiscard]] std::unique_ptr<ThroughputFn> clone() const override;
-
- private:
-  std::vector<double> weights_;
 };
 
 /// Paper eq. (2b):  h(e) = min_j (k_j * e_j)  — bottleneck predecessor.
@@ -96,18 +118,6 @@ class LinearFn final : public ThroughputFn {
 class MinWeightedFn final : public ThroughputFn {
  public:
   explicit MinWeightedFn(std::vector<double> weights);
-
-  [[nodiscard]] double eval(std::span<const double> inputs) const override;
-  void backprop(std::span<const double> inputs, double adjoint,
-                std::span<double> input_adjoints) const override;
-  [[nodiscard]] std::size_t arity() const noexcept override { return weights_.size(); }
-  [[nodiscard]] std::span<double> params() noexcept override { return weights_; }
-  [[nodiscard]] std::span<const double> params() const noexcept override { return weights_; }
-  [[nodiscard]] std::string name() const override { return "min_weighted"; }
-  [[nodiscard]] std::unique_ptr<ThroughputFn> clone() const override;
-
- private:
-  std::vector<double> weights_;
 };
 
 /// Paper eq. (2c):  h(e) = k1 * tanh(k . e) — saturating concave form.
@@ -115,20 +125,6 @@ class MinWeightedFn final : public ThroughputFn {
 class TanhFn final : public ThroughputFn {
  public:
   TanhFn(double scale, std::vector<double> weights);
-
-  [[nodiscard]] double eval(std::span<const double> inputs) const override;
-  void backprop(std::span<const double> inputs, double adjoint,
-                std::span<double> input_adjoints) const override;
-  [[nodiscard]] std::size_t arity() const noexcept override { return params_.size() - 1; }
-  [[nodiscard]] std::span<double> params() noexcept override { return params_; }
-  [[nodiscard]] std::span<const double> params() const noexcept override { return params_; }
-  [[nodiscard]] std::string name() const override { return "tanh"; }
-  [[nodiscard]] std::unique_ptr<ThroughputFn> clone() const override;
-
- private:
-  [[nodiscard]] double dot(std::span<const double> inputs) const;
-
-  std::vector<double> params_;  // [scale, weights...]
 };
 
 /// User-supplied concave form (paper: "the developer could ... exactly
@@ -137,30 +133,14 @@ class TanhFn final : public ThroughputFn {
 /// stay exact.
 class CustomFn final : public ThroughputFn {
  public:
-  using EvalFn = std::function<double(std::span<const double>)>;
-  using BackpropFn = std::function<void(std::span<const double>, double, std::span<double>)>;
-
-  CustomFn(std::size_t arity, EvalFn eval, BackpropFn backprop, std::string label = "custom");
-
-  [[nodiscard]] double eval(std::span<const double> inputs) const override;
-  void backprop(std::span<const double> inputs, double adjoint,
-                std::span<double> input_adjoints) const override;
-  [[nodiscard]] std::size_t arity() const noexcept override { return arity_; }
-  [[nodiscard]] std::string name() const override { return label_; }
-  [[nodiscard]] std::unique_ptr<ThroughputFn> clone() const override;
-
- private:
-  std::size_t arity_;
-  EvalFn eval_;
-  BackpropFn backprop_;
-  std::string label_;
+  CustomFn(std::size_t arity, EvalFn eval, BackpropFn backprop);
 };
 
 /// Convenience: identity pass-through for single-input operators
 /// (selectivity 1.0) — a LinearFn with weight 1.
-[[nodiscard]] std::unique_ptr<ThroughputFn> identity_fn();
+[[nodiscard]] ThroughputFn identity_fn();
 
 /// LinearFn with a single weight (per-tuple selectivity).
-[[nodiscard]] std::unique_ptr<ThroughputFn> selectivity_fn(double selectivity);
+[[nodiscard]] ThroughputFn selectivity_fn(double selectivity);
 
 }  // namespace dragster::dag

@@ -61,10 +61,13 @@ void DualState::load_state(const resilience::SnapshotReader& reader) {
                    "snapshot dual decay-mode mismatch");
   std::vector<double> lambda = reader.get_doubles("dual_lambda");
   DRAGSTER_REQUIRE(lambda.size() == lambda_.size(), "snapshot dual size mismatch");
+  const std::size_t slot = reader.get_uint("dual_slot");
+  const std::size_t non_finite = reader.get_uint("dual_non_finite");
+  const std::size_t last_non_finite = reader.get_uint("dual_last_non_finite");
   lambda_ = std::move(lambda);
-  slot_ = reader.get_uint("dual_slot");
-  non_finite_ = reader.get_uint("dual_non_finite");
-  last_non_finite_ = reader.get_uint("dual_last_non_finite");
+  slot_ = slot;
+  non_finite_ = non_finite;
+  last_non_finite_ = last_non_finite;
 }
 
 }  // namespace dragster::online

@@ -41,6 +41,7 @@ class DualState {
   void reset();
 
   /// Snapshot hooks: fields prefixed `dual_` in the writer's current section.
+  /// load_state() either restores every field or throws and changes nothing.
   void save_state(resilience::SnapshotWriter& writer) const;
   void load_state(const resilience::SnapshotReader& reader);
 

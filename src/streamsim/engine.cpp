@@ -83,12 +83,8 @@ cluster::PodSpec JobMonitor::pod_spec(dag::NodeId op) const {
 
 Engine::Engine(dag::StreamDag dag, std::map<dag::NodeId, UslParams> usl,
                std::map<dag::NodeId, std::unique_ptr<RateSchedule>> schedules,
-               EngineOptions options, std::uint64_t seed, cluster::PricingModel pricing)
-    : dag_(std::move(dag)),
-      options_(options),
-      cluster_(pricing),
-      metrics_(),
-      root_rng_(seed) {
+               EngineOptions options, std::uint64_t seed)
+    : dag_(std::move(dag)), options_(options), root_rng_(seed) {
   DRAGSTER_REQUIRE(dag_.validated(), "Engine requires a validated DAG");
   DRAGSTER_REQUIRE(options_.slot_duration_s > 0.0 && options_.micro_step_s > 0.0,
                    "durations must be positive");
@@ -138,15 +134,7 @@ void Engine::compile_plan() {
     node.out_begin = plan_out_.size();
     for (std::size_t eidx : dag_.out_edges(id)) {
       const dag::Edge& edge = dag_.edge(eidx);
-      PlanEdge step{eidx, edge.alpha, EdgeForm::kVirtual, 0, edge.fn.get()};
-      const bool linear = dynamic_cast<const dag::LinearFn*>(edge.fn.get()) != nullptr;
-      if (linear || dynamic_cast<const dag::MinWeightedFn*>(edge.fn.get()) != nullptr) {
-        step.form = linear ? EdgeForm::kLinear : EdgeForm::kMinWeighted;
-        step.weights = plan_weights_.size();
-        const std::span<const double> weights = std::as_const(*edge.fn).params();
-        plan_weights_.insert(plan_weights_.end(), weights.begin(), weights.end());
-      }
-      plan_out_.push_back(step);
+      plan_out_.push_back(PlanEdge{eidx, edge.alpha, &edge.fn});
     }
     node.out_end = plan_out_.size();
     plan_.push_back(node);
@@ -156,13 +144,6 @@ void Engine::compile_plan() {
   fresh_.assign(max_in, 0.0);
   edge_rate_.assign(dag_.edge_count(), 0.0);
   path_delay_.assign(dag_.node_count(), 0.0);
-}
-
-inline double Engine::demand(const PlanEdge& edge, std::span<const double> inputs) const {
-  if (edge.form == EdgeForm::kVirtual) return edge.fn->eval(inputs);
-  const std::span<const double> weights(plan_weights_.data() + edge.weights, inputs.size());
-  return edge.form == EdgeForm::kLinear ? dag::linear_eval(weights, inputs)
-                                        : dag::min_weighted_eval(weights, inputs);
 }
 
 void Engine::require_operator(dag::NodeId op, const char* method) const {
@@ -512,7 +493,7 @@ void Engine::micro_step(double dt, common::Rng& step_rng) {
       const double in_rate = amount / dt;
       double emitted = 0.0;
       for (const PlanEdge& edge : out_edges) {
-        const double out = demand(edge, std::span<const double>(&in_rate, 1));
+        const double out = edge.fn->eval(std::span<const double>(&in_rate, 1));
         edge_rate[edge.edge] = out * dt;
         emitted += out;
       }
@@ -555,9 +536,9 @@ void Engine::micro_step(double dt, common::Rng& step_rng) {
     double arrival_demand = 0.0;
     double out_total = 0.0;
     for (const PlanEdge& edge : out_edges) {
-      const double d = demand(edge, inputs);
+      const double d = edge.fn->eval(inputs);
       demand_total += d;
-      arrival_demand += demand(edge, fresh);
+      arrival_demand += edge.fn->eval(fresh);
       const double out = std::min(edge.alpha * y_now, d);
       edge_rate[edge.edge] = out * dt;
       out_total += out;

@@ -185,8 +185,7 @@ class Engine final : public ScalingActuator {
   /// contain one entry per source node.  The DAG must be validated.
   Engine(dag::StreamDag dag, std::map<dag::NodeId, UslParams> usl,
          std::map<dag::NodeId, std::unique_ptr<RateSchedule>> schedules,
-         EngineOptions options, std::uint64_t seed,
-         cluster::PricingModel pricing = cluster::PricingModel::standard());
+         EngineOptions options, std::uint64_t seed);
 
   // -- ScalingActuator ------------------------------------------------------
   void set_tasks(dag::NodeId op, int tasks) override;
@@ -288,16 +287,12 @@ class Engine final : public ScalingActuator {
   };
 
   // The step plan: the DAG compiled once, in topological order, into flat
-  // arrays micro_step walks without lookups.  Linear and MinWeighted edges
-  // evaluate inline from a copy of their weights; Tanh and Custom edges call
-  // the virtual eval.
-  enum class EdgeForm : std::uint8_t { kLinear, kMinWeighted, kVirtual };
+  // arrays micro_step walks without lookups.  Each edge evaluates through its
+  // function's inline eval, which switches on the form tag.
   struct PlanEdge {
-    std::size_t edge = 0;     // dag edge index (edge_rate slot)
+    std::size_t edge = 0;  // dag edge index (edge_rate slot)
     double alpha = 1.0;
-    EdgeForm form = EdgeForm::kVirtual;
-    std::size_t weights = 0;  // offset into plan_weights_ (inline forms)
-    const dag::ThroughputFn* fn = nullptr;
+    const dag::ThroughputFn* fn = nullptr;  // in dag_, which never changes
   };
   struct PlanNode {
     dag::NodeId id = 0;
@@ -307,7 +302,6 @@ class Engine final : public ScalingActuator {
   };
 
   void compile_plan();
-  [[nodiscard]] double demand(const PlanEdge& edge, std::span<const double> inputs) const;
   /// Throws naming `method` unless `op` is an operator's id.
   void require_operator(dag::NodeId op, const char* method) const;
   void micro_step(double dt, common::Rng& step_rng);
@@ -326,7 +320,6 @@ class Engine final : public ScalingActuator {
   std::vector<PlanNode> plan_;                    // topological order
   std::vector<std::size_t> plan_in_;              // in-edge indexes, per node
   std::vector<PlanEdge> plan_out_;                // out-edges, per node
-  std::vector<double> plan_weights_;              // weights of the inline forms
   std::vector<StepAccum> accum_;                  // node-indexed, per-slot scratch
   std::vector<double> edge_sum_;                  // edge-indexed, per-slot scratch
   std::vector<double> edge_rate_;                 // edge-indexed, per-step flow

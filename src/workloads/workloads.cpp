@@ -84,8 +84,7 @@ WorkloadSpec join() {
   spec.dag.add_edge(bids, joiner, dag::selectivity_fn(1.0));
   // Matched pairs are limited by the slower side (paper eq. 2b): every
   // auction matches, each bid matches with probability 0.5.
-  spec.dag.add_edge(joiner, sink,
-                    std::make_unique<dag::MinWeightedFn>(std::vector{1.0, 0.5}));
+  spec.dag.add_edge(joiner, sink, dag::MinWeightedFn({1.0, 0.5}));
   spec.dag.validate();
   spec.usl[joiner] = usl(7'000.0, 0.12, 0.012);
   spec.high_rate[auctions] = 15'000.0;  // demand min(15k, 22.5k) = 15k -> 3 tasks

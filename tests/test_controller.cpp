@@ -4,6 +4,10 @@
 // (Theorem 2) mode.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+
 #include "baselines/oracle.hpp"
 #include "core/dragster_controller.hpp"
 #include "workloads/workloads.hpp"
@@ -193,8 +197,47 @@ TEST(Controller, LearnedThroughputModeStillConverges) {
   // The planning copy's map selectivity should approach the true 2.0.
   const auto& planning = h.controller.planning_dag();
   const auto map = *h.spec.dag.find("map");
-  const double learned = planning.edge(planning.out_edges(map)[0]).fn->params()[0];
+  const double learned = planning.edge(planning.out_edges(map)[0]).fn.params()[0];
   EXPECT_NEAR(learned, 2.0, 0.25);
+}
+
+// FNV-1a, after each of 30 learn_throughput slots, over the targets, the
+// multipliers, the planning DAG's edge parameters and the save_state text
+// (whose learner section carries each edge's tl_e*_kind form tag).  The
+// engine's noise and the GP kernel go through libm, so like
+// Engine.SlotReportBitsArePinned this pin depends on it.
+std::uint64_t learned_throughput_hash(workloads::WorkloadSpec spec, std::uint64_t seed) {
+  DragsterOptions options;
+  options.learn_throughput = true;
+  Harness h(std::move(spec), options, /*high=*/true, seed);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto byte = [&hash](unsigned char b) {
+    hash ^= b;
+    hash *= 0x100000001b3ULL;
+  };
+  auto reals = [&byte](std::span<const double> values) {
+    for (double v : values) {
+      const auto bits = std::bit_cast<std::uint64_t>(v);
+      for (int k = 0; k < 8; ++k) byte(static_cast<unsigned char>(bits >> (8 * k)));
+    }
+  };
+  for (int slot = 0; slot < 30; ++slot) {
+    h.run(1);
+    reals(h.controller.last_targets());
+    reals(h.controller.lambda());
+    const dag::StreamDag& planning = h.controller.planning_dag();
+    for (std::size_t e = 0; e < planning.edge_count(); ++e) reals(planning.edge(e).fn.params());
+    resilience::SnapshotWriter writer;
+    h.controller.save_state(writer);
+    for (char c : writer.str()) byte(static_cast<unsigned char>(c));
+  }
+  return hash;
+}
+
+TEST(Controller, LearnedThroughputBitsArePinned) {
+  // WordCount learns Linear edges, Join a MinWeighted one.
+  EXPECT_EQ(learned_throughput_hash(workloads::wordcount(), 11), 0xacd00dc061013e90ULL);
+  EXPECT_EQ(learned_throughput_hash(workloads::join(), 12), 0x2d0d0e88105c055fULL);
 }
 
 TEST(Controller, RequiresInitialization) {

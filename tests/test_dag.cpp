@@ -94,30 +94,40 @@ TEST(ThroughputFn, ParamsAreMutable) {
   EXPECT_DOUBLE_EQ(fn.eval(std::vector{2.0}), 6.0);
 }
 
-TEST(ThroughputFn, CloneIsDeep) {
-  LinearFn fn({1.0});
-  auto clone = fn.clone();
-  clone->params()[0] = 9.0;
+TEST(ThroughputFn, CopyIsDeep) {
+  const ThroughputFn fn = LinearFn({1.0});
+  ThroughputFn copy = fn;
+  copy.params()[0] = 9.0;
   EXPECT_DOUBLE_EQ(fn.eval(std::vector{1.0}), 1.0);
-  EXPECT_DOUBLE_EQ(clone->eval(std::vector{1.0}), 9.0);
+  EXPECT_DOUBLE_EQ(copy.eval(std::vector{1.0}), 9.0);
+}
+
+TEST(ThroughputFn, FormTagsEachBuiltIn) {
+  EXPECT_EQ(LinearFn({1.0}).form(), ThroughputFn::Form::kLinear);
+  EXPECT_EQ(MinWeightedFn({1.0, 0.5}).form(), ThroughputFn::Form::kMinWeighted);
+  const TanhFn tanh_fn(50.0, {0.02, 0.01});
+  EXPECT_EQ(tanh_fn.form(), ThroughputFn::Form::kTanh);
+  EXPECT_EQ(tanh_fn.arity(), 2U);
+  EXPECT_EQ(tanh_fn.params().size(), 3U);  // [scale, weights...]
 }
 
 TEST(ThroughputFn, CustomForwardsEvalAndBackprop) {
-  CustomFn fn(
+  const CustomFn fn(
       1, [](std::span<const double> e) { return std::sqrt(e[0]); },
       [](std::span<const double> e, double adjoint, std::span<double> adj) {
         adj[0] += adjoint * 0.5 / std::sqrt(e[0]);
-      },
-      "sqrt");
-  EXPECT_EQ(fn.name(), "sqrt");
+      });
+  EXPECT_EQ(fn.form(), ThroughputFn::Form::kCustom);
+  EXPECT_TRUE(fn.params().empty());
   EXPECT_DOUBLE_EQ(fn.eval(std::vector{16.0}), 4.0);
   std::vector<double> adj{1.0};
   fn.backprop(std::vector{16.0}, 2.0, adj);
   EXPECT_DOUBLE_EQ(adj[0], 1.0 + 2.0 * 0.125);
-  // The clone forwards to the same callbacks.
-  std::vector<double> clone_adj{0.0};
-  fn.clone()->backprop(std::vector{16.0}, 1.0, clone_adj);
-  EXPECT_DOUBLE_EQ(clone_adj[0], 0.125);
+  // A copy forwards to the same callbacks.
+  const ThroughputFn copy = fn;
+  std::vector<double> copy_adj{0.0};
+  copy.backprop(std::vector{16.0}, 1.0, copy_adj);
+  EXPECT_DOUBLE_EQ(copy_adj[0], 0.125);
 }
 
 TEST(ThroughputFn, CustomChecksArityBeforeForwarding) {
@@ -277,7 +287,7 @@ TEST(StreamDag, RejectsCycle) {
   const NodeId b = dag.add_operator("b");
   const NodeId sink = dag.add_sink("k");
   dag.add_edge(src, a, identity_fn());
-  dag.add_edge(a, b, std::make_unique<LinearFn>(std::vector{1.0, 1.0}));
+  dag.add_edge(a, b, LinearFn({1.0, 1.0}));
   dag.add_edge(b, a, identity_fn(), 0.5);
   dag.add_edge(b, sink, identity_fn(), 0.5);
   // a now has two inputs (src, b) but its out-edge fn has arity... build a
@@ -319,8 +329,8 @@ TEST(StreamDag, CopyIsDeep) {
   dag.validate();
 
   StreamDag copy = dag;
-  copy.edge_mutable(0).fn->params()[0] = 9.0;
-  EXPECT_DOUBLE_EQ(dag.edge(0).fn->params()[0], 2.0);
+  copy.edge_mutable(0).fn.params()[0] = 9.0;
+  EXPECT_DOUBLE_EQ(dag.edge(0).fn.params()[0], 2.0);
   EXPECT_TRUE(copy.validated());
 }
 

@@ -113,7 +113,7 @@ TEST(FlowSolver, JoinUsesMinWeighted) {
   const NodeId sink = dag.add_sink("sink");
   dag.add_edge(s1, join, identity_fn());
   dag.add_edge(s2, join, identity_fn());
-  dag.add_edge(join, sink, std::make_unique<MinWeightedFn>(std::vector{1.0, 0.5}));
+  dag.add_edge(join, sink, MinWeightedFn({1.0, 0.5}));
   dag.validate();
   const FlowSolver flow(dag);
   std::vector<double> rates(dag.node_count(), 0.0);
@@ -338,6 +338,11 @@ TEST(FlowSolver, LagrangianBitsArePinned) {
   // exactly rounded + * min, so the pin holds on any libm.
   EXPECT_EQ(lagrangian_bits_hash(workloads::yahoo().dag, 13), 0xf3b19498405a6b58ULL);
   EXPECT_EQ(lagrangian_bits_hash(workloads::join().dag, 13), 0xa6637f71c8aaf80aULL);
+  // The branching fixture adds Tanh and Custom edges, so backprop's other
+  // two forms are pinned too.  Through std::tanh this pin depends on libm,
+  // like Engine.SlotReportBitsArePinned.
+  EXPECT_EQ(lagrangian_bits_hash(BranchFixture(/*custom_edge=*/true).dag, 13),
+            0x3a10a324ff838771ULL);
 }
 
 // For every topological position p: solve at capacities A, redraw the

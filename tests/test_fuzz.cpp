@@ -1,5 +1,5 @@
-// Seeded mutation fuzzing of the two fault-spec grammars and of a saved GP
-// snapshot section.
+// Seeded mutation fuzzing of the two fault-spec grammars, of a saved GP
+// snapshot section and of a whole controller snapshot.
 //
 // The toolchain has no libFuzzer, so the mutator lives here.  It starts from
 // the specs test_faults.cpp accepts and applies byte flips, truncations and
@@ -16,6 +16,12 @@
 // exactly the table the section holds, bit for bit, into a GP whose
 // save_state bytes restore to the same bytes again.
 //
+// The controller surface mutates a whole DragsterController snapshot (a
+// learn_throughput controller's, so it has every section) the same way.  A
+// rejected document must throw dragster::Error and leave the controller's
+// save_state bytes as they were; an accepted one must re-save to a document
+// that restores to the same bytes.
+//
 // obs::format_double is fuzzed differentially: its to_chars / from_chars form
 // must print the bytes of the snprintf / strtod loop it replaced, kept below
 // as the reference, for random bit patterns, subnormals, signed zeros, the
@@ -24,6 +30,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -36,12 +43,15 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/dragster_controller.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/fleet_fault_plan.hpp"
 #include "gp/gaussian_process.hpp"
 #include "gp/kernel.hpp"
 #include "obs/trace.hpp"
 #include "resilience/snapshot.hpp"
+#include "streamsim/engine.hpp"
+#include "workloads/workloads.hpp"
 
 namespace dragster::faults {
 namespace {
@@ -282,7 +292,7 @@ const std::vector<std::string> kGpTokens = {
     "0x1.8p+1", "0x1p-1", "nan", "inf", "-inf", "1e308", "0x1p+1023", "2147483647",
     "-2147483648", "99999999999", "18446744073709551615"};
 
-/// Edge values mutate_table() writes over a table entry.
+/// Edge values mutate_fields() writes over a GP table entry.
 const std::vector<std::string> kGpEdgeValues = {
     "0", "-1", "0x0p+0", "-0x0p+0", "nan", "-nan", "inf", "-inf", "0x1p+1023", "0x1p-1074",
     "2147483647", "1"};
@@ -348,28 +358,39 @@ bool is_table_line(const std::string& line) {
          line.rfind("gp_sums ", 0) == 0;
 }
 
-/// One or two value-level edits of the table lines (`key tag count v...`):
-/// an entry overwritten by another entry of the section (which makes repeated
-/// rows) or by an edge value, or a vector shortened or lengthened by one with
-/// its count prefix kept consistent (which makes size mismatches).
-std::string mutate_table(common::Rng& rng, const std::string& body,
-                         const std::vector<std::string>& entries) {
+/// The values of a field line: after `key tag` for a scalar, after `key tag
+/// count` for a vector (tag fv or iv).
+std::size_t first_value(const std::vector<std::string>& words) {
+  return words[1] == "fv" || words[1] == "iv" ? 3 : 2;
+}
+
+/// One or two value-level edits of the field lines `is_field` selects: a
+/// value overwritten by another entry of the document (which makes repeated
+/// GP rows) or by one of `edge_values`, or a vector shortened or lengthened
+/// by one with its count prefix kept consistent (which makes size
+/// mismatches).
+template <typename IsField>
+std::string mutate_fields(common::Rng& rng, const std::string& body,
+                          const std::vector<std::string>& entries,
+                          const std::vector<std::string>& edge_values, IsField is_field) {
   std::vector<std::string> lines = split(body, '\n');
-  std::vector<std::size_t> table;
+  std::vector<std::size_t> fields;
   for (std::size_t i = 0; i < lines.size(); ++i)
-    if (is_table_line(lines[i])) table.push_back(i);
+    if (is_field(lines[i])) fields.push_back(i);
   const std::int64_t edits = rng.uniform_int(1, 2);
   for (std::int64_t edit = 0; edit < edits; ++edit) {
-    std::string& line = lines[pick(rng, table)];
+    std::string& line = lines[pick(rng, fields)];
     std::vector<std::string> words = split(line, ' ');
-    const std::size_t values = words.size() - 3;
-    switch (rng.uniform_int(0, 3)) {
+    const std::size_t first = first_value(words);
+    const std::size_t values = words.size() - first;
+    const std::int64_t kind = rng.uniform_int(0, 3);
+    switch (first == 3 ? kind : 0) {  // a scalar is only overwritten
       case 0:
       case 1:
         if (values > 0)
-          words[3 + static_cast<std::size_t>(rng.uniform_int(
-                        0, static_cast<std::int64_t>(values) - 1))] =
-              rng.bernoulli(0.7) ? pick(rng, entries) : pick(rng, kGpEdgeValues);
+          words[first + static_cast<std::size_t>(rng.uniform_int(
+                            0, static_cast<std::int64_t>(values) - 1))] =
+              rng.bernoulli(0.7) ? pick(rng, entries) : pick(rng, edge_values);
         break;
       case 2:
         if (values > 0) {
@@ -443,8 +464,9 @@ TEST(Fuzz, GpSnapshotSectionsRestoreExactlyOrThrowError) {
   int failures = 0;
   std::string report;
   for (int i = 0; i < kGpSectionInputs; ++i) {
-    const std::string body = rng.bernoulli(0.5) ? mutate_table(rng, base, entries)
-                                                : mutate(rng, base, {base}, kGpTokens);
+    const std::string body =
+        rng.bernoulli(0.5) ? mutate_fields(rng, base, entries, kGpEdgeValues, is_table_line)
+                           : mutate(rng, base, {base}, kGpTokens);
     bool ok = false;
     std::string error;
     const std::string problem = gp_violation(with_checksum(body), ok, error);
@@ -457,6 +479,141 @@ TEST(Fuzz, GpSnapshotSectionsRestoreExactlyOrThrowError) {
   EXPECT_GT(accepted, kGpSectionInputs / 20);
   EXPECT_LT(accepted, kGpSectionInputs - kGpSectionInputs / 20);
   for (const std::string& reason : kGpRejections) EXPECT_GT(rejected[reason], 0) << reason;
+}
+
+// ---------------------------------------------------------------------------
+// DragsterController snapshots.
+// ---------------------------------------------------------------------------
+
+constexpr int kControllerInputs = 4000;
+
+// clang-format off
+/// Splice tokens: section headers, keys of every section (the learner's form
+/// tag among them), the type tags, and numbers at the edges of the checks.
+const std::vector<std::string> kControllerTokens = {
+    "[controller]", "[budget]", "[dual]", "[op1]", "[learner]", "y_est", "commanded_tasks",
+    "dual_lambda", "gp_present", "gp_counts", "tl_edges", "tl_e0_kind", "tl_e1_rls_w", "\n", " ",
+    " u ", " f ", " fv ", " iv ", "0", "1", "2", "3", "4", "-1", "0x0p+0", "0x1p+0", "nan",
+    "inf", "18446744073709551615"};
+
+/// Edge values mutate_fields() writes over any value; 0-3 are the form tags.
+const std::vector<std::string> kControllerEdgeValues = {
+    "0", "1", "2", "3", "4", "-1", "0x0p+0", "-0x0p+0", "nan", "inf", "0x1p+1023",
+    "18446744073709551615"};
+
+/// Rejections the fuzz must reach, at least one in each section.
+const std::vector<std::string> kControllerRejections = {
+    "state vectors do not match the topology", "commanded configuration does not match",
+    "different pod price", "dual size mismatch", "table sizes disagree",
+    "function-kind mismatch", "RLS dimension mismatch"};
+// clang-format on
+
+/// A learn_throughput controller on WordCount after eight slots, so its
+/// GPs, multipliers and RLS estimators all carry state.
+struct LiveController {
+  workloads::WorkloadSpec spec = workloads::wordcount();
+  streamsim::Engine engine = spec.make_engine(/*high=*/true, streamsim::EngineOptions{}, 5);
+  core::DragsterController controller{learning_options()};
+
+  LiveController() {
+    controller.initialize(engine.monitor(), engine);
+    for (int slot = 0; slot < 8; ++slot) step();
+  }
+
+  static core::DragsterOptions learning_options() {
+    core::DragsterOptions options;
+    options.learn_throughput = true;
+    return options;
+  }
+
+  void step() {
+    engine.run_slot();
+    controller.on_slot(engine.monitor(), engine);
+  }
+
+  [[nodiscard]] std::string saved() const {
+    resilience::SnapshotWriter writer;
+    controller.save_state(writer);
+    return writer.str();
+  }
+
+  void restore(const std::string& doc) {
+    resilience::SnapshotReader reader(doc);
+    controller.load_state(reader);
+  }
+};
+
+bool is_field_line(const std::string& line) { return split(line, ' ').size() >= 3; }
+
+/// Empty when `doc` throws dragster::Error (whose message lands in `error`)
+/// and leaves the controller's save_state bytes at `before`, or restores into
+/// a controller whose save_state bytes restore to the same bytes; otherwise
+/// what went wrong.
+std::string controller_violation(LiveController& live, const std::string& before,
+                                 const std::string& doc, bool& accepted, std::string& error) {
+  accepted = false;
+  try {
+    live.restore(doc);
+  } catch (const Error& rejection) {
+    error = rejection.what();
+    try {
+      return live.saved() == before ? std::string() : "a rejected snapshot changed the controller";
+    } catch (const std::exception& broken) {
+      return std::string("a rejected snapshot broke save_state: ") + broken.what();
+    }
+  } catch (const std::exception& foreign) {
+    return std::string("foreign exception: ") + foreign.what();
+  }
+  accepted = true;
+  try {
+    const std::string saved = live.saved();
+    live.restore(saved);
+    if (live.saved() != saved) return "the restored controller does not re-emit its own bytes";
+  } catch (const std::exception& failure) {
+    return std::string("accepted snapshot fails to round-trip: ") + failure.what();
+  }
+  return {};
+}
+
+TEST(Fuzz, ControllerSnapshotRestoresExactlyOrThrowsUnchanged) {
+  LiveController live;
+  const std::string base_doc = live.saved();
+  const std::string base = base_doc.substr(0, base_doc.find("!checksum "));
+  std::vector<std::string> entries;
+  for (const std::string& line : split(base, '\n')) {
+    if (!is_field_line(line)) continue;
+    const std::vector<std::string> words = split(line, ' ');
+    entries.insert(entries.end(), words.begin() + static_cast<std::ptrdiff_t>(first_value(words)),
+                   words.end());
+  }
+  common::Rng rng(0xC0DE5A7E);
+  std::map<std::string, int> rejected;
+  int accepted = 0;
+  int failures = 0;
+  std::string report;
+  for (int i = 0; i < kControllerInputs; ++i) {
+    const std::string body =
+        rng.bernoulli(0.5)
+            ? mutate_fields(rng, base, entries, kControllerEdgeValues, is_field_line)
+            : mutate(rng, base, {base}, kControllerTokens);
+    bool ok = false;
+    std::string error;
+    const std::string problem =
+        controller_violation(live, base_doc, with_checksum(body), ok, error);
+    accepted += ok ? 1 : 0;
+    for (const std::string& reason : kControllerRejections)
+      if (error.find(reason) != std::string::npos) ++rejected[reason];
+    if (!problem.empty() && failures++ < 5)
+      report += "\n  input " + std::to_string(i) + ": " + problem;
+    if (ok || !problem.empty()) live.restore(base_doc);  // the next input starts from the base
+  }
+  EXPECT_EQ(failures, 0) << report;
+  EXPECT_EQ(live.saved(), base_doc);
+  EXPECT_GT(accepted, kControllerInputs / 20);
+  EXPECT_LT(accepted, kControllerInputs - kControllerInputs / 20);
+  for (const std::string& reason : kControllerRejections) EXPECT_GT(rejected[reason], 0) << reason;
+  // Every rejection left the controller whole, so it still steps.
+  EXPECT_NO_THROW(live.step());
 }
 
 // The snprintf / strtod loop obs::format_double used before to_chars.

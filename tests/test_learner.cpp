@@ -93,8 +93,8 @@ TEST(ThroughputLearner, LearnsChainSelectivities) {
                     std::span<const bool>(saturated.get(), fx.model.node_count()));
   }
   learner.apply(fx.model);
-  EXPECT_NEAR(fx.model.edge(1).fn->params()[0], 2.0, 1e-3);
-  EXPECT_NEAR(fx.model.edge(2).fn->params()[0], 0.4, 1e-3);
+  EXPECT_NEAR(fx.model.edge(1).fn.params()[0], 2.0, 1e-3);
+  EXPECT_NEAR(fx.model.edge(2).fn.params()[0], 0.4, 1e-3);
 }
 
 TEST(ThroughputLearner, SkipsSaturatedOperators) {
@@ -108,8 +108,8 @@ TEST(ThroughputLearner, SkipsSaturatedOperators) {
     learner.observe(fx.model, flows,
                     std::span<const bool>(saturated.get(), fx.model.node_count()));
   learner.apply(fx.model);
-  EXPECT_DOUBLE_EQ(fx.model.edge(1).fn->params()[0], 1.0);  // untouched prior
-  EXPECT_NEAR(fx.model.edge(2).fn->params()[0], 0.4, 1e-3); // b learned from its input 50
+  EXPECT_DOUBLE_EQ(fx.model.edge(1).fn.params()[0], 1.0);  // untouched prior
+  EXPECT_NEAR(fx.model.edge(2).fn.params()[0], 0.4, 1e-3); // b learned from its input 50
 }
 
 TEST(ThroughputLearner, UpdateDeltaShrinks) {
@@ -138,7 +138,7 @@ TEST(ThroughputLearner, LearnsMinWeightedActiveBranch) {
   const auto sink = model.add_sink("sink");
   model.add_edge(s1, join, dag::identity_fn());
   model.add_edge(s2, join, dag::identity_fn());
-  model.add_edge(join, sink, std::make_unique<dag::MinWeightedFn>(std::vector{1.0, 1.0}));
+  model.add_edge(join, sink, dag::MinWeightedFn({1.0, 1.0}));
   model.validate();
 
   ThroughputLearner learner(model);
@@ -152,7 +152,7 @@ TEST(ThroughputLearner, LearnsMinWeightedActiveBranch) {
     learner.observe(model, flows, std::span<const bool>(saturated.get(), model.node_count()));
   }
   learner.apply(model);
-  EXPECT_NEAR(model.edge(2).fn->params()[1], 0.5, 0.02);
+  EXPECT_NEAR(model.edge(2).fn.params()[1], 0.5, 0.02);
 }
 
 TEST(ThroughputLearner, FitsTanhParameters) {
@@ -161,7 +161,7 @@ TEST(ThroughputLearner, FitsTanhParameters) {
   const auto op = model.add_operator("op");
   const auto sink = model.add_sink("sink");
   model.add_edge(src, op, dag::identity_fn());
-  model.add_edge(op, sink, std::make_unique<dag::TanhFn>(80.0, std::vector{0.02}));
+  model.add_edge(op, sink, dag::TanhFn(80.0, {0.02}));
   model.validate();
 
   // Truth: 100 * tanh(0.01 e); start from the wrong (80, 0.02) prior.
@@ -176,7 +176,7 @@ TEST(ThroughputLearner, FitsTanhParameters) {
   learner.apply(model);
   // Check the *function* is learned (parameters may trade off).
   for (double e : {20.0, 80.0, 200.0}) {
-    const double predicted = model.edge(1).fn->eval(std::vector{e});
+    const double predicted = model.edge(1).fn.eval(std::vector{e});
     EXPECT_NEAR(predicted, 100.0 * std::tanh(0.01 * e), 8.0) << "e=" << e;
   }
 }

@@ -4,7 +4,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -33,19 +32,18 @@ struct BranchFixture {
     dag.add_edge(src, a, identity_fn());
     dag.add_edge(a, b, selectivity_fn(1.0), 0.3);
     dag.add_edge(a, c, selectivity_fn(2.0), 0.7);
-    dag.add_edge(b, d, std::make_unique<TanhFn>(400.0, std::vector{1.0 / 300.0}));
+    dag.add_edge(b, d, TanhFn(400.0, {1.0 / 300.0}));
     dag.add_edge(d, j, identity_fn());
     dag.add_edge(c, j, selectivity_fn(0.5));
-    dag.add_edge(j, sink, std::make_unique<MinWeightedFn>(std::vector{1.0, 0.8}));
+    dag.add_edge(j, sink, MinWeightedFn({1.0, 0.8}));
     if (custom_edge) {
-      dag.add_edge(
-          c, sink,
-          std::make_unique<CustomFn>(
-              1, [](std::span<const double> e) { return e[0] / (1.0 + e[0] / 4000.0); },
-              [](std::span<const double> e, double adjoint, std::span<double> adjoints) {
-                const double q = 1.0 + e[0] / 4000.0;
-                adjoints[0] += adjoint / (q * q);
-              }));
+      const CustomFn saturating(
+          1, [](std::span<const double> e) { return e[0] / (1.0 + e[0] / 4000.0); },
+          [](std::span<const double> e, double adjoint, std::span<double> adjoints) {
+            const double q = 1.0 + e[0] / 4000.0;
+            adjoints[0] += adjoint / (q * q);
+          });
+      dag.add_edge(c, sink, saturating);
     }
     dag.validate();
   }
