@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     streamsim::Engine engine = spec.make_engine(true, options, seed);
     std::unique_ptr<core::Controller> controller;
     if (arm.autoscale)
-      controller = bench::make_scheme("Dragster(saddle)", online::Budget::unlimited(0.10));
+      controller = experiments::make_controller("Dragster", online::Budget::unlimited(0.10));
     else
       controller = std::make_unique<baselines::StaticController>();
     experiments::ScenarioOptions scenario;

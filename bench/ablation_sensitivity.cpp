@@ -7,6 +7,7 @@
 // Each cell reports convergence time and final percent-of-optimal.
 //
 //   ./ablation_sensitivity [--slots 25] [--seed 12]
+#include "baselines/dhalion.hpp"
 #include "baselines/ds2.hpp"
 #include "baselines/flat_gp_ucb.hpp"
 #include "bench_util.hpp"

@@ -1,5 +1,5 @@
-// Shared plumbing for the reproduction benches: scheme construction, common
-// flags, and small formatting helpers.  Each bench binary regenerates one
+// Shared plumbing for the reproduction benches: the compared scheme names,
+// common flags, and small formatting helpers.  Each bench binary regenerates one
 // table or figure of the paper (see DESIGN.md's experiment index).
 #pragma once
 
@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/dhalion.hpp"
-#include "baselines/ds2.hpp"
 #include "common/flags.hpp"
 #include "common/table.hpp"
 #include "core/dragster_controller.hpp"
@@ -88,25 +86,6 @@ class Observability {
   std::unique_ptr<obs::FileTraceSink> trace_;
   std::unique_ptr<obs::Registry> registry_;
 };
-
-/// The paper's three compared schemes, freshly constructed per run.
-inline std::unique_ptr<core::Controller> make_scheme(const std::string& name,
-                                                     const online::Budget& budget) {
-  if (name == "Dhalion") {
-    baselines::DhalionOptions options;
-    options.budget = budget;
-    return std::make_unique<baselines::DhalionController>(options);
-  }
-  if (name == "DS2") {
-    baselines::Ds2Options options;
-    options.budget = budget;
-    return std::make_unique<baselines::Ds2Controller>(options);
-  }
-  core::DragsterOptions options;
-  options.budget = budget;
-  if (name == "Dragster(ogd)") options.method = core::PrimalMethod::kOnlineGradient;
-  return std::make_unique<core::DragsterController>(options);
-}
 
 inline const std::vector<std::string>& scheme_names() {
   static const std::vector<std::string> names{"Dhalion", "Dragster(saddle)", "Dragster(ogd)"};

@@ -57,8 +57,8 @@ struct ArmResult {
 
 std::unique_ptr<core::Controller> make_arm_controller(const std::string& arm,
                                                       const online::Budget& budget) {
-  if (arm == "DS2" || arm == "Dhalion") return bench::make_scheme(arm, budget);
-  return bench::make_scheme("Dragster(saddle)", budget);
+  if (arm == "DS2" || arm == "Dhalion") return experiments::make_controller(arm, budget);
+  return experiments::make_controller("Dragster(saddle)", budget);
 }
 
 ArmResult run_arm(const std::string& arm, double drop, std::size_t partition,

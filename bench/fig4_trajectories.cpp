@@ -77,7 +77,7 @@ void run_case(const workloads::WorkloadSpec& spec, double rate, const online::Bu
     schedules[spec.dag.sources()[0]] = std::make_unique<streamsim::ConstantRate>(rate);
     streamsim::Engine engine =
         spec.make_engine_with(std::move(schedules), streamsim::EngineOptions{}, seed);
-    auto controller = bench::make_scheme(name, budget);
+    auto controller = experiments::make_controller(name, budget);
     experiments::ScenarioOptions options;
     options.slots = slots;
     options.budget = budget;

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
         const std::size_t s = i % num_seeds;
         streamsim::Engine engine =
             arm.app->spec.make_engine(arm.app->high, streamsim::EngineOptions{}, seed + 1000 * s);
-        auto controller = bench::make_scheme(arm.scheme, online::Budget::unlimited(0.10));
+        auto controller = experiments::make_controller(arm.scheme, online::Budget::unlimited(0.10));
         experiments::ScenarioOptions options;
         options.slots = slots;
         return experiments::run_scenario(engine, *controller, options, arm.app->label);

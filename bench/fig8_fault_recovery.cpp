@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   std::vector<experiments::RunResult> runs;
   for (const std::string& name : schemes) {
     streamsim::Engine engine = spec.make_engine(/*high=*/true, streamsim::EngineOptions{}, seed);
-    auto controller = bench::make_scheme(name, online::Budget::unlimited(0.10));
+    auto controller = experiments::make_controller(name, online::Budget::unlimited(0.10));
     faults::FaultInjector injector(plan);
     experiments::ScenarioOptions options;
     options.slots = slots;

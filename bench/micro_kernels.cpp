@@ -1,173 +1,29 @@
-// Microbenchmarks for the library's hot kernels, in two modes:
+// Fleet speed harness: the fleet slot latency behind
+// bench/baselines/BENCH_speed.json.  It steps the same fleet with the pool
+// pinned serial and at several lanes, times both, and records an FNV-1a
+// checksum over the FleetResult bits.  `--json` writes the timed report;
+// `--checks` writes a timing-free JSON of just the checksum: CI runs it at
+// --threads 1 and --threads 8 and cmp's the bytes, which is the
+// machine-checkable statement that thread count never leaks into computed
+// values.  The per-layer kernel timings (GP update and predict, saddle solve,
+// oracle) come from `perfbench/run.py --trace 1` on the real workloads.
 //
-//  1. Google-benchmark (default): GP posterior updates/predictions at growing
-//     history sizes, acquisition argmax over candidate grids, DAG flow solves
-//     and Lagrangian gradients, the saddle-point solve, and the simulator's
-//     micro-step rate.  All google-benchmark flags pass through.
-//
-//  2. Speed harness (`--json PATH` and/or `--checks PATH`): the fleet slot
-//     latency behind bench/baselines/BENCH_speed.json.  It steps the same
-//     fleet with the pool pinned serial and at several lanes, times both, and
-//     records an FNV-1a checksum over the FleetResult bits.  `--checks`
-//     writes a timing-free JSON of just the checksum: CI runs it at
-//     --threads 1 and --threads 8 and cmp's the bytes, which is the
-//     machine-checkable statement that thread count never leaks into
-//     computed values.
-//
-//   ./micro_kernels --json BENCH_speed.json [--checks checks.json]
+//   ./micro_kernels [--json BENCH_speed.json] [--checks checks.json]
 //                   [--threads 0] [--fleet-jobs 1000] [--fleet-slots 4]
 //                   [--seed 7]
-#include <benchmark/benchmark.h>
-
 #include <bit>
 #include <chrono>  // wall-clock timings are bench output, never simulated state
 #include <cinttypes>
 #include <fstream>
-#include <string_view>
 #include <thread>  // hardware_concurrency for the hardware stanza of BENCH_speed.json
 
-#include "baselines/oracle.hpp"
 #include "bench_util.hpp"
-#include "common/rng.hpp"
-#include "dag/flow_solver.hpp"
 #include "fleet/fleet.hpp"
-#include "gp/acquisition.hpp"
-#include "gp/gaussian_process.hpp"
-#include "online/saddle_point.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
 
 using namespace dragster;
-
-gp::GaussianProcess make_gp(std::size_t observations, std::uint64_t seed = 1) {
-  gp::GaussianProcess gp(
-      std::make_unique<gp::SquaredExponentialKernel>(2.25, std::vector{2.5}), 0.0064, 1.0);
-  common::Rng rng(seed);
-  for (std::size_t i = 0; i < observations; ++i)
-    gp.add_observation({static_cast<double>(1 + i % 10)}, rng.normal(1.0, 0.2));
-  return gp;
-}
-
-void BM_GpAddObservation(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    gp::GaussianProcess gp = make_gp(n);
-    state.ResumeTiming();
-    gp.add_observation({4.0}, 1.1);
-    benchmark::DoNotOptimize(gp.num_observations());
-  }
-}
-BENCHMARK(BM_GpAddObservation)->Arg(10)->Arg(50)->Arg(200);
-
-void BM_GpPredict(benchmark::State& state) {
-  const gp::GaussianProcess gp = make_gp(static_cast<std::size_t>(state.range(0)));
-  const std::vector<double> x{5.0};
-  for (auto _ : state) {
-    const auto post = gp.predict(x);
-    benchmark::DoNotOptimize(post.mean);
-  }
-}
-BENCHMARK(BM_GpPredict)->Arg(10)->Arg(50)->Arg(200);
-
-void BM_AcquisitionArgmax(benchmark::State& state) {
-  const gp::GaussianProcess gp = make_gp(30);
-  const auto grid = gp::integer_grid(1, 1, static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    const auto pick = gp::select_target_tracking_ucb(gp, grid, 1.2, 10.0);
-    benchmark::DoNotOptimize(pick->index);
-  }
-}
-BENCHMARK(BM_AcquisitionArgmax)->Arg(10)->Arg(100);
-
-void BM_FlowSolveYahoo(benchmark::State& state) {
-  const auto spec = workloads::yahoo();
-  const dag::FlowSolver flow(spec.dag);
-  std::vector<double> rates(spec.dag.node_count(), 0.0);
-  rates[spec.dag.sources()[0]] = 90'000.0;
-  std::vector<double> caps(spec.dag.node_count(), 50'000.0);
-  for (auto _ : state) benchmark::DoNotOptimize(flow.app_throughput(rates, caps));
-}
-BENCHMARK(BM_FlowSolveYahoo);
-
-void BM_LagrangianGradientYahoo(benchmark::State& state) {
-  const auto spec = workloads::yahoo();
-  const dag::FlowSolver flow(spec.dag);
-  const std::size_t n = spec.dag.node_count();
-  std::vector<double> rates(n, 0.0);
-  rates[spec.dag.sources()[0]] = 90'000.0;
-  std::vector<double> caps(n, 50'000.0);
-  std::vector<double> lambda(n, 0.5);
-  std::vector<double> demand(n, 60'000.0);
-  for (auto _ : state) {
-    const auto lr = flow.lagrangian(rates, caps, lambda, demand);
-    benchmark::DoNotOptimize(lr.value);
-  }
-}
-BENCHMARK(BM_LagrangianGradientYahoo);
-
-void BM_SaddlePointSolveYahoo(benchmark::State& state) {
-  const auto spec = workloads::yahoo();
-  const dag::FlowSolver flow(spec.dag);
-  const std::size_t n = spec.dag.node_count();
-  std::vector<double> rates(n, 0.0);
-  rates[spec.dag.sources()[0]] = 90'000.0;
-  std::vector<double> lambda(n, 0.2);
-  std::vector<double> start(n, 30'000.0);
-  std::vector<double> demand(n, 40'000.0);
-  online::SaddlePointOptions options;
-  options.y_max = 3e5;
-  const online::SaddlePointSolver solver(options);
-  for (auto _ : state) {
-    const auto y = solver.solve(flow, rates, lambda, start, demand);
-    benchmark::DoNotOptimize(y[2]);
-  }
-}
-BENCHMARK(BM_SaddlePointSolveYahoo);
-
-void BM_EngineSlotYahoo(benchmark::State& state) {
-  const auto spec = workloads::yahoo();
-  streamsim::EngineOptions options;
-  options.slot_duration_s = 600.0;
-  streamsim::Engine engine = spec.make_engine(true, options, 7);
-  for (auto _ : state) {
-    const auto& report = engine.run_slot();
-    benchmark::DoNotOptimize(report.tuples_processed);
-  }
-  state.SetItemsProcessed(state.iterations() * 600);  // micro-steps per slot
-}
-BENCHMARK(BM_EngineSlotYahoo);
-
-void BM_OracleExhaustiveWordcount(benchmark::State& state) {
-  const auto spec = workloads::wordcount();
-  streamsim::EngineOptions options;
-  options.capacity_noise = 0.0;
-  streamsim::Engine engine = spec.make_engine(true, options, 1);
-  const baselines::Oracle oracle(engine);
-  for (auto _ : state) {
-    const auto result = oracle.optimal_at(0.0, online::Budget::unlimited(0.10));
-    benchmark::DoNotOptimize(result.throughput);
-  }
-}
-BENCHMARK(BM_OracleExhaustiveWordcount);
-
-void BM_OracleScalingSearchYahoo(benchmark::State& state) {
-  const auto spec = workloads::yahoo();
-  streamsim::EngineOptions options;
-  options.capacity_noise = 0.0;
-  streamsim::Engine engine = spec.make_engine(true, options, 1);
-  const baselines::Oracle oracle(engine);
-  for (auto _ : state) {
-    const auto result = oracle.optimal_at(0.0, online::Budget::unlimited(0.10));
-    benchmark::DoNotOptimize(result.throughput);
-  }
-}
-BENCHMARK(BM_OracleScalingSearchYahoo);
-
-// ---------------------------------------------------------------------------
-// Speed harness (--json / --checks).
-// ---------------------------------------------------------------------------
 
 /// FNV-1a over 64-bit words; doubles fold in by bit pattern, so the checksum
 /// changes iff any result bit changes.
@@ -365,18 +221,6 @@ int speed_harness(const common::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool harness = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind("--json", 0) == 0 || arg.rfind("--checks", 0) == 0) harness = true;
-  }
-  if (harness) {
-    const common::Flags flags(argc, argv);
-    return speed_harness(flags);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  const common::Flags flags(argc, argv);
+  return speed_harness(flags);
 }

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
                                                                    period * 60.0);
     streamsim::Engine engine =
         spec.make_engine_with(std::move(schedules), streamsim::EngineOptions{}, seed);
-    auto controller = bench::make_scheme(name, online::Budget::unlimited(0.10));
+    auto controller = experiments::make_controller(name, online::Budget::unlimited(0.10));
     experiments::ScenarioOptions options;
     options.slots = slots;
     runs.push_back(experiments::run_scenario(engine, *controller, options, spec.name));

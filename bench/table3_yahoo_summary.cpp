@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
 
   for (const auto& name : bench::scheme_names()) {
     streamsim::Engine engine = spec.make_engine(true, streamsim::EngineOptions{}, seed);
-    auto controller = bench::make_scheme(name, online::Budget::unlimited(0.10));
+    auto controller = experiments::make_controller(name, online::Budget::unlimited(0.10));
     experiments::ScenarioOptions options;
     options.slots = slots;
     const auto run = experiments::run_scenario(engine, *controller, options, spec.name);

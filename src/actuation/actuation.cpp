@@ -497,54 +497,65 @@ void ActuationManager::save_state(resilience::SnapshotWriter& writer) const {
 }
 
 void ActuationManager::load_state(resilience::SnapshotReader& reader) {
+  // Every section is read and checked into locals first; the manager and the
+  // engine's pending-pod ledger change only once the whole snapshot has been
+  // accepted, so a rejected one leaves both as they were.
   reader.enter_section("actuation");
   DRAGSTER_REQUIRE(reader.get_uint("seed") == seed_,
                    "snapshot was taken under a different seed");
-  round_ = static_cast<std::size_t>(reader.get_uint("round"));
-  latency_multiplier_ = reader.get_double("latency_multiplier");
+  const auto round = static_cast<std::size_t>(reader.get_uint("round"));
+  const double latency_multiplier = reader.get_double("latency_multiplier");
   DRAGSTER_REQUIRE(reader.get_uint("channels") == channels_.size(),
                    "snapshot operator count does not match the engine");
 
   reader.enter_section("actuation.records");
-  records_.clear();
   const std::vector<int> rec_op = reader.get_ints("op");
   const std::vector<int> rec_epoch = reader.get_ints("epoch");
   const std::vector<int> rec_desired = reader.get_ints("desired");
   const std::vector<int> rec_issue = reader.get_ints("issue_round");
   const std::vector<int> rec_terminal = reader.get_ints("terminal_round");
   const std::vector<int> rec_outcome = reader.get_ints("outcome");
-  for (std::size_t i = 0; i < rec_op.size(); ++i) {
-    records_.push_back({static_cast<dag::NodeId>(rec_op[i]),
-                        static_cast<std::uint64_t>(rec_epoch[i]), rec_desired[i],
-                        static_cast<std::size_t>(rec_issue[i]),
-                        static_cast<std::size_t>(rec_terminal[i]),
-                        static_cast<EpochOutcome>(rec_outcome[i])});
+  const std::size_t rows = rec_op.size();
+  DRAGSTER_REQUIRE(rec_epoch.size() == rows && rec_desired.size() == rows &&
+                       rec_issue.size() == rows && rec_terminal.size() == rows &&
+                       rec_outcome.size() == rows,
+                   "snapshot audit-trail columns disagree in length");
+  std::vector<EpochRecord> records;
+  records.reserve(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    DRAGSTER_REQUIRE(rec_outcome[i] >= static_cast<int>(EpochOutcome::kInFlight) &&
+                         rec_outcome[i] <= static_cast<int>(EpochOutcome::kSuperseded),
+                     "snapshot audit trail holds an unknown epoch outcome");
+    records.push_back({static_cast<dag::NodeId>(rec_op[i]),
+                       static_cast<std::uint64_t>(rec_epoch[i]), rec_desired[i],
+                       static_cast<std::size_t>(rec_issue[i]),
+                       static_cast<std::size_t>(rec_terminal[i]),
+                       static_cast<EpochOutcome>(rec_outcome[i])});
   }
 
+  std::map<dag::NodeId, Channel> channels;
+  std::map<dag::NodeId, Stats> stats;
   std::size_t index = 0;
-  for (auto& [op, ch] : channels_) {
+  for (const auto& entry : channels_) {
+    const dag::NodeId op = entry.first;
     reader.enter_section("actuation.op" + std::to_string(index++));
     DRAGSTER_REQUIRE(reader.get_uint("id") == static_cast<std::uint64_t>(op),
                      "snapshot operator ids do not match the engine");
+    Channel& ch = channels[op];
     ch.applied_tasks = static_cast<int>(reader.get_int("applied_tasks"));
     ch.applied_spec = {reader.get_double("applied_cpu"), reader.get_double("applied_mem")};
     ch.lkg_tasks = static_cast<int>(reader.get_int("lkg_tasks"));
     ch.lkg_spec = {reader.get_double("lkg_cpu"), reader.get_double("lkg_mem")};
     ch.next_epoch = reader.get_uint("next_epoch");
-    Stats& stats = stats_[op];
-    stats.issued = static_cast<std::size_t>(reader.get_uint("issued"));
-    stats.applied = static_cast<std::size_t>(reader.get_uint("applied"));
-    stats.rolled_back = static_cast<std::size_t>(reader.get_uint("rolled_back"));
-    stats.superseded = static_cast<std::size_t>(reader.get_uint("superseded"));
-    stats.retried = static_cast<std::size_t>(reader.get_uint("retried"));
-    stats.admission_rejects =
-        static_cast<std::size_t>(reader.get_uint("admission_rejects"));
-    stats.slots_to_running_sum = reader.get_double("slots_to_running_sum");
-    ch.live.reset();
-    if (reader.get_uint("live") == 0) {
-      sync_ledger(op, ch);
-      continue;
-    }
+    Stats& st = stats[op];
+    st.issued = static_cast<std::size_t>(reader.get_uint("issued"));
+    st.applied = static_cast<std::size_t>(reader.get_uint("applied"));
+    st.rolled_back = static_cast<std::size_t>(reader.get_uint("rolled_back"));
+    st.superseded = static_cast<std::size_t>(reader.get_uint("superseded"));
+    st.retried = static_cast<std::size_t>(reader.get_uint("retried"));
+    st.admission_rejects = static_cast<std::size_t>(reader.get_uint("admission_rejects"));
+    st.slots_to_running_sum = reader.get_double("slots_to_running_sum");
+    if (reader.get_uint("live") == 0) continue;
     Operation live;
     live.epoch = reader.get_uint("epoch");
     live.desired_tasks = static_cast<int>(reader.get_int("desired_tasks"));
@@ -556,19 +567,28 @@ void ActuationManager::load_state(resilience::SnapshotReader& reader) {
     live.backoff_left_slots = reader.get_double("backoff_left");
     live.attempt_age = static_cast<std::size_t>(reader.get_uint("attempt_age"));
     live.ready = static_cast<int>(reader.get_int("ready"));
+    // sync_ledger publishes pods + ready as the pending count, which the
+    // cluster requires to be non-negative.
+    DRAGSTER_REQUIRE(live.ready >= 0, "snapshot in-flight ready pod count is negative");
     const std::vector<double> latencies = reader.get_doubles("pod_latency");
     const std::vector<double> ages = reader.get_doubles("pod_age");
     DRAGSTER_REQUIRE(latencies.size() == ages.size(), "pod latency/age columns disagree");
     for (std::size_t pod = 0; pod < latencies.size(); ++pod)
       live.pods.push_back({latencies[pod], ages[pod]});
-    live.record_index = records_.size();
-    for (std::size_t i = 0; i < records_.size(); ++i)
-      if (records_[i].op == op && records_[i].epoch == live.epoch) live.record_index = i;
-    DRAGSTER_REQUIRE(live.record_index < records_.size(),
+    live.record_index = records.size();
+    for (std::size_t i = 0; i < records.size(); ++i)
+      if (records[i].op == op && records[i].epoch == live.epoch) live.record_index = i;
+    DRAGSTER_REQUIRE(live.record_index < records.size(),
                      "in-flight operation is missing from the snapshot audit trail");
     ch.live = std::move(live);
-    sync_ledger(op, ch);
   }
+
+  round_ = round;
+  latency_multiplier_ = latency_multiplier;
+  records_ = std::move(records);
+  channels_ = std::move(channels);
+  stats_ = std::move(stats);
+  for (const auto& [op, ch] : channels_) sync_ledger(op, ch);
 }
 
 }  // namespace dragster::actuation

@@ -35,8 +35,8 @@ void FlatGpUcbController::on_slot(const streamsim::JobMonitor& monitor,
   if (effective > 0.0) {
     if (!gp_.has_value()) {
       scale_ = effective;
-      gp_.emplace(std::make_unique<gp::SquaredExponentialKernel>(
-                      2.25, std::vector<double>(ops_.size(), options_.gp_lengthscale)),
+      const std::vector<double> lengthscales(ops_.size(), options_.gp_lengthscale);
+      gp_.emplace(gp::SquaredExponentialKernel(2.25, lengthscales),
                   options_.gp_noise_rel * options_.gp_noise_rel, /*prior_mean=*/1.0);
     }
     gp_->add_observation(x, effective / scale_);

@@ -1,6 +1,7 @@
 #include "core/dragster_controller.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -10,11 +11,29 @@
 #include "obs/registry.hpp"
 
 namespace dragster::core {
+namespace {
+
+constexpr double kEtaRelative = 0.30;          ///< OGD step relative to the capacity scale
+constexpr double kOgdRegularization = 0.30;    ///< epsilon for the OGD variant (compute_targets)
+constexpr double kOgdLambdaFloor = 0.50;       ///< minimum effective multiplier for OGD
+constexpr double kGpNoiseRel = 0.08;           ///< observation noise std / capacity scale
+constexpr double kGpSignalStd = 1.5;           ///< prior std on the normalized capacity
+constexpr double kBottleneckTolerance = 0.05;  ///< relative target gap that triggers adjustment
+/// Config selection tracks target * headroom and penalizes candidates whose
+/// posterior mean falls short of the target more than ones that overshoot:
+/// the constraint l_i <= 0 is one-sided (capacity must *cover* demand), so
+/// between two equally distant configurations the covering one is safer.
+constexpr double kTargetHeadroom = 1.10;
+constexpr double kUnderProvisionPenalty = 10.0;
+/// Vertical scaling: the cpu grid and the memory each core brings.
+constexpr std::array<double, 3> kCpuCandidates{0.5, 1.0, 2.0};
+constexpr double kMemoryPerCoreGb = 2.0;
+
+}  // namespace
 
 DragsterController::DragsterController(DragsterOptions options) : options_(options) {
   DRAGSTER_REQUIRE(options_.delta > 1.0, "paper requires delta > 1");
   DRAGSTER_REQUIRE(options_.gamma0 > 0.0, "gamma0 must be positive");
-  DRAGSTER_REQUIRE(options_.bottleneck_tolerance > 0.0, "tolerance must be positive");
 }
 
 std::string DragsterController::name() const {
@@ -78,14 +97,11 @@ const gp::GaussianProcess* DragsterController::gp_for(dag::NodeId op) const {
 gp::GaussianProcess DragsterController::make_operator_gp() const {
   std::vector<double> lengthscales{options_.gp_lengthscale};
   if (options_.enable_vertical) lengthscales.push_back(0.75);  // cores
-  const double signal = options_.gp_signal_std * options_.gp_signal_std;
-  std::unique_ptr<gp::Kernel> kernel;
-  if (options_.use_matern_kernel)
-    kernel = std::make_unique<gp::Matern52Kernel>(signal, std::move(lengthscales));
-  else
-    kernel = std::make_unique<gp::SquaredExponentialKernel>(signal, std::move(lengthscales));
-  return gp::GaussianProcess(std::move(kernel), options_.gp_noise_rel * options_.gp_noise_rel,
-                             /*prior_mean=*/1.0);
+  const double signal = kGpSignalStd * kGpSignalStd;
+  const gp::Kernel kernel = options_.use_matern_kernel
+                                ? gp::Kernel(gp::Matern52Kernel(signal, lengthscales))
+                                : gp::Kernel(gp::SquaredExponentialKernel(signal, lengthscales));
+  return gp::GaussianProcess(kernel, kGpNoiseRel * kGpNoiseRel, /*prior_mean=*/1.0);
 }
 
 void DragsterController::observe(const streamsim::JobMonitor& monitor) {
@@ -198,14 +214,14 @@ std::vector<double> DragsterController::compute_targets(const streamsim::JobMoni
   }
 
   online::OgdOptions og;
-  og.eta = options_.eta_relative * scale;
+  og.eta = kEtaRelative * scale;
   og.y_min = 0.0;
   og.y_max = 3.0 * scale;
   // OGD sees the constraint only through the per-step gradient, so its
   // scale-down pressure is eta*epsilon per slot; a larger epsilon (and a
   // floor above it) keeps de-provisioning at a useful pace while staying
   // below the O(1) gradient of f.
-  og.capacity_regularization = options_.ogd_regularization;
+  og.capacity_regularization = kOgdRegularization;
   online::OgdSolver solver(og);
   std::vector<double> floored = dual_->lambda();
   // Per-operator steps: capacities differ by orders of magnitude across the
@@ -214,8 +230,8 @@ std::vector<double> DragsterController::compute_targets(const streamsim::JobMoni
   std::vector<double> etas(n, og.eta);
   for (dag::NodeId id = 0; id < n; ++id) {
     if (dag_->component(id).kind != dag::ComponentKind::kOperator) continue;
-    floored[id] = std::max(floored[id], options_.ogd_lambda_floor);
-    etas[id] = options_.eta_relative * std::max({y_est_[id], demand_est_[id], 10.0});
+    floored[id] = std::max(floored[id], kOgdLambdaFloor);
+    etas[id] = kEtaRelative * std::max({y_est_[id], demand_est_[id], 10.0});
   }
   // OGD is stateful: step from the previous target (first slot: estimate).
   std::vector<double> y_prev = y_target_;
@@ -236,7 +252,7 @@ void DragsterController::select_configs(const streamsim::JobMonitor& monitor,
   for (dag::NodeId id = 0; id < n; ++id) {
     if (dag_->component(id).kind != dag::ComponentKind::kOperator) continue;
     const double gap = std::abs(y_target_[id] - y_est_[id]);
-    if (gap > options_.bottleneck_tolerance * std::max(y_est_[id], 1.0))
+    if (gap > kBottleneckTolerance * std::max(y_est_[id], 1.0))
       bottlenecks_.push_back(id);
   }
 
@@ -263,7 +279,7 @@ void DragsterController::select_configs(const streamsim::JobMonitor& monitor,
   }
 
   std::vector<double> cpu_options{0.0};  // sentinel: keep the current spec
-  if (options_.enable_vertical) cpu_options = options_.cpu_candidates;
+  if (options_.enable_vertical) cpu_options.assign(kCpuCandidates.begin(), kCpuCandidates.end());
 
   for (dag::NodeId id : dag_->topo_order()) {
     if (dag_->component(id).kind != dag::ComponentKind::kOperator) continue;
@@ -271,7 +287,7 @@ void DragsterController::select_configs(const streamsim::JobMonitor& monitor,
     OperatorModel& model = models_[id];
     if (!model.gp.has_value()) continue;  // nothing observed yet
 
-    const double target = y_target_[id] * options_.target_headroom / model.scale;
+    const double target = y_target_[id] * kTargetHeadroom / model.scale;
 
     const double own_cost = planned[id] * pricing.pod_price_per_hour(planned_spec[id]);
     const double others_cost = planned_cost - own_cost;
@@ -297,7 +313,7 @@ void DragsterController::select_configs(const streamsim::JobMonitor& monitor,
     for (double cpu : cpu_options) {
       const cluster::PodSpec spec =
           options_.enable_vertical
-              ? cluster::PodSpec{cpu, cpu * options_.memory_per_core_gb}
+              ? cluster::PodSpec{cpu, cpu * kMemoryPerCoreGb}
               : planned_spec[id];
       const double pod_price = pricing.pod_price_per_hour(spec);
       for (int tasks = 1; tasks <= max_tasks; ++tasks) {
@@ -318,7 +334,7 @@ void DragsterController::select_configs(const streamsim::JobMonitor& monitor,
       const gp::Posterior post = posts[c];
       // Asymmetric extended UCB (eq. 18 + one-sided constraint weighting).
       const double gap = post.mean - target;
-      const double penalty = gap < 0.0 ? options_.under_provision_penalty * -gap : gap;
+      const double penalty = gap < 0.0 ? kUnderProvisionPenalty * -gap : gap;
       const double score = -penalty + beta * post.variance;
       if (score > best_score) {
         best_score = score;

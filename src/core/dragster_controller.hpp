@@ -37,39 +37,28 @@ namespace dragster::core {
 
 enum class PrimalMethod { kSaddlePoint, kOnlineGradient };
 
+/// The knobs a run or an ablation varies; the controller's fixed tuning
+/// (OGD step and floors, GP noise and signal, bottleneck tolerance, target
+/// headroom, vertical-scaling grid) lives as named constants in the .cpp.
 struct DragsterOptions {
   PrimalMethod method = PrimalMethod::kSaddlePoint;
   online::Budget budget = online::Budget::unlimited(0.10);
   double gamma0 = 1.0;             ///< dual step scale; effective gamma_t = gamma0/sqrt(t)
-  double eta_relative = 0.30;      ///< OGD step relative to the capacity scale
-  double ogd_regularization = 0.30;  ///< epsilon for the OGD variant (see .cpp)
-  double ogd_lambda_floor = 0.50;    ///< minimum effective multiplier for OGD
   double delta = 2.0;              ///< UCB confidence parameter (paper: delta > 1)
   double beta_scale = 1.0;         ///< multiplies beta_t (sensitivity ablation)
-  double gp_noise_rel = 0.08;      ///< observation noise std / capacity scale
   double gp_lengthscale = 2.5;     ///< kernel lengthscale in task units
-  double gp_signal_std = 1.5;      ///< prior std on the normalized capacity
   /// The paper adopts the squared-exponential kernel (its Gamma_T bound is
   /// SE-specific); Matern-5/2 is offered for the kernel-choice ablation —
   /// rougher posteriors, same controller.
   bool use_matern_kernel = false;
-  double bottleneck_tolerance = 0.05;  ///< relative target gap that triggers adjustment
-  /// Config selection tracks target * headroom and penalizes candidates whose
-  /// posterior mean falls short of the target more than ones that overshoot:
-  /// the constraint l_i <= 0 is one-sided (capacity must *cover* demand), so
-  /// between two equally distant configurations the covering one is safer.
-  double target_headroom = 1.10;
-  double under_provision_penalty = 10.0;
   bool learn_throughput = false;   ///< Theorem 2 mode: fit h online instead of trusting it
   bool include_backlog_in_demand = true;  ///< drain buffers via the constraint
   /// Vertical scaling (VPA analogue): when enabled the per-operator GP input
   /// becomes (tasks, cpu_cores) and the acquisition searches the joint grid
-  /// tasks x cpu_candidates.  Pods get `memory_per_core_gb * cpu` of memory,
-  /// so vertical moves also relieve memory-capped operators.  Budget
+  /// of tasks x cpu candidates, with memory proportional to the cores, so
+  /// vertical moves also relieve memory-capped operators.  Budget
   /// feasibility switches from pod counts to dollars (heterogeneous pods).
   bool enable_vertical = false;
-  std::vector<double> cpu_candidates{0.5, 1.0, 2.0};
-  double memory_per_core_gb = 2.0;
 };
 
 class DragsterController final : public Controller, public resilience::Snapshotable {

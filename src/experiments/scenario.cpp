@@ -3,10 +3,33 @@
 #include <algorithm>
 #include <cmath>
 
+#include "baselines/dhalion.hpp"
+#include "baselines/ds2.hpp"
 #include "common/error.hpp"
+#include "core/dragster_controller.hpp"
 #include "transport/transport.hpp"
 
 namespace dragster::experiments {
+
+std::unique_ptr<core::Controller> make_controller(const std::string& name,
+                                                  const online::Budget& budget) {
+  if (name == "Dhalion") {
+    baselines::DhalionOptions options;
+    options.budget = budget;
+    return std::make_unique<baselines::DhalionController>(options);
+  }
+  if (name == "DS2") {
+    baselines::Ds2Options options;
+    options.budget = budget;
+    return std::make_unique<baselines::Ds2Controller>(options);
+  }
+  DRAGSTER_REQUIRE(name == "Dragster" || name == "Dragster(saddle)" || name == "Dragster(ogd)",
+                   "unknown controller: " + name);
+  core::DragsterOptions options;
+  options.budget = budget;
+  if (name == "Dragster(ogd)") options.method = core::PrimalMethod::kOnlineGradient;
+  return std::make_unique<core::DragsterController>(options);
+}
 
 ScenarioRunner::ScenarioRunner(streamsim::Engine& engine, core::Controller& controller,
                                const ScenarioOptions& options, std::string workload_name,

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -166,6 +167,12 @@ class ScenarioRunner {
                                      actuation::ActuationManager* actuation = nullptr,
                                      obs::Registry* obs = nullptr,
                                      transport::TransportHarness* transport = nullptr);
+
+/// A fresh controller of one compared scheme under `budget`: `Dragster` or
+/// `Dragster(saddle)`, `Dragster(ogd)`, `DS2` or `Dhalion`.  Throws
+/// dragster::Error on any other name, so a misspelt scheme never runs another.
+[[nodiscard]] std::unique_ptr<core::Controller> make_controller(const std::string& name,
+                                                                const online::Budget& budget);
 
 /// First slot index in [from, to) that starts `persistence` consecutive
 /// near-optimal slots AND from which at least 75% of the window's remaining

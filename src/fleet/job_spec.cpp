@@ -1,33 +1,13 @@
 #include "fleet/job_spec.hpp"
 
-#include "baselines/dhalion.hpp"
-#include "baselines/ds2.hpp"
-#include "common/error.hpp"
-#include "core/dragster_controller.hpp"
+#include "experiments/scenario.hpp"
 #include "resilience/supervisor.hpp"
 
 namespace dragster::fleet {
 
 std::unique_ptr<core::Controller> make_job_controller(const JobSpec& spec,
                                                       const online::Budget& budget) {
-  std::unique_ptr<core::Controller> inner;
-  if (spec.controller == "DS2") {
-    baselines::Ds2Options options;
-    options.budget = budget;
-    inner = std::make_unique<baselines::Ds2Controller>(options);
-  } else if (spec.controller == "Dhalion") {
-    baselines::DhalionOptions options;
-    options.budget = budget;
-    inner = std::make_unique<baselines::DhalionController>(options);
-  } else if (spec.controller == "Dragster" || spec.controller == "Dragster(saddle)" ||
-             spec.controller == "Dragster(ogd)") {
-    core::DragsterOptions options;
-    options.budget = budget;
-    if (spec.controller == "Dragster(ogd)") options.method = core::PrimalMethod::kOnlineGradient;
-    inner = std::make_unique<core::DragsterController>(options);
-  } else {
-    DRAGSTER_REQUIRE(false, "unknown job controller kind: " + spec.controller);
-  }
+  std::unique_ptr<core::Controller> inner = experiments::make_controller(spec.controller, budget);
   if (!spec.supervised) return inner;
   resilience::SupervisorOptions sup;
   sup.budget = budget;

@@ -62,8 +62,9 @@ struct JobSpec {
   }
 };
 
-/// Constructs the job's lower-layer controller (optionally supervised) with
-/// the given starting budget.  Throws dragster::Error on an unknown kind.
+/// The job's lower-layer controller, experiments::make_controller(spec.controller,
+/// budget), wrapped in a ControllerSupervisor when the spec asks for one.
+/// Throws dragster::Error on an unknown kind.
 [[nodiscard]] std::unique_ptr<core::Controller> make_job_controller(
     const JobSpec& spec, const online::Budget& budget);
 

@@ -1,44 +1,21 @@
 #include "gp/acquisition.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace dragster::gp {
-namespace {
-
-template <typename Score>
-std::optional<AcquisitionResult> select_impl(const GaussianProcess& gp,
-                                             std::span<const Candidate> candidates,
-                                             const Feasible& feasible, Score&& score_fn) {
-  std::optional<AcquisitionResult> best;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (feasible && !feasible(candidates[i])) continue;
-    const Posterior post = gp.predict(candidates[i]);
-    const double score = score_fn(post);
-    if (!best || score > best->score) best = AcquisitionResult{i, score, post};
-  }
-  return best;
-}
-
-}  // namespace
 
 std::optional<AcquisitionResult> select_ucb(const GaussianProcess& gp,
                                             std::span<const Candidate> candidates, double beta,
                                             const Feasible& feasible) {
   DRAGSTER_REQUIRE(beta >= 0.0, "beta must be non-negative");
-  return select_impl(gp, candidates, feasible,
-                     [beta](const Posterior& p) { return p.mean + beta * p.variance; });
-}
-
-std::optional<AcquisitionResult> select_target_tracking_ucb(const GaussianProcess& gp,
-                                                            std::span<const Candidate> candidates,
-                                                            double target, double beta,
-                                                            const Feasible& feasible) {
-  DRAGSTER_REQUIRE(beta >= 0.0, "beta must be non-negative");
-  return select_impl(gp, candidates, feasible, [beta, target](const Posterior& p) {
-    return -std::abs(p.mean - target) + beta * p.variance;
-  });
+  std::optional<AcquisitionResult> best;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (feasible && !feasible(candidates[i])) continue;
+    const Posterior post = gp.predict(candidates[i]);
+    const double score = post.mean + beta * post.variance;
+    if (!best || score > best->score) best = AcquisitionResult{i, score, post};
+  }
+  return best;
 }
 
 std::vector<Candidate> integer_grid(std::size_t dims, int lo, int hi) {

@@ -1,10 +1,9 @@
-// Acquisition rules over a finite candidate set.
+// Acquisition over a finite candidate set.
 //
-// Remark 1 of the paper: classic GP-UCB maximizes mu + beta * sigma^2,
-// whereas Dragster *tracks a target capacity*, maximizing
-//   -|mu(x) - y_target| + beta * sigma^2(x)
-// so the chosen configuration has *just enough* capacity for the incoming
-// load instead of the largest possible capacity.
+// Remark 1 of the paper: classic GP-UCB maximizes mu + beta * sigma^2 — the
+// flat GP-UCB baseline's rule.  Dragster instead *tracks a target capacity*
+// (eq. 18), so the chosen configuration has *just enough* capacity for the
+// incoming load; DragsterController::select_configs scores that rule inline.
 #pragma once
 
 #include <functional>
@@ -34,12 +33,6 @@ using Feasible = std::function<bool(const Candidate&)>;
                                                           std::span<const Candidate> candidates,
                                                           double beta,
                                                           const Feasible& feasible = {});
-
-/// Extended target-tracking GP-UCB (paper eq. 18):
-///   argmax -|mu(x) - target| + beta * sigma^2(x).
-[[nodiscard]] std::optional<AcquisitionResult> select_target_tracking_ucb(
-    const GaussianProcess& gp, std::span<const Candidate> candidates, double target, double beta,
-    const Feasible& feasible = {});
 
 /// Enumerates the d-dimensional integer grid [1, limit]^d as candidates —
 /// the paper's search space is "number of tasks from 1 to 10" per dimension.

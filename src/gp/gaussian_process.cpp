@@ -4,37 +4,30 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace dragster::gp {
+namespace {
 
-GaussianProcess::GaussianProcess(std::unique_ptr<Kernel> kernel, double noise_variance,
-                                 double prior_mean)
+/// Inner product; spans must match in size.
+double dot(std::span<const double> a, std::span<const double> b) {
+  DRAGSTER_REQUIRE(a.size() == b.size(), "size mismatch in dot");
+  double sum = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+}  // namespace
+
+GaussianProcess::GaussianProcess(Kernel kernel, double noise_variance, double prior_mean)
     : kernel_(std::move(kernel)), noise_variance_(noise_variance), prior_mean_(prior_mean) {
-  DRAGSTER_REQUIRE(kernel_ != nullptr, "GaussianProcess requires a kernel");
   DRAGSTER_REQUIRE(noise_variance_ > 0.0, "noise variance must be positive");
 }
 
-GaussianProcess::GaussianProcess(const GaussianProcess& other)
-    : kernel_(other.kernel_->clone()),
-      noise_variance_(other.noise_variance_),
-      prior_mean_(other.prior_mean_),
-      inputs_(other.inputs_),
-      counts_(other.counts_),
-      sums_(other.sums_),
-      chol_(other.chol_),
-      alpha_(other.alpha_) {}
-
-GaussianProcess& GaussianProcess::operator=(const GaussianProcess& other) {
-  if (this == &other) return *this;
-  GaussianProcess copy(other);
-  *this = std::move(copy);
-  return *this;
-}
-
 std::span<const double> GaussianProcess::row(std::size_t r) const {
-  const std::size_t d = kernel_->dimension();
+  const std::size_t d = kernel_.dimension();
   return std::span<const double>(inputs_).subspan(r * d, d);
 }
 
@@ -47,7 +40,7 @@ std::size_t GaussianProcess::find_row(std::span<const double> x) const {
 }
 
 void GaussianProcess::add_observation(const std::vector<double>& x, double y) {
-  DRAGSTER_REQUIRE(x.size() == kernel_->dimension(), "observation dimension mismatch");
+  DRAGSTER_REQUIRE(x.size() == kernel_.dimension(), "observation dimension mismatch");
   for (double v : x) DRAGSTER_REQUIRE(std::isfinite(v), "observation input must be finite");
   DRAGSTER_REQUIRE(std::isfinite(y), "observation target must be finite");
 
@@ -66,37 +59,37 @@ void GaussianProcess::add_observation(const std::vector<double>& x, double y) {
 
 void GaussianProcess::refactor() {
   const std::size_t m = counts_.size();
-  linalg::Matrix k(m, m);
-  linalg::Vector centered(m);
+  std::vector<double> k(m * m);  // row-major
+  std::vector<double> centered(m);
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < i; ++j) k(i, j) = k(j, i) = (*kernel_)(row(i), row(j));
+    for (std::size_t j = 0; j < i; ++j) k[i * m + j] = k[j * m + i] = kernel_(row(i), row(j));
     const double count = counts_[i];
-    k(i, i) = (*kernel_)(row(i), row(i)) + noise_variance_ / count;
+    k[i * m + i] = kernel_(row(i), row(i)) + noise_variance_ / count;
     centered[i] = sums_[i] / count - prior_mean_;
   }
-  chol_.emplace(k);
+  chol_.emplace(k, m);
   alpha_ = chol_->solve(centered);
 }
 
 Posterior GaussianProcess::predict(std::span<const double> x) const {
-  DRAGSTER_REQUIRE(x.size() == kernel_->dimension(), "prediction dimension mismatch");
-  if (counts_.empty()) return {prior_mean_, kernel_->prior_variance()};
+  DRAGSTER_REQUIRE(x.size() == kernel_.dimension(), "prediction dimension mismatch");
+  if (counts_.empty()) return {prior_mean_, kernel_.prior_variance()};
 
-  linalg::Vector k(counts_.size());
-  for (std::size_t i = 0; i < k.size(); ++i) k[i] = (*kernel_)(row(i), x);
+  std::vector<double> k(counts_.size());
+  for (std::size_t i = 0; i < k.size(); ++i) k[i] = kernel_(row(i), x);
 
   Posterior post;
-  post.mean = prior_mean_ + linalg::dot(k, alpha_);
+  post.mean = prior_mean_ + dot(k, alpha_);
   // variance = k(x,x) - k^T (K + s^2 D)^{-1} k, computed via v = L^{-1} k.
-  const linalg::Vector v = chol_->solve_lower(k);
-  post.variance = (*kernel_)(x, x) - linalg::dot(v, v);
+  const std::vector<double> v = chol_->solve_lower(k);
+  post.variance = kernel_(x, x) - dot(v, v);
   if (post.variance < 0.0) post.variance = 0.0;  // guard FP round-off
   return post;
 }
 
 void GaussianProcess::predict_batch(std::span<const double> xs, std::size_t count,
                                     std::span<Posterior> out) const {
-  const std::size_t d = kernel_->dimension();
+  const std::size_t d = kernel_.dimension();
   DRAGSTER_REQUIRE(xs.size() == count * d, "predict_batch: packed query size mismatch");
   DRAGSTER_REQUIRE(out.size() == count, "predict_batch: output size mismatch");
   for (std::size_t q = 0; q < count; ++q) out[q] = predict(xs.subspan(q * d, d));
@@ -117,7 +110,7 @@ void GaussianProcess::reset() {
 }
 
 void GaussianProcess::save_state(resilience::SnapshotWriter& writer) const {
-  writer.field("gp_dim", static_cast<std::uint64_t>(kernel_->dimension()));
+  writer.field("gp_dim", static_cast<std::uint64_t>(kernel_.dimension()));
   writer.field("gp_inputs", std::span<const double>(inputs_));
   writer.field("gp_counts", std::span<const int>(counts_));
   writer.field("gp_sums", std::span<const double>(sums_));
@@ -127,12 +120,12 @@ void GaussianProcess::save_state(resilience::SnapshotWriter& writer) const {
 
 void GaussianProcess::load_state(const resilience::SnapshotReader& reader) {
   const std::size_t dim = reader.get_uint("gp_dim");
-  DRAGSTER_REQUIRE(dim == kernel_->dimension(), "snapshot GP dimension mismatch");
+  DRAGSTER_REQUIRE(dim == kernel_.dimension(), "snapshot GP dimension mismatch");
   DRAGSTER_REQUIRE(reader.get_double("gp_noise") == noise_variance_,
                    "snapshot GP noise variance mismatch");
   DRAGSTER_REQUIRE(reader.get_double("gp_prior_mean") == prior_mean_,
                    "snapshot GP prior mean mismatch");
-  GaussianProcess restored(kernel_->clone(), noise_variance_, prior_mean_);
+  GaussianProcess restored(kernel_, noise_variance_, prior_mean_);
   restored.inputs_ = reader.get_doubles("gp_inputs");
   restored.counts_ = reader.get_ints("gp_counts");
   restored.sums_ = reader.get_doubles("gp_sums");

@@ -11,14 +11,12 @@
 // update or a prediction is bounded by |X|, not by the number of slots.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "gp/cholesky.hpp"
 #include "gp/kernel.hpp"
-#include "linalg/cholesky.hpp"
-#include "linalg/matrix.hpp"
 #include "resilience/snapshot.hpp"
 
 namespace dragster::gp {
@@ -34,12 +32,7 @@ class GaussianProcess {
   /// `prior_mean` is the constant GP mean m(x); capacity priors are centred
   /// on a rough capacity scale rather than zero so the first UCB steps are
   /// sensible.
-  GaussianProcess(std::unique_ptr<Kernel> kernel, double noise_variance, double prior_mean = 0.0);
-
-  GaussianProcess(const GaussianProcess& other);
-  GaussianProcess& operator=(const GaussianProcess& other);
-  GaussianProcess(GaussianProcess&&) noexcept = default;
-  GaussianProcess& operator=(GaussianProcess&&) noexcept = default;
+  GaussianProcess(Kernel kernel, double noise_variance, double prior_mean = 0.0);
 
   /// Adds one (x, y) sample to the row of input x (a new row when x was
   /// never seen; rows match on exact coordinates) and refactors the
@@ -60,9 +53,6 @@ class GaussianProcess {
   [[nodiscard]] std::size_t num_observations() const noexcept;
   /// Rows of the table: the number of distinct inputs observed.
   [[nodiscard]] std::size_t distinct_inputs() const noexcept { return counts_.size(); }
-  [[nodiscard]] double noise_variance() const noexcept { return noise_variance_; }
-  [[nodiscard]] double prior_mean() const noexcept { return prior_mean_; }
-  [[nodiscard]] const Kernel& kernel() const noexcept { return *kernel_; }
 
   /// Drops all observations but keeps hyperparameters.
   void reset();
@@ -88,16 +78,16 @@ class GaussianProcess {
   /// Factors K + sigma^2 diag(1/count) over the table and solves for alpha.
   void refactor();
 
-  std::unique_ptr<Kernel> kernel_;
+  Kernel kernel_;
   double noise_variance_;
   double prior_mean_;
   std::vector<double> inputs_;  // distinct inputs, row-major, first-seen order
   std::vector<int> counts_;     // samples per row
   std::vector<double> sums_;    // sum of the samples' targets per row
   // draglint:allow(DL009 posterior factor derived from the table via refactor)
-  std::optional<linalg::Cholesky> chol_;  // factor of K + sigma^2 diag(1/count)
+  std::optional<Cholesky> chol_;  // factor of K + sigma^2 diag(1/count)
   // draglint:allow(DL009 posterior weights derived from the table via refactor)
-  linalg::Vector alpha_;  // (K + sigma^2 diag(1/count))^{-1} (sum/count - m)
+  std::vector<double> alpha_;  // (K + sigma^2 diag(1/count))^{-1} (sum/count - m)
 };
 
 /// Paper UCB weight: beta_t = 2 log(|X| t^2 pi^2 delta / 6), delta > 1.

@@ -19,42 +19,20 @@ double scaled_sq_dist(std::span<const double> x, std::span<const double> y,
   return sum;
 }
 
-void validate(double signal_variance, const std::vector<double>& lengthscales) {
-  DRAGSTER_REQUIRE(signal_variance > 0.0, "signal variance must be positive");
-  DRAGSTER_REQUIRE(!lengthscales.empty(), "kernel needs at least one dimension");
-  for (double l : lengthscales) DRAGSTER_REQUIRE(l > 0.0, "lengthscales must be positive");
-}
-
 }  // namespace
 
-SquaredExponentialKernel::SquaredExponentialKernel(double signal_variance,
-                                                   std::vector<double> lengthscales)
-    : signal_variance_(signal_variance), lengthscales_(std::move(lengthscales)) {
-  validate(signal_variance_, lengthscales_);
+Kernel::Kernel(Form form, double signal_variance, std::vector<double> lengthscales)
+    : form_(form), signal_variance_(signal_variance), lengthscales_(std::move(lengthscales)) {
+  DRAGSTER_REQUIRE(signal_variance_ > 0.0, "signal variance must be positive");
+  DRAGSTER_REQUIRE(!lengthscales_.empty(), "kernel needs at least one dimension");
+  for (double l : lengthscales_) DRAGSTER_REQUIRE(l > 0.0, "lengthscales must be positive");
 }
 
-double SquaredExponentialKernel::operator()(std::span<const double> x,
-                                            std::span<const double> y) const {
-  return signal_variance_ * std::exp(-0.5 * scaled_sq_dist(x, y, lengthscales_));
-}
-
-std::unique_ptr<Kernel> SquaredExponentialKernel::clone() const {
-  return std::make_unique<SquaredExponentialKernel>(*this);
-}
-
-Matern52Kernel::Matern52Kernel(double signal_variance, std::vector<double> lengthscales)
-    : signal_variance_(signal_variance), lengthscales_(std::move(lengthscales)) {
-  validate(signal_variance_, lengthscales_);
-}
-
-double Matern52Kernel::operator()(std::span<const double> x, std::span<const double> y) const {
-  const double r = std::sqrt(scaled_sq_dist(x, y, lengthscales_));
-  const double a = std::sqrt(5.0) * r;
+double Kernel::operator()(std::span<const double> x, std::span<const double> y) const {
+  const double sq_dist = scaled_sq_dist(x, y, lengthscales_);
+  if (form_ == Form::kSquaredExponential) return signal_variance_ * std::exp(-0.5 * sq_dist);
+  const double a = std::sqrt(5.0) * std::sqrt(sq_dist);
   return signal_variance_ * (1.0 + a + a * a / 3.0) * std::exp(-a);
-}
-
-std::unique_ptr<Kernel> Matern52Kernel::clone() const {
-  return std::make_unique<Matern52Kernel>(*this);
 }
 
 }  // namespace dragster::gp

@@ -20,7 +20,9 @@
 // learn_throughput controller's, so it has every section) the same way.  A
 // rejected document must throw dragster::Error and leave the controller's
 // save_state bytes as they were; an accepted one must re-save to a document
-// that restores to the same bytes.
+// that restores to the same bytes.  The ActuationManager surface holds a
+// managed job's snapshot to the same promise, with the pending-pod ledger the
+// manager publishes to the engine counted as part of its state.
 //
 // obs::format_double is fuzzed differentially: its to_chars / from_chars form
 // must print the bytes of the snprintf / strtod loop it replaced, kept below
@@ -41,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "actuation/actuation.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/dragster_controller.hpp"
@@ -304,9 +307,8 @@ const std::vector<std::string> kGpRejections = {
 // clang-format on
 
 gp::GaussianProcess make_section_gp() {
-  return gp::GaussianProcess(
-      std::make_unique<gp::SquaredExponentialKernel>(2.25, std::vector<double>{2.5, 0.75}), 0.0064,
-      1.0);
+  return gp::GaussianProcess(gp::SquaredExponentialKernel(2.25, std::vector<double>{2.5, 0.75}),
+                             0.0064, 1.0);
 }
 
 std::string saved_gp_doc(const gp::GaussianProcess& model) {
@@ -613,6 +615,156 @@ TEST(Fuzz, ControllerSnapshotRestoresExactlyOrThrowsUnchanged) {
   EXPECT_LT(accepted, kControllerInputs - kControllerInputs / 20);
   for (const std::string& reason : kControllerRejections) EXPECT_GT(rejected[reason], 0) << reason;
   // Every rejection left the controller whole, so it still steps.
+  EXPECT_NO_THROW(live.step());
+}
+
+// ---------------------------------------------------------------------------
+// ActuationManager snapshots.
+// ---------------------------------------------------------------------------
+
+constexpr int kActuationInputs = 4000;
+
+// clang-format off
+/// Splice tokens: section headers, keys of the manager, channel and audit
+/// sections, the type tags, and numbers at the edges of the checks.
+const std::vector<std::string> kActuationTokens = {
+    "[actuation]", "[actuation.records]", "[actuation.op0]", "[actuation.op1]", "round",
+    "latency_multiplier", "channels", "id", "live", "epoch", "outcome", "pod_latency", "ready",
+    "\n", " ", " u ", " i ", " f ", " fv ", " iv ", "0", "1", "2", "3", "4", "-1", "999",
+    "0x0p+0", "0x1p+0", "nan", "inf", "18446744073709551615"};
+
+/// Edge values mutate_fields() writes over any value; 0-3 are the outcomes.
+const std::vector<std::string> kActuationEdgeValues = {
+    "0", "1", "2", "3", "4", "-1", "999", "0x0p+0", "-0x0p+0", "nan", "inf", "0x1p+1023",
+    "2147483647", "18446744073709551615"};
+
+/// Rejections the fuzz must reach: one per section, plus each audit check.
+const std::vector<std::string> kActuationRejections = {
+    "different seed", "operator count does not match", "operator ids do not match",
+    "audit-trail columns disagree", "unknown epoch outcome", "missing from the snapshot audit"};
+// clang-format on
+
+/// Dragster on WordCount behind an ActuationManager with a slow, jittered
+/// scheduler, after eight slots and one more scale-up left in flight: the
+/// audit trail holds applied, superseded and in-flight epochs and the
+/// engine's pending-pod ledger is non-zero.
+struct LiveManagedJob {
+  workloads::WorkloadSpec spec = workloads::wordcount();
+  streamsim::Engine engine = spec.make_engine(/*high=*/true, streamsim::EngineOptions{}, 3);
+  actuation::ActuationManager manager{engine, managed_options(), /*seed=*/3};
+  core::DragsterController controller{core::DragsterOptions{}};
+
+  LiveManagedJob() {
+    controller.initialize(engine.monitor(), manager);
+    for (int slot = 0; slot < 8; ++slot) step();
+    const dag::NodeId op = engine.dag().operators().front();
+    manager.set_tasks(op, engine.tasks(op) + 3);
+  }
+
+  static actuation::ActuationOptions managed_options() {
+    actuation::ActuationOptions options;
+    options.sched_latency_mean_slots = 1.0;
+    options.sched_latency_jitter = 0.5;
+    return options;
+  }
+
+  void step() {
+    manager.begin_slot();
+    engine.run_slot();
+    controller.on_slot(engine.monitor(), manager);
+  }
+
+  [[nodiscard]] std::string saved() const {
+    resilience::SnapshotWriter writer;
+    manager.save_state(writer);
+    return writer.str();
+  }
+
+  /// The manager's snapshot and the ledger it publishes to the engine.
+  [[nodiscard]] std::string state() const {
+    std::string text = saved() + "ledger";
+    for (dag::NodeId op : engine.dag().operators()) {
+      text += ' ';
+      text += std::to_string(engine.cluster().pending_pods(engine.dag().component(op).name));
+    }
+    return text;
+  }
+
+  void restore(const std::string& doc) {
+    resilience::SnapshotReader reader(doc);
+    manager.load_state(reader);
+  }
+};
+
+/// Empty when `doc` throws dragster::Error (whose message lands in `error`)
+/// and leaves the manager's bytes and the ledger at `before`, or restores
+/// into a manager whose save_state bytes restore to the same bytes and
+/// ledger; otherwise what went wrong.
+std::string actuation_violation(LiveManagedJob& live, const std::string& before,
+                                const std::string& doc, bool& accepted, std::string& error) {
+  accepted = false;
+  try {
+    live.restore(doc);
+  } catch (const Error& rejection) {
+    error = rejection.what();
+    try {
+      return live.state() == before ? std::string() : "a rejected snapshot changed the manager";
+    } catch (const std::exception& broken) {
+      return std::string("a rejected snapshot broke save_state: ") + broken.what();
+    }
+  } catch (const std::exception& foreign) {
+    return std::string("foreign exception: ") + foreign.what();
+  }
+  accepted = true;
+  try {
+    const std::string state = live.state();
+    live.restore(live.saved());
+    if (live.state() != state) return "the restored manager does not re-emit its own bytes";
+  } catch (const std::exception& failure) {
+    return std::string("accepted snapshot fails to round-trip: ") + failure.what();
+  }
+  return {};
+}
+
+TEST(Fuzz, ActuationSnapshotRestoresExactlyOrThrowsUnchanged) {
+  LiveManagedJob live;
+  const std::string base_doc = live.saved();
+  const std::string base_state = live.state();
+  ASSERT_NE(base_doc.find("live u 1"), std::string::npos) << "no epoch in flight:\n" << base_doc;
+  const std::string base = base_doc.substr(0, base_doc.find("!checksum "));
+  std::vector<std::string> entries;
+  for (const std::string& line : split(base, '\n')) {
+    if (!is_field_line(line)) continue;
+    const std::vector<std::string> words = split(line, ' ');
+    entries.insert(entries.end(), words.begin() + static_cast<std::ptrdiff_t>(first_value(words)),
+                   words.end());
+  }
+  common::Rng rng(0xAC7A7E);
+  std::map<std::string, int> rejected;
+  int accepted = 0;
+  int failures = 0;
+  std::string report;
+  for (int i = 0; i < kActuationInputs; ++i) {
+    const std::string body =
+        rng.bernoulli(0.5) ? mutate_fields(rng, base, entries, kActuationEdgeValues, is_field_line)
+                           : mutate(rng, base, {base}, kActuationTokens);
+    bool ok = false;
+    std::string error;
+    const std::string problem =
+        actuation_violation(live, base_state, with_checksum(body), ok, error);
+    accepted += ok ? 1 : 0;
+    for (const std::string& reason : kActuationRejections)
+      if (error.find(reason) != std::string::npos) ++rejected[reason];
+    if (!problem.empty() && failures++ < 5)
+      report += "\n  input " + std::to_string(i) + ": " + problem;
+    if (ok || !problem.empty()) live.restore(base_doc);  // the next input starts from the base
+  }
+  EXPECT_EQ(failures, 0) << report;
+  EXPECT_EQ(live.state(), base_state);
+  EXPECT_GT(accepted, kActuationInputs / 20);
+  EXPECT_LT(accepted, kActuationInputs - kActuationInputs / 20);
+  for (const std::string& reason : kActuationRejections) EXPECT_GT(rejected[reason], 0) << reason;
+  // Every rejection left the manager whole, so the job still steps.
   EXPECT_NO_THROW(live.step());
 }
 

@@ -1,5 +1,5 @@
 // Tests for kernels, GP posterior math (paper eq. 17), UCB weights, and the
-// acquisition rules including the extended target-tracking UCB (eq. 18).
+// classic GP-UCB acquisition rule.  The Cholesky factor is in test_linalg.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,15 +12,21 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "gp/acquisition.hpp"
+#include "gp/cholesky.hpp"
 #include "gp/gaussian_process.hpp"
 #include "gp/kernel.hpp"
-#include "linalg/cholesky.hpp"
 
 namespace dragster::gp {
 namespace {
 
-std::unique_ptr<Kernel> se(double variance = 1.0, double lengthscale = 1.0) {
-  return std::make_unique<SquaredExponentialKernel>(variance, std::vector{lengthscale});
+Kernel se(double variance = 1.0, double lengthscale = 1.0) {
+  return SquaredExponentialKernel(variance, std::vector{lengthscale});
+}
+
+double dot(const std::vector<double>& a, const std::vector<double>& b) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
+  return sum;
 }
 
 TEST(Kernel, SquaredExponentialValues) {
@@ -175,7 +181,7 @@ TEST(Gp, RejectsNonFiniteInputsAndTargets) {
 }
 
 TEST(Gp, PredictBatchMatchesPredict) {
-  GaussianProcess gp(std::make_unique<Matern52Kernel>(2.0, std::vector{2.0, 0.75}), 0.01, 1.0);
+  GaussianProcess gp(Matern52Kernel(2.0, std::vector{2.0, 0.75}), 0.01, 1.0);
   common::Rng rng(5);
   for (int i = 0; i < 40; ++i) {
     const auto tasks = static_cast<double>(rng.uniform_int(1, 10));
@@ -201,22 +207,21 @@ std::vector<Posterior> dense_posteriors(const Kernel& kernel, double noise, doub
                                         const std::vector<double>& ys,
                                         const std::vector<std::vector<double>>& queries) {
   const std::size_t n = xs.size();
-  linalg::Matrix k(n, n);
-  linalg::Vector centered(n);
+  std::vector<double> k(n * n);  // row-major
+  std::vector<double> centered(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) k(i, j) = kernel(xs[i], xs[j]);
-    k(i, i) += noise;
+    for (std::size_t j = 0; j < n; ++j) k[i * n + j] = kernel(xs[i], xs[j]);
+    k[i * n + i] += noise;
     centered[i] = ys[i] - prior_mean;
   }
-  const linalg::Cholesky chol(k);
-  const linalg::Vector alpha = chol.solve(centered);
+  const Cholesky chol(k, n);
+  const std::vector<double> alpha = chol.solve(centered);
   std::vector<Posterior> out;
   for (const std::vector<double>& q : queries) {
-    linalg::Vector kq(n);
+    std::vector<double> kq(n);
     for (std::size_t i = 0; i < n; ++i) kq[i] = kernel(xs[i], q);
-    const linalg::Vector v = chol.solve_lower(kq);
-    out.push_back({prior_mean + linalg::dot(kq, alpha),
-                   std::max(0.0, kernel(q, q) - linalg::dot(v, v))});
+    const std::vector<double> v = chol.solve_lower(kq);
+    out.push_back({prior_mean + dot(kq, alpha), std::max(0.0, kernel(q, q) - dot(v, v))});
   }
   return out;
 }
@@ -240,12 +245,9 @@ TEST(Gp, GridTableMatchesDenseReference) {
     const double signal = rng.uniform(0.5, 3.0);
     const double noise = rng.uniform(0.004, 0.05);
     const double prior_mean = rng.uniform(0.0, 2.0);
-    std::unique_ptr<Kernel> kernel;
-    if (matern)
-      kernel = std::make_unique<Matern52Kernel>(signal, lengthscales);
-    else
-      kernel = std::make_unique<SquaredExponentialKernel>(signal, lengthscales);
-    GaussianProcess gp(kernel->clone(), noise, prior_mean);
+    const Kernel kernel = matern ? Kernel(Matern52Kernel(signal, lengthscales))
+                                 : Kernel(SquaredExponentialKernel(signal, lengthscales));
+    GaussianProcess gp(kernel, noise, prior_mean);
 
     std::vector<std::vector<double>> hot;
     for (int h = 0; h < 4; ++h) {
@@ -283,10 +285,10 @@ TEST(Gp, GridTableMatchesDenseReference) {
       ASSERT_EQ(gp.num_observations(), i);
       ASSERT_LE(gp.distinct_inputs(), dim == 1 ? 10u : 40u);
       const std::vector<Posterior> dense =
-          dense_posteriors(*kernel, noise, prior_mean, xs, ys, queries);
+          dense_posteriors(kernel, noise, prior_mean, xs, ys, queries);
       for (std::size_t q = 0; q < queries.size(); ++q) {
         const Posterior table = gp.predict(queries[q]);
-        const double kqq = (*kernel)(queries[q], queries[q]);
+        const double kqq = kernel(queries[q], queries[q]);
         EXPECT_LE(std::abs(table.mean - dense[q].mean),
                   1e-9 * std::max(1.0, std::abs(dense[q].mean)))
             << "query " << q << " after " << i;
@@ -335,17 +337,6 @@ TEST(Acquisition, ClassicUcbExploresWithLargeBeta) {
   const auto result = select_ucb(gp, cands, 100.0);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->index, 1u);
-}
-
-TEST(Acquisition, TargetTrackingPrefersClosestToTarget) {
-  GaussianProcess gp(se(1.0, 0.5), 1e-6);
-  gp.add_observation({1.0}, 2.0);
-  gp.add_observation({2.0}, 4.0);
-  gp.add_observation({3.0}, 9.0);
-  const std::vector<Candidate> cands{{1.0}, {2.0}, {3.0}};
-  const auto result = select_target_tracking_ucb(gp, cands, /*target=*/4.2, /*beta=*/0.01);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->index, 1u);  // "just enough capacity", not the maximum
 }
 
 TEST(Acquisition, FeasibilityFilterSkipsCandidates) {

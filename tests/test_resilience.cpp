@@ -161,9 +161,8 @@ TEST(Snapshot, DualStateRoundTripIsBitExact) {
 
 TEST(Snapshot, GaussianProcessRestoreIsBitExact) {
   auto make_gp = [] {
-    return gp::GaussianProcess(
-        std::make_unique<gp::SquaredExponentialKernel>(1.5 * 1.5, std::vector<double>{2.5}),
-        0.01, 1.0);
+    return gp::GaussianProcess(gp::SquaredExponentialKernel(1.5 * 1.5, std::vector<double>{2.5}),
+                               0.01, 1.0);
   };
   gp::GaussianProcess original = make_gp();
   for (int i = 1; i <= 6; ++i)
@@ -197,8 +196,8 @@ TEST(Snapshot, GaussianProcessRestoreIsBitExact) {
 }
 
 gp::GaussianProcess table_gp() {
-  return gp::GaussianProcess(
-      std::make_unique<gp::SquaredExponentialKernel>(2.25, std::vector<double>{2.5}), 0.01, 1.0);
+  return gp::GaussianProcess(gp::SquaredExponentialKernel(2.25, std::vector<double>{2.5}), 0.01,
+                             1.0);
 }
 
 /// A snapshot holding one GP section with a hand-written 1-D table.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/static_controller.hpp"
+#include "common/error.hpp"
 #include "core/dragster_controller.hpp"
 #include "experiments/scenario.hpp"
 #include "workloads/workloads.hpp"
@@ -70,6 +71,19 @@ TEST(Scenario, TotalsMatchSlotSums) {
   }
   EXPECT_DOUBLE_EQ(run.total_tuples, tuples);
   EXPECT_DOUBLE_EQ(run.total_cost, cost);
+}
+
+TEST(Scenario, MakeControllerBuildsEveryNamedScheme) {
+  const online::Budget budget = online::Budget::unlimited(0.10);
+  EXPECT_EQ(make_controller("Dragster", budget)->name(), "Dragster(saddle)");
+  for (const char* name : {"Dragster(saddle)", "Dragster(ogd)", "DS2", "Dhalion"})
+    EXPECT_EQ(make_controller(name, budget)->name(), name);
+}
+
+TEST(Scenario, MakeControllerRejectsAnUnknownName) {
+  // A typo must stop the run, never fall back to another scheme.
+  for (const char* name : {"dragster", "Dragster(sadle)", "DS-2", ""})
+    EXPECT_THROW((void)make_controller(name, online::Budget::unlimited(0.10)), Error) << name;
 }
 
 TEST(Convergence, FindsFirstPersistentRun) {
