@@ -3,10 +3,17 @@
 // rate stepped up at minute 300 without notifying the controllers.
 //
 //   ./fig7_yahoo_trace [--minutes 600] [--step 300] [--seed 23] [--csv f7.csv]
+//
+// The run needs 10 <= minutes and 0 < step < minutes, so that both
+// convergence windows hold slots; other values throw dragster::Error naming
+// the two flags before any scheme runs.
+#include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "bench_util.hpp"
 #include "common/csv.hpp"
+#include "common/error.hpp"
 
 int main(int argc, char** argv) {
   using namespace dragster;
@@ -16,6 +23,12 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{23}));
   const std::string csv_path = flags.get("csv", std::string(""));
   flags.reject_unused();
+  if (!(10.0 <= minutes && 0.0 < step_min && step_min < minutes)) {
+    char got[96];
+    std::snprintf(got, sizeof(got), "--minutes %g --step %g", minutes, step_min);
+    throw Error(std::string("flags --minutes and --step need 10 <= minutes and ") +
+                "0 < step < minutes, got " + got);
+  }
 
   bench::print_header("Figure 7: Yahoo streaming benchmark trace", seed);
   std::printf("low rate for %.0f min, then stepped to the high rate (not announced)\n\n",

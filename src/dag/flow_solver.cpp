@@ -1,6 +1,7 @@
 #include "dag/flow_solver.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 
@@ -11,6 +12,53 @@ namespace {
 // is infinite (where the product would be NaN).
 double capacity_share(const Edge& edge, double y) {
   return edge.alpha > 0.0 ? edge.alpha * y : 0.0;
+}
+
+// Relative gap below which the two sides of a min() count as met.  It is far
+// above the few ulps a hop onto a kink leaves between them, and far below
+// any gap the walk needs to see.
+constexpr double kMeet = 1e-12;
+
+bool meet(double a, double b) {
+  const double gap = std::abs(a - b);
+  return gap <= kMeet * std::max(std::abs(a), std::abs(b)) &&
+         gap < std::numeric_limits<double>::infinity();
+}
+
+// Right derivative of min(a + a_rate s, b + b_rate s) at s = 0; `step`
+// shrinks to where the two lines cross ahead.  On a tie the lines part, so
+// the slower one leads and nothing is crossed.
+double min_tangent(double a, double a_rate, double b, double b_rate, double& step) {
+  if (meet(a, b)) return std::min(a_rate, b_rate);
+  if (a < b) {
+    if (a_rate > b_rate) step = std::min(step, (b - a) / (a_rate - b_rate));
+    return a_rate;
+  }
+  if (b_rate > a_rate) step = std::min(step, (a - b) / (b_rate - a_rate));
+  return b_rate;
+}
+
+// Right derivative of eq. (2b), min_j k_j e_j, along `tangents`: among the
+// inputs that meet the minimum the one falling fastest leads (on a tie the
+// first index, min_weighted_index's rule), and `step` shrinks to where
+// another input crosses below it.
+double min_weighted_tangent(std::span<const double> weights, std::span<const double> inputs,
+                            std::span<const double> tangents, double& step) {
+  const std::size_t first = min_weighted_index(weights, inputs);
+  std::size_t lead = first;
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    if (weights[i] * tangents[i] < weights[lead] * tangents[lead] &&
+        meet(weights[i] * inputs[i], weights[first] * inputs[first]))
+      lead = i;
+  const double value = weights[lead] * inputs[lead];
+  const double rate = weights[lead] * tangents[lead];
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const double other = weights[i] * inputs[i];
+    const double other_rate = weights[i] * tangents[i];
+    if (other_rate < rate && other > value && !meet(other, value))
+      step = std::min(step, (other - value) / (rate - other_rate));
+  }
+  return rate;
 }
 
 }  // namespace
@@ -35,11 +83,14 @@ void FlowSolver::solve(std::span<const double> source_rates, std::span<const dou
   DRAGSTER_REQUIRE(from <= order.size(), "solve() from past the topological order");
   if (from == 0) {
     result.edge_flow.resize(dag_.edge_count());
+    result.edge_demand.resize(dag_.edge_count());
     result.node_inflow.resize(n);
     result.node_demand.resize(n);
     result.node_outflow.resize(n);
+    result.edge_tangent.resize(dag_.edge_count());
   }
   DRAGSTER_REQUIRE(result.edge_flow.size() == dag_.edge_count() &&
+                       result.edge_demand.size() == dag_.edge_count() &&
                        result.node_inflow.size() == n && result.node_demand.size() == n &&
                        result.node_outflow.size() == n,
                    "re-propagating needs a result solved on this DAG");
@@ -70,6 +121,7 @@ void FlowSolver::solve(std::span<const double> source_rates, std::span<const dou
     for (std::size_t eidx : dag_.out_edges(id)) {
       const Edge& edge = dag_.edge(eidx);
       const double demand = edge.fn.eval(inputs);
+      result.edge_demand[eidx] = demand;
       result.node_demand[id] += demand;
       // Sources are not capacity-limited; an operator edge is truncated at
       // its capacity share (eq. 4).
@@ -82,6 +134,69 @@ void FlowSolver::solve(std::span<const double> source_rates, std::span<const dou
   }
 
   result.app_throughput = result.node_inflow[dag_.sink()];
+}
+
+FlowTangent FlowSolver::tangent(std::span<const double> capacity, FlowResult& result,
+                                std::size_t pos) const {
+  const std::vector<NodeId>& order = dag_.topo_order();
+  DRAGSTER_REQUIRE(capacity.size() == dag_.node_count(), "capacity must be node-indexed");
+  DRAGSTER_REQUIRE(
+      pos < order.size() && dag_.component(order[pos]).kind == ComponentKind::kOperator,
+      "tangent() differentiates in an operator's capacity");
+  DRAGSTER_REQUIRE(result.edge_flow.size() == dag_.edge_count() &&
+                       result.edge_demand.size() == dag_.edge_count() &&
+                       result.edge_tangent.size() == dag_.edge_count(),
+                   "tangent() needs a result solved on this DAG");
+
+  // Only edges at or after `pos` can move; the rest keep a zero tangent.
+  std::fill(result.edge_tangent.begin(), result.edge_tangent.end(), 0.0);
+  FlowTangent out;
+  // The operator's own out-edges: the share grows at alpha against a demand
+  // that only the operator's inputs feed.
+  const NodeId op = order[pos];
+  for (std::size_t eidx : dag_.out_edges(op)) {
+    const Edge& edge = dag_.edge(eidx);
+    result.edge_tangent[eidx] =
+        min_tangent(capacity_share(edge, capacity[op]), edge.alpha > 0.0 ? edge.alpha : 0.0,
+                    result.edge_demand[eidx], 0.0, out.step);
+  }
+  // Downstream operators: a fixed share against a demand that moves with
+  // the node's inputs.  Sources do not move; the sink is summed below.
+  for (std::size_t p = pos + 1; p < order.size(); ++p) {
+    const NodeId id = order[p];
+    if (dag_.component(id).kind != ComponentKind::kOperator) continue;
+    result.inputs.clear();
+    result.input_tangents.clear();
+    bool moving = false;
+    for (std::size_t eidx : dag_.in_edges(id)) {
+      result.inputs.push_back(result.edge_flow[eidx]);
+      result.input_tangents.push_back(result.edge_tangent[eidx]);
+      // draglint:allow(DL004 sparsity skip: an exactly-zero tangent moves nothing)
+      moving = moving || result.edge_tangent[eidx] != 0.0;
+    }
+    if (!moving) continue;
+    for (std::size_t eidx : dag_.out_edges(id)) {
+      const Edge& edge = dag_.edge(eidx);
+      const std::span<const double> weights = edge.fn.params();
+      double rate = 0.0;
+      switch (edge.fn.form()) {
+        case ThroughputFn::Form::kLinear:
+          rate = linear_eval(weights, result.input_tangents);
+          break;
+        case ThroughputFn::Form::kMinWeighted:
+          rate = min_weighted_tangent(weights, result.inputs, result.input_tangents, out.step);
+          break;
+        case ThroughputFn::Form::kTanh:
+        case ThroughputFn::Form::kCustom:
+          out.linear = false;
+          return out;
+      }
+      result.edge_tangent[eidx] = min_tangent(capacity_share(edge, capacity[id]), 0.0,
+                                              result.edge_demand[eidx], rate, out.step);
+    }
+  }
+  for (std::size_t eidx : dag_.in_edges(dag_.sink())) out.slope += result.edge_tangent[eidx];
+  return out;
 }
 
 double FlowSolver::app_throughput(std::span<const double> source_rates,

@@ -1,5 +1,6 @@
-// Steady-state flow propagation through the stream DAG (paper eq. 4) and
-// the per-slot Lagrangian (eq. 13) with its gradient in y.
+// Steady-state flow propagation through the stream DAG (paper eq. 4), the
+// per-slot Lagrangian (eq. 13) with its gradient in y, and the forward
+// tangent of f_t along one operator's capacity.
 //
 // This is the *analytic* model the controller plans with; the streamsim
 // module adds buffers, noise and time.  Flows are computed in topological
@@ -8,6 +9,7 @@
 // demand (sources are not capacity-limited).
 #pragma once
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -17,11 +19,22 @@ namespace dragster::dag {
 
 struct FlowResult {
   std::vector<double> edge_flow;    ///< realized e_j^i per edge index
+  std::vector<double> edge_demand;  ///< h_{i,j}(inputs) per edge index (pre-truncation)
   std::vector<double> node_inflow;  ///< total received throughput per node
   std::vector<double> node_demand;  ///< sum_j h_{i,j}(inputs) per node (pre-truncation)
   std::vector<double> node_outflow; ///< total emitted throughput per node
   double app_throughput = 0.0;      ///< inflow at the sink = f_t(y)
   std::vector<double> inputs;       ///< scratch: in-edge flows of the node being solved
+  std::vector<double> edge_tangent;    ///< scratch of tangent(): d edge flow / d y_op
+  std::vector<double> input_tangents;  ///< scratch of tangent(): in-edge tangents of a node
+};
+
+/// f_t along one operator's capacity y_op, from a solved point: f_t is linear
+/// on [y_op, y_op + step] with slope `slope`.
+struct FlowTangent {
+  double slope = 0.0;  ///< right derivative of f_t in y_op
+  double step = std::numeric_limits<double>::infinity();  ///< distance to the next kink above y_op
+  bool linear = true;  ///< false: a Tanh or Custom edge's inputs move with y_op
 };
 
 struct LagrangianResult {
@@ -51,6 +64,21 @@ class FlowSolver {
   /// `result`.  Allocation-free once `result` is sized for this DAG.
   void solve(std::span<const double> source_rates, std::span<const double> capacity,
              FlowResult& result, std::size_t from = 0) const;
+
+  /// Forward tangent pass for the operator at topological position `pos`,
+  /// at the point `result` holds (a full solve at `capacity`; only its
+  /// scratch is written).  Every min() of eq. (4) the operator's
+  /// capacity reaches is followed along its right derivative: the operator's
+  /// own out-edges (whose demand only its inputs feed) and each downstream
+  /// edge and MinWeighted switch, the first index leading on a tie as in
+  /// min_weighted_index.  `step` is the distance to the nearest place where
+  /// one of them changes branch.  Two sides within rounding of each other
+  /// count as met, so a hop that lands on a kink has crossed it.  With a
+  /// Tanh or Custom edge whose inputs move, f_t is not piecewise linear
+  /// there and the pass stops with `linear` = false.  Allocation-free once
+  /// `result` is sized.
+  [[nodiscard]] FlowTangent tangent(std::span<const double> capacity, FlowResult& result,
+                                    std::size_t pos) const;
 
   /// f_t(y): the sink inflow of a full solve.
   [[nodiscard]] double app_throughput(std::span<const double> source_rates,

@@ -112,6 +112,13 @@ void save_frame(resilience::SnapshotWriter& writer, const std::string& section,
   writer.field("series_v", std::span<const double>(series_v));
 }
 
+/// Operator ids a snapshot names must be nodes of the job's dag.
+void require_nodes(const dag::StreamDag& dag, const std::vector<int>& ids) {
+  for (int id : ids)
+    DRAGSTER_REQUIRE(id >= 0 && static_cast<std::size_t>(id) < dag.node_count(),
+                     "snapshot names an operator id outside the topology");
+}
+
 [[nodiscard]] streamsim::MonitorFrame load_frame(resilience::SnapshotReader& reader,
                                                  const std::string& section,
                                                  const dag::StreamDag& dag) {
@@ -128,6 +135,7 @@ void save_frame(resilience::SnapshotWriter& writer, const std::string& section,
   const std::vector<int> task_ops = reader.get_ints("task_ops");
   const std::vector<int> task_counts = reader.get_ints("task_counts");
   DRAGSTER_REQUIRE(task_ops.size() == task_counts.size(), "frame task vectors disagree");
+  require_nodes(dag, task_ops);
   for (std::size_t i = 0; i < task_ops.size(); ++i)
     frame.tasks[static_cast<dag::NodeId>(task_ops[i])] = task_counts[i];
   const std::vector<int> spec_ops = reader.get_ints("spec_ops");
@@ -135,6 +143,7 @@ void save_frame(resilience::SnapshotWriter& writer, const std::string& section,
   const std::vector<double> spec_mem = reader.get_doubles("spec_mem");
   DRAGSTER_REQUIRE(spec_ops.size() == spec_cpu.size() && spec_ops.size() == spec_mem.size(),
                    "frame spec vectors disagree");
+  require_nodes(dag, spec_ops);
   for (std::size_t i = 0; i < spec_ops.size(); ++i)
     frame.specs[static_cast<dag::NodeId>(spec_ops[i])] =
         cluster::PodSpec{spec_cpu[i], spec_mem[i]};
@@ -164,8 +173,12 @@ void save_frame(resilience::SnapshotWriter& writer, const std::string& section,
   const std::vector<double> queue_delay = reader.get_doubles("n_queue_delay");
   const std::vector<int> node_tasks = reader.get_ints("n_tasks");
   const std::vector<int> node_flags = reader.get_ints("n_flags");
-  DRAGSTER_REQUIRE(in_rate.size() == node_flags.size() && node_tasks.size() == node_flags.size(),
-                   "frame per-node vectors disagree");
+  const std::size_t nodes = in_rate.size();
+  for (std::size_t size : {out_rate.size(), demand.size(), arrival.size(), cpu_util.size(),
+                           capacity.size(), backlog_start.size(), backlog_end.size(),
+                           dropped.size(), queue_delay.size(), node_tasks.size(),
+                           node_flags.size()})
+    DRAGSTER_REQUIRE(size == nodes, "frame per-node vectors disagree");
   report.per_node.resize(in_rate.size());
   for (std::size_t i = 0; i < in_rate.size(); ++i) {
     streamsim::OperatorMetrics& m = report.per_node[i];
@@ -186,6 +199,11 @@ void save_frame(resilience::SnapshotWriter& writer, const std::string& section,
   }
   report.source_rate = reader.get_doubles("src_rate");
   report.edge_rate = reader.get_doubles("edge_rate");
+  // A frame's report is read per node and per edge of the job's dag.
+  DRAGSTER_REQUIRE(!frame.has_report ||
+                       (nodes == dag.node_count() && report.source_rate.size() == nodes &&
+                        report.edge_rate.size() == dag.edge_count()),
+                   "frame report does not match the topology");
   const std::vector<double> series_t = reader.get_doubles("series_t");
   const std::vector<double> series_v = reader.get_doubles("series_v");
   DRAGSTER_REQUIRE(series_t.size() == series_v.size(), "frame series vectors disagree");
@@ -678,7 +696,7 @@ void CommandLink::save_state(resilience::SnapshotWriter& writer) const {
   }
 }
 
-void CommandLink::load_state(resilience::SnapshotReader& reader) {
+void CommandLink::load_state(resilience::SnapshotReader& reader, const dag::StreamDag& dag) {
   reader.enter_section("transport.link");
   command_.load(reader, "cmd_");
   ack_.load(reader, "ackch_");
@@ -689,6 +707,7 @@ void CommandLink::load_state(resilience::SnapshotReader& reader) {
   const std::vector<int> latest_ops = reader.get_ints("latest_ops");
   const std::vector<int> latest_seqs = reader.get_ints("latest_seqs");
   DRAGSTER_REQUIRE(latest_ops.size() == latest_seqs.size(), "latest watermark vectors disagree");
+  require_nodes(dag, latest_ops);
   latest_seq_.clear();
   for (std::size_t i = 0; i < latest_ops.size(); ++i)
     latest_seq_[static_cast<dag::NodeId>(latest_ops[i])] =
@@ -697,6 +716,7 @@ void CommandLink::load_state(resilience::SnapshotReader& reader) {
   const std::vector<int> applied_seqs = reader.get_ints("applied_seqs");
   DRAGSTER_REQUIRE(applied_ops.size() == applied_seqs.size(),
                    "applied watermark vectors disagree");
+  require_nodes(dag, applied_ops);
   applied_seq_.clear();
   for (std::size_t i = 0; i < applied_ops.size(); ++i)
     applied_seq_[static_cast<dag::NodeId>(applied_ops[i])] =
@@ -707,6 +727,8 @@ void CommandLink::load_state(resilience::SnapshotReader& reader) {
     const std::uint64_t seq = reader.get_uint("seq");
     Pending pending;
     pending.op = static_cast<dag::NodeId>(reader.get_uint("op"));
+    DRAGSTER_REQUIRE(pending.op < dag.node_count(),
+                     "snapshot names an operator id outside the topology");
     pending.is_spec = reader.get_uint("is_spec") != 0;
     pending.tasks = static_cast<int>(reader.get_int("tasks"));
     pending.spec.cpu_cores = reader.get_double("cpu");
@@ -926,15 +948,27 @@ void TransportHarness::save_state(resilience::SnapshotWriter& writer) const {
 
 void TransportHarness::load_state(resilience::SnapshotReader& reader) {
   DRAGSTER_REQUIRE(dag_ != nullptr, "attach() the harness before load_state()");
+  // Every section is read and checked into locals first, the pipe and the
+  // link into copies, so a rejected snapshot leaves the harness unchanged.
   reader.enter_section("transport");
   DRAGSTER_REQUIRE(reader.get_uint("seed") == seed_,
                    "transport snapshot belongs to a different seed");
-  state_ = static_cast<BreakerState>(reader.get_uint("state"));
-  miss_streak_ = static_cast<std::size_t>(reader.get_uint("miss_streak"));
-  open_slots_ = static_cast<std::size_t>(reader.get_uint("open_slots"));
+  const std::uint64_t state = reader.get_uint("state");
+  DRAGSTER_REQUIRE(state <= static_cast<std::uint64_t>(BreakerState::kHalfOpen),
+                   "unknown breaker state");
+  const auto miss_streak = static_cast<std::size_t>(reader.get_uint("miss_streak"));
+  const auto open_slots = static_cast<std::size_t>(reader.get_uint("open_slots"));
   const bool has_fallback = reader.get_uint("has_fallback") != 0;
   const std::vector<int> counters = reader.get_ints("stats");
   DRAGSTER_REQUIRE(counters.size() == 19, "transport stats vector has the wrong arity");
+  TelemetryPipe pipe = pipe_;
+  pipe.load_state(reader, *dag_);
+  CommandLink link = link_;
+  link.load_state(reader, *dag_);
+
+  state_ = static_cast<BreakerState>(state);
+  miss_streak_ = miss_streak;
+  open_slots_ = open_slots;
   stats_.frames_sent = static_cast<std::uint64_t>(counters[0]);
   stats_.frames_delivered = static_cast<std::uint64_t>(counters[1]);
   stats_.frames_dropped = static_cast<std::uint64_t>(counters[2]);
@@ -961,8 +995,8 @@ void TransportHarness::load_state(resilience::SnapshotReader& reader) {
     rule.headroom = options_.guard.ds2_headroom;
     fallback_ = std::make_unique<baselines::Ds2Controller>(rule);
   }
-  pipe_.load_state(reader, *dag_);
-  link_.load_state(reader);
+  pipe_ = std::move(pipe);
+  link_ = std::move(link);
 }
 
 }  // namespace dragster::transport

@@ -221,7 +221,9 @@ class TelemetryPipe {
   void save_state(resilience::SnapshotWriter& writer) const;
   /// `dag` rebuilds the topology field of deserialized frames (the snapshot
   /// stores only numeric observation state; the dag is structural and lives
-  /// with the engine).
+  /// with the engine) and checks the frames against it.  A rejected snapshot
+  /// may leave the pipe partly loaded; TransportHarness::load_state loads
+  /// into a copy.
   void load_state(resilience::SnapshotReader& reader, const dag::StreamDag& dag);
 
  private:
@@ -282,7 +284,10 @@ class CommandLink final : public streamsim::ScalingActuator {
   [[nodiscard]] std::uint64_t applied_seq(dag::NodeId op) const;
 
   void save_state(resilience::SnapshotWriter& writer) const;
-  void load_state(resilience::SnapshotReader& reader);
+  /// `dag` bounds the operator ids the watermarks and pending commands name.
+  /// A rejected snapshot may leave the link partly loaded;
+  /// TransportHarness::load_state loads into a copy.
+  void load_state(resilience::SnapshotReader& reader, const dag::StreamDag& dag);
 
  private:
   /// Sender-side record of one logical command, alive until acked (or

@@ -1,8 +1,10 @@
 // Tests for the truncated-flow solver (paper eq. 4) and its re-propagation
-// from a topological position, the throughput function f_t(y), and the
-// Lagrangian (eq. 13) with its reverse-sweep gradient.
+// from a topological position, the throughput function f_t(y) and its
+// forward tangent in one capacity, and the Lagrangian (eq. 13) with its
+// reverse-sweep gradient.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -374,6 +376,7 @@ void expect_repropagation_matches_fresh_solve(const StreamDag& dag, std::uint64_
       flow.solve(rates, caps, result, p);
       const FlowResult fresh = flow.solve(rates, caps);
       EXPECT_EQ(bits(result.edge_flow), bits(fresh.edge_flow)) << "trial " << trial << " p " << p;
+      EXPECT_EQ(bits(result.edge_demand), bits(fresh.edge_demand)) << "trial " << trial;
       EXPECT_EQ(bits(result.node_inflow), bits(fresh.node_inflow)) << "trial " << trial;
       EXPECT_EQ(bits(result.node_demand), bits(fresh.node_demand)) << "trial " << trial;
       EXPECT_EQ(bits(result.node_outflow), bits(fresh.node_outflow)) << "trial " << trial;
@@ -387,6 +390,139 @@ void expect_repropagation_matches_fresh_solve(const StreamDag& dag, std::uint64_
 TEST(FlowSolver, RepropagationMatchesFreshSolve) {
   expect_repropagation_matches_fresh_solve(workloads::yahoo().dag, 5);
   expect_repropagation_matches_fresh_solve(BranchFixture().dag, 6);
+}
+
+// tangent() at random points, capacities on a coarse grid so that shares
+// meet demands and MinWeighted inputs tie: wherever f_t is piecewise linear
+// in an operator's capacity, moving that capacity by up to `step` changes
+// f_t by exactly slope * step.  Returns the number of linear cases seen.
+int expect_tangent_exact_to_next_kink(const StreamDag& dag, std::uint64_t seed) {
+  const FlowSolver flow(dag);
+  const std::size_t n = dag.node_count();
+  const std::vector<NodeId>& order = dag.topo_order();
+  common::Rng rng(seed);
+  FlowResult result;
+  int linear = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<double> rates(n, 0.0);
+    for (NodeId id : dag.sources()) rates[id] = 25.0 * static_cast<double>(rng.uniform_int(0, 80));
+    std::vector<double> caps(n, 0.0);
+    for (NodeId id : dag.operators()) caps[id] = 50.0 * static_cast<double>(rng.uniform_int(0, 40));
+    flow.solve(rates, caps, result);
+    const double f = result.app_throughput;
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+      const NodeId id = order[pos];
+      if (dag.component(id).kind != ComponentKind::kOperator) continue;
+      const FlowTangent tangent = flow.tangent(caps, result, pos);
+      if (!tangent.linear) continue;
+      ++linear;
+      EXPECT_GT(tangent.step, 0.0);
+      const double reach = std::isfinite(tangent.step) ? tangent.step : 1e4;
+      for (double h : {0.5 * reach, reach}) {
+        std::vector<double> moved = caps;
+        moved[id] += h;
+        const double expected = f + tangent.slope * h;
+        EXPECT_NEAR(flow.app_throughput(rates, moved), expected,
+                    1e-9 * std::max({1.0, std::abs(f), std::abs(expected)}))
+            << "trial " << trial << " operator " << id << " h " << h;
+      }
+    }
+  }
+  return linear;
+}
+
+TEST(FlowSolver, TangentIsExactUpToTheNextKink) {
+  // Linear and MinWeighted edges only: every slice of every trial.
+  EXPECT_EQ(expect_tangent_exact_to_next_kink(workloads::yahoo().dag, 21), 6 * 40);
+  EXPECT_EQ(expect_tangent_exact_to_next_kink(workloads::join().dag, 22), 1 * 40);
+  EXPECT_EQ(expect_tangent_exact_to_next_kink(workloads::window().dag, 23), 2 * 40);
+  EXPECT_EQ(expect_tangent_exact_to_next_kink(workloads::wordcount().dag, 24), 2 * 40);
+  // a's slice is linear only where its shares saturate.
+  EXPECT_GT(expect_tangent_exact_to_next_kink(BranchFixture(/*custom_edge=*/true).dag, 25), 4 * 40);
+}
+
+// src1 -> a, src2 -> b, both into j whose edge to the sink is min(e_a, e_b).
+struct TieFixture {
+  StreamDag dag;
+  NodeId s1, s2, a, b, j;
+
+  TieFixture() {
+    s1 = dag.add_source("s1");
+    s2 = dag.add_source("s2");
+    a = dag.add_operator("a");
+    b = dag.add_operator("b");
+    j = dag.add_operator("j");
+    const NodeId sink = dag.add_sink("sink");
+    dag.add_edge(s1, a, identity_fn());
+    dag.add_edge(s2, b, identity_fn());
+    dag.add_edge(a, j, identity_fn());
+    dag.add_edge(b, j, identity_fn());
+    dag.add_edge(j, sink, MinWeightedFn({1.0, 1.0}));
+    dag.validate();
+  }
+
+  [[nodiscard]] FlowTangent tangent_in(NodeId op, double ya, double yb) const {
+    const FlowSolver flow(dag);
+    std::vector<double> rates(dag.node_count(), 0.0);
+    rates[s1] = 1000.0;
+    rates[s2] = 1000.0;
+    std::vector<double> caps(dag.node_count(), kInf);
+    caps[a] = ya;
+    caps[b] = yb;
+    FlowResult result;
+    flow.solve(rates, caps, result);
+    const std::vector<NodeId>& order = dag.topo_order();
+    const auto pos = static_cast<std::size_t>(std::find(order.begin(), order.end(), op) -
+                                              order.begin());
+    return flow.tangent(caps, result, pos);
+  }
+};
+
+TEST(FlowSolver, TangentFollowsTheMinWeightedInputThatLeads) {
+  const TieFixture fx;
+  // Tied inputs part as either grows, so the other keeps the minimum:
+  // f' = 0, no kink ahead but the grown operator's own, where its share
+  // meets its demand of 1000.  min_weighted_index names a, the first
+  // input, on the tie; as a grows, b leads.
+  for (NodeId grown : {fx.a, fx.b}) {
+    const FlowTangent t = fx.tangent_in(grown, 100.0, 100.0);
+    EXPECT_EQ(t.slope, 0.0) << grown;
+    EXPECT_EQ(t.step, 900.0) << grown;
+  }
+  // b below a leads until it reaches a's 100.
+  FlowTangent t = fx.tangent_in(fx.b, 100.0, 90.0);
+  EXPECT_EQ(t.slope, 1.0);
+  EXPECT_EQ(t.step, 10.0);
+  // a above b rises away from the minimum.
+  t = fx.tangent_in(fx.a, 100.0, 90.0);
+  EXPECT_EQ(t.slope, 0.0);
+  EXPECT_EQ(t.step, 900.0);
+}
+
+TEST(FlowSolver, TangentStopsWhereATanhOrCustomEdgeMoves) {
+  const BranchFixture fx(/*custom_edge=*/true);
+  const FlowSolver flow(fx.dag);
+  std::vector<double> rates(fx.dag.node_count(), 0.0);
+  rates[fx.src] = 500.0;
+  std::vector<double> caps(fx.dag.node_count(), 100.0);
+  FlowResult result;
+  flow.solve(rates, caps, result);
+  const std::vector<NodeId>& order = fx.dag.topo_order();
+  auto position = [&](NodeId id) {
+    return static_cast<std::size_t>(std::find(order.begin(), order.end(), id) - order.begin());
+  };
+  // a's shares feed b's Tanh edge and c's custom edge.
+  EXPECT_FALSE(flow.tangent(caps, result, position(fx.a)).linear);
+  // b's Tanh edge and c's custom edge are their own: only the inputs feed
+  // those demands, and the capacity share is linear.
+  EXPECT_TRUE(flow.tangent(caps, result, position(fx.b)).linear);
+  EXPECT_TRUE(flow.tangent(caps, result, position(fx.c)).linear);
+  // A saturated a moves nothing downstream.
+  caps[fx.a] = 1e5;
+  flow.solve(rates, caps, result);
+  const FlowTangent t = flow.tangent(caps, result, position(fx.a));
+  EXPECT_TRUE(t.linear);
+  EXPECT_EQ(t.slope, 0.0);
 }
 
 TEST(FlowSolver, ZeroSourceRateGivesZeroFlow) {
@@ -417,6 +553,20 @@ TEST(FlowSolver, RejectsWrongSizes) {
   flow.solve(fx.rates(1.0), fx.caps(1.0, 1.0), solved);
   EXPECT_THROW(flow.solve(fx.rates(1.0), fx.caps(1.0, 1.0), solved, fx.dag.node_count() + 1),
                std::invalid_argument);
+
+  // tangent() differentiates in an operator's capacity at a solved point.
+  const std::vector<NodeId>& order = fx.dag.topo_order();
+  const auto position = [&](NodeId id) {
+    return static_cast<std::size_t>(std::find(order.begin(), order.end(), id) - order.begin());
+  };
+  EXPECT_THROW((void)flow.tangent(fx.caps(1.0, 1.0), unsized, position(fx.a)),
+               std::invalid_argument);
+  EXPECT_THROW((void)flow.tangent(fx.caps(1.0, 1.0), solved, position(fx.src)),
+               std::invalid_argument);
+  EXPECT_THROW((void)flow.tangent(fx.caps(1.0, 1.0), solved, position(fx.sink)),
+               std::invalid_argument);
+  EXPECT_THROW((void)flow.tangent(fx.caps(1.0, 1.0), solved, order.size()), std::invalid_argument);
+  EXPECT_THROW((void)flow.tangent(one, solved, position(fx.a)), std::invalid_argument);
 }
 
 // Property: for random chains, flow is conserved: every operator's outflow

@@ -22,7 +22,9 @@
 // save_state bytes as they were; an accepted one must re-save to a document
 // that restores to the same bytes.  The ActuationManager surface holds a
 // managed job's snapshot to the same promise, with the pending-pod ledger the
-// manager publishes to the engine counted as part of its state.
+// manager publishes to the engine counted as part of its state, and the
+// TransportHarness surface a lossy control plane's, with the breaker state it
+// serves counted too.
 //
 // obs::format_double is fuzzed differentially: its to_chars / from_chars form
 // must print the bytes of the snprintf / strtod loop it replaced, kept below
@@ -54,6 +56,7 @@
 #include "obs/trace.hpp"
 #include "resilience/snapshot.hpp"
 #include "streamsim/engine.hpp"
+#include "transport/transport.hpp"
 #include "workloads/workloads.hpp"
 
 namespace dragster::faults {
@@ -765,6 +768,178 @@ TEST(Fuzz, ActuationSnapshotRestoresExactlyOrThrowsUnchanged) {
   EXPECT_LT(accepted, kActuationInputs - kActuationInputs / 20);
   for (const std::string& reason : kActuationRejections) EXPECT_GT(rejected[reason], 0) << reason;
   // Every rejection left the manager whole, so the job still steps.
+  EXPECT_NO_THROW(live.step());
+}
+
+// ---------------------------------------------------------------------------
+// TransportHarness snapshots.
+// ---------------------------------------------------------------------------
+
+constexpr int kTransportInputs = 4000;
+
+// clang-format off
+/// Splice tokens: section headers, keys of the harness, pipe, frame and link
+/// sections, the type tags, and numbers at the edges of the checks.
+const std::vector<std::string> kTransportTokens = {
+    "[transport]", "[transport.pipe]", "[transport.pipe.latest]", "[transport.link]",
+    "[transport.link.p0]", "state", "stats", "has_fallback", "inflight", "latest_ops",
+    "applied_seqs", "task_ops", "n_out", "src_rate", "op", "\n", " ", " u ", " i ", " f ",
+    " fv ", " iv ", "0", "1", "2", "3", "4", "7", "-1", "999", "0x0p+0", "0x1p+0", "nan", "inf",
+    "18446744073709551615"};
+
+/// Edge values mutate_fields() writes over any value; 0-2 are the breaker
+/// states.
+const std::vector<std::string> kTransportEdgeValues = {
+    "0", "1", "2", "3", "7", "-1", "999", "0x0p+0", "-0x0p+0", "nan", "inf", "0x1p+1023",
+    "2147483647", "18446744073709551615"};
+
+/// Rejections the fuzz must reach, in the harness, the pipe's frames and the
+/// link.
+const std::vector<std::string> kTransportRejections = {
+    "different seed", "unknown breaker state", "stats vector has the wrong arity",
+    "frame per-node vectors disagree", "frame report does not match the topology",
+    "watermark vectors disagree", "operator id outside the topology"};
+// clang-format on
+
+/// Rescales every operator every slot, so the command link always carries
+/// traffic.
+struct CyclingController final : core::Controller {
+  std::size_t calls = 0;
+  [[nodiscard]] std::string name() const override { return "Cycling"; }
+  void on_slot(const streamsim::JobMonitor& monitor,
+               streamsim::ScalingActuator& actuator) override {
+    ++calls;
+    for (dag::NodeId op : monitor.dag().operators())
+      actuator.set_tasks(op, 2 + static_cast<int>((calls + op) % 3));
+  }
+};
+
+/// WordCount behind a lossy transport, inside a telemetry blackout: the
+/// breaker is open, a frame is in flight, and the link holds pending
+/// commands, wire copies and watermarks.
+struct LiveTransport {
+  workloads::WorkloadSpec spec = workloads::wordcount();
+  streamsim::Engine engine = spec.make_engine(/*high=*/true, streamsim::EngineOptions{}, 8);
+  CyclingController controller;
+  transport::TransportHarness harness{transport_options(), /*seed=*/42};
+  std::size_t slot = 0;
+
+  LiveTransport() {
+    harness.attach(engine, engine.dag(), online::Budget::unlimited(0.10), nullptr);
+    for (int t = 0; t < 7; ++t) step();
+  }
+
+  static transport::TransportOptions transport_options() {
+    transport::ChannelOptions lossy;
+    lossy.drop_prob = 0.3;
+    lossy.duplicate_prob = 0.3;
+    lossy.delay_mean_slots = 1.0;
+    lossy.delay_jitter = 0.5;
+    lossy.reorder_window_slots = 2;
+    transport::TransportOptions options;
+    options.telemetry = lossy;
+    options.command = lossy;
+    options.ack = lossy;
+    options.telemetry.partitions.push_back({6, 10});
+    options.guard.open_after_misses = 2;
+    return options;
+  }
+
+  void step() {
+    harness.begin_slot(slot);
+    engine.run_slot();
+    harness.control_step(controller, streamsim::MonitorFrame::capture(engine.monitor()), slot);
+    ++slot;
+  }
+
+  [[nodiscard]] std::string saved() const {
+    resilience::SnapshotWriter writer;
+    harness.save_state(writer);
+    return writer.str();
+  }
+
+  /// The harness's snapshot and what it serves outside it.
+  [[nodiscard]] std::string state() const {
+    return saved() + "breaker " + transport::to_string(harness.breaker());
+  }
+
+  void restore(const std::string& doc) {
+    resilience::SnapshotReader reader(doc);
+    harness.load_state(reader);
+  }
+};
+
+/// Empty when `doc` throws dragster::Error (whose message lands in `error`)
+/// and leaves the harness at `before`, or restores into a harness whose
+/// save_state bytes restore to the same state; otherwise what went wrong.
+std::string transport_violation(LiveTransport& live, const std::string& before,
+                                const std::string& doc, bool& accepted, std::string& error) {
+  accepted = false;
+  try {
+    live.restore(doc);
+  } catch (const Error& rejection) {
+    error = rejection.what();
+    try {
+      return live.state() == before ? std::string() : "a rejected snapshot changed the harness";
+    } catch (const std::exception& broken) {
+      return std::string("a rejected snapshot broke save_state: ") + broken.what();
+    }
+  } catch (const std::exception& foreign) {
+    return std::string("foreign exception: ") + foreign.what();
+  }
+  accepted = true;
+  try {
+    const std::string state = live.state();
+    live.restore(live.saved());
+    if (live.state() != state) return "the restored harness does not re-emit its own bytes";
+  } catch (const std::exception& failure) {
+    return std::string("accepted snapshot fails to round-trip: ") + failure.what();
+  }
+  return {};
+}
+
+TEST(Fuzz, TransportSnapshotRestoresExactlyOrThrowsUnchanged) {
+  LiveTransport live;
+  const std::string base_doc = live.saved();
+  const std::string base_state = live.state();
+  ASSERT_EQ(live.harness.breaker(), transport::BreakerState::kOpen);
+  ASSERT_NE(base_doc.find("[transport.link.p0]"), std::string::npos) << "no pending command";
+  ASSERT_NE(base_doc.find("[transport.pipe.msg0]"), std::string::npos) << "no frame in flight";
+  ASSERT_NE(base_doc.find("[transport.link.w0]"), std::string::npos) << "no command on the wire";
+  const std::string base = base_doc.substr(0, base_doc.find("!checksum "));
+  std::vector<std::string> entries;
+  for (const std::string& line : split(base, '\n')) {
+    if (!is_field_line(line)) continue;
+    const std::vector<std::string> words = split(line, ' ');
+    entries.insert(entries.end(), words.begin() + static_cast<std::ptrdiff_t>(first_value(words)),
+                   words.end());
+  }
+  common::Rng rng(0x7A45F0);
+  std::map<std::string, int> rejected;
+  int accepted = 0;
+  int failures = 0;
+  std::string report;
+  for (int i = 0; i < kTransportInputs; ++i) {
+    const std::string body =
+        rng.bernoulli(0.5) ? mutate_fields(rng, base, entries, kTransportEdgeValues, is_field_line)
+                           : mutate(rng, base, {base}, kTransportTokens);
+    bool ok = false;
+    std::string error;
+    const std::string problem =
+        transport_violation(live, base_state, with_checksum(body), ok, error);
+    accepted += ok ? 1 : 0;
+    for (const std::string& reason : kTransportRejections)
+      if (error.find(reason) != std::string::npos) ++rejected[reason];
+    if (!problem.empty() && failures++ < 5)
+      report += "\n  input " + std::to_string(i) + ": " + problem;
+    if (ok || !problem.empty()) live.restore(base_doc);  // the next input starts from the base
+  }
+  EXPECT_EQ(failures, 0) << report;
+  EXPECT_EQ(live.state(), base_state);
+  EXPECT_GT(accepted, kTransportInputs / 20);
+  EXPECT_LT(accepted, kTransportInputs - kTransportInputs / 20);
+  for (const std::string& reason : kTransportRejections) EXPECT_GT(rejected[reason], 0) << reason;
+  // Every rejection left the harness whole, so the job still steps.
   EXPECT_NO_THROW(live.step());
 }
 
