@@ -6,9 +6,12 @@
 //   sqrt(T (log T)^{d+2}) for comparison (d = 1 task dimension).  The
 //   averages Reg_T/T and Fit_T/T must visibly decrease with T.  One run goes
 //   to the largest horizon and each smaller horizon is a checkpoint of it, so
-//   every row equals a separate run of that length.  The least-squares slope
-//   of log Reg_T and log Fit_T against log T follows on stderr (below 1 is
-//   sub-linear; zero points have no logarithm and are skipped and counted).
+//   every row equals a separate run of that length.  The last two columns
+//   are the local log-log slopes of Reg_T and Fit_T since the previous row
+//   (below 1 is sub-linear; `-` on the first row and where a value is 0), so
+//   a near-linear tail shows even where the whole-range fit hides it.  The
+//   least-squares slope of log Reg_T and log Fit_T against log T follows on
+//   stderr (zero points have no logarithm and are skipped and counted).
 //
 // Part 2 — the same sweep with learn_throughput enabled (Theorem 2): the
 //   throughput functions start from a wrong unit-selectivity prior and are
@@ -104,18 +107,32 @@ void print_slope(const char* name, const std::vector<SweepPoint>& points,
                sxy / sxx, logs.size(), skipped);
 }
 
+/// Log-log slope of `value` between two consecutive checkpoints, or `-`
+/// when either value is 0 (no logarithm).
+std::string local_slope(const SweepPoint& before, const SweepPoint& at,
+                        double SweepPoint::*value) {
+  if (before.*value <= 0.0 || at.*value <= 0.0) return "-";
+  return common::Table::num(std::log(at.*value / before.*value) /
+                                std::log(static_cast<double>(at.horizon) /
+                                         static_cast<double>(before.horizon)),
+                            3);
+}
+
 void sweep(const std::vector<std::size_t>& horizons, bool learn, std::uint64_t seed) {
   common::Table table({"T (slots)", "Reg_T (opt-slots)", "Reg_T / T", "Fit_T", "Fit_T / T",
-                       "sqrt(T (log T)^3) ref"});
+                       "sqrt(T (log T)^3) ref", "Reg_T slope", "Fit_T slope"});
   const std::vector<SweepPoint> points = run_checkpoints(horizons, learn, seed);
-  for (const SweepPoint& p : points) {
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    const SweepPoint& p = points[k];
     const std::size_t T = p.horizon;
     const double logT = std::log(static_cast<double>(std::max<std::size_t>(T, 2)));
     table.add_row({std::to_string(T), common::Table::num(p.regret, 2),
                    common::Table::num(p.regret / static_cast<double>(T), 4),
                    common::Table::num(p.fit, 3),
                    common::Table::num(p.fit / static_cast<double>(T), 4),
-                   common::Table::num(std::sqrt(static_cast<double>(T) * logT * logT * logT), 1)});
+                   common::Table::num(std::sqrt(static_cast<double>(T) * logT * logT * logT), 1),
+                   k == 0 ? "-" : local_slope(points[k - 1], p, &SweepPoint::regret),
+                   k == 0 ? "-" : local_slope(points[k - 1], p, &SweepPoint::fit)});
   }
   std::printf("%s", table.to_string().c_str());
   std::fflush(stdout);

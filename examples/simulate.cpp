@@ -19,9 +19,8 @@
 //   --seed S / --csv PATH / --vertical
 // Any other flag is rejected (dragster::Error naming it).
 #include <fstream>
+#include <map>
 
-#include "baselines/dhalion.hpp"
-#include "baselines/ds2.hpp"
 #include "baselines/flat_gp_ucb.hpp"
 #include "baselines/oracle.hpp"
 #include "baselines/static_controller.hpp"
@@ -49,31 +48,32 @@ workloads::WorkloadSpec pick_workload(const std::string& name) {
 
 std::unique_ptr<core::Controller> pick_scheme(const std::string& name,
                                               const online::Budget& budget, bool vertical) {
-  if (name == "dhalion") {
-    baselines::DhalionOptions options;
-    options.budget = budget;
-    return std::make_unique<baselines::DhalionController>(options);
-  }
-  if (name == "ds2") {
-    baselines::Ds2Options options;
-    options.budget = budget;
-    return std::make_unique<baselines::Ds2Controller>(options);
-  }
   if (name == "bo4co") {
     baselines::FlatGpUcbOptions options;
     options.budget = budget;
     return std::make_unique<baselines::FlatGpUcbController>(options);
   }
   if (name == "static") return std::make_unique<baselines::StaticController>();
-  core::DragsterOptions options;
-  options.budget = budget;
-  options.enable_vertical = vertical;
-  if (name == "ogd") options.method = core::PrimalMethod::kOnlineGradient;
-  else if (name != "saddle") {
+  // --vertical needs DragsterOptions::enable_vertical, which the factory
+  // does not take.
+  if (vertical && (name == "saddle" || name == "ogd")) {
+    core::DragsterOptions options;
+    options.budget = budget;
+    options.enable_vertical = true;
+    if (name == "ogd") options.method = core::PrimalMethod::kOnlineGradient;
+    return std::make_unique<core::DragsterController>(options);
+  }
+  // The compared schemes come from the shared factory under its names.
+  const std::map<std::string, std::string> factory_names{{"saddle", "Dragster(saddle)"},
+                                                         {"ogd", "Dragster(ogd)"},
+                                                         {"ds2", "DS2"},
+                                                         {"dhalion", "Dhalion"}};
+  const auto it = factory_names.find(name);
+  if (it == factory_names.end()) {
     std::fprintf(stderr, "unknown scheme '%s'\n", name.c_str());
     std::exit(2);
   }
-  return std::make_unique<core::DragsterController>(options);
+  return experiments::make_controller(it->second, budget);
 }
 
 std::unique_ptr<streamsim::RateSchedule> pick_schedule(const std::string& kind, double high,

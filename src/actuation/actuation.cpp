@@ -153,8 +153,7 @@ void ActuationManager::start_attempt(dag::NodeId op, Channel& ch) {
                                     : live.desired_tasks - ch.applied_tasks;
   DRAGSTER_REQUIRE(need > 0, "attempt started with nothing to schedule");
   const double extra_rate =
-      static_cast<double>(need) *
-      engine_->cluster().pricing().pod_price_per_hour(live.desired_spec);
+      static_cast<double>(need) * cluster::pod_price_per_hour(live.desired_spec);
   if (!engine_->cluster().try_admit(need, extra_rate)) {
     stats_[op].admission_rejects += 1;
     if (obs_ != nullptr) {

@@ -2,6 +2,13 @@
 
 namespace dragster::baselines {
 
+namespace {
+
+/// Below this CPU utilization an operator sheds a task.
+constexpr double kIdleUtilization = 0.50;
+
+}  // namespace
+
 DhalionController::DhalionController(DhalionOptions options) : options_(options) {}
 
 void DhalionController::on_slot(const streamsim::JobMonitor& monitor,
@@ -31,7 +38,7 @@ void DhalionController::on_slot(const streamsim::JobMonitor& monitor,
 
   // Resolution 2: remove the most idle task.
   dag::NodeId idlest = 0;
-  double lowest = options_.idle_utilization;
+  double lowest = kIdleUtilization;
   bool found = false;
   for (dag::NodeId id : dag.operators()) {
     const double util = report.per_node[id].cpu_utilization;

@@ -11,8 +11,7 @@
 //     operator in topological order (upstream pressure is resolved first,
 //     which is exactly what traps it under a tight budget: the upstream
 //     operator soaks up pods the downstream one needed);
-//   * otherwise, the least-utilized operator below the idle threshold
-//     -> -1 task.
+//   * otherwise, the least-utilized operator below 50% CPU -> -1 task.
 // Scale-ups that would exceed the budget are skipped (the freeze the paper
 // observes in Fig. 4d).
 #pragma once
@@ -23,7 +22,6 @@
 namespace dragster::baselines {
 
 struct DhalionOptions {
-  double idle_utilization = 0.50;  ///< below this an operator sheds a task
   online::Budget budget = online::Budget::unlimited(0.10);
 };
 

@@ -6,6 +6,13 @@
 
 namespace dragster::baselines {
 
+namespace {
+
+/// Provision 10% above the observed demand.
+constexpr double kHeadroom = 1.10;
+
+}  // namespace
+
 Ds2Controller::Ds2Controller(Ds2Options options) : options_(options) {}
 
 void Ds2Controller::on_slot(const streamsim::JobMonitor& monitor,
@@ -25,7 +32,7 @@ void Ds2Controller::on_slot(const streamsim::JobMonitor& monitor,
     if (m.cpu_utilization > 0.02 && m.out_rate > 0.0) {
       const double per_task = m.out_rate / m.cpu_utilization / static_cast<double>(tasks);
       const double demand = std::max(m.demand_rate, m.out_rate);
-      want = static_cast<int>(std::ceil(options_.headroom * demand / per_task));
+      want = static_cast<int>(std::ceil(kHeadroom * demand / per_task));
     }
     want = std::clamp(want, 1, monitor.max_tasks());
     ids.push_back(id);

@@ -2,7 +2,7 @@
 //
 // DS2 estimates each operator's "true processing rate" per task and sets the
 // parallelism proportionally to the observed demand:
-//   tasks' = ceil(demand / per_task_rate_estimate)
+//   tasks' = ceil(1.1 * demand / per_task_rate_estimate)   (10% headroom)
 // applied to every operator at once.  It assumes linear scaling — no USL
 // contention — which is exactly the assumption the paper criticizes; on the
 // retrograde-scaling operators DS2 over-provisions without gaining
@@ -16,7 +16,6 @@ namespace dragster::baselines {
 
 struct Ds2Options {
   online::Budget budget = online::Budget::unlimited(0.10);
-  double headroom = 1.10;  ///< provision 10% above the observed demand
 };
 
 class Ds2Controller final : public core::Controller {

@@ -4,8 +4,18 @@
 
 namespace dragster::baselines {
 
+namespace {
+
+constexpr double kDelta = 2.0;             ///< UCB confidence parameter
+constexpr double kGpNoiseRel = 0.08;       ///< observation noise, relative
+constexpr double kGpLengthscale = 2.5;     ///< kernel lengthscale in task units
+constexpr double kMaxEnumerated = 20'000;  ///< full grid up to this size
+constexpr std::uint64_t kSeed = 7;         ///< candidate sampling stream
+
+}  // namespace
+
 FlatGpUcbController::FlatGpUcbController(FlatGpUcbOptions options)
-    : options_(options), rng_(options.seed) {}
+    : options_(options), rng_(kSeed) {}
 
 void FlatGpUcbController::initialize(const streamsim::JobMonitor& monitor,
                                      streamsim::ScalingActuator& actuator) {
@@ -35,9 +45,9 @@ void FlatGpUcbController::on_slot(const streamsim::JobMonitor& monitor,
   if (effective > 0.0) {
     if (!gp_.has_value()) {
       scale_ = effective;
-      const std::vector<double> lengthscales(ops_.size(), options_.gp_lengthscale);
-      gp_.emplace(gp::SquaredExponentialKernel(2.25, lengthscales),
-                  options_.gp_noise_rel * options_.gp_noise_rel, /*prior_mean=*/1.0);
+      const std::vector<double> lengthscales(ops_.size(), kGpLengthscale);
+      gp_.emplace(gp::SquaredExponentialKernel(2.25, lengthscales), kGpNoiseRel * kGpNoiseRel,
+                  /*prior_mean=*/1.0);
     }
     gp_->add_observation(x, effective / scale_);
   }
@@ -49,7 +59,7 @@ void FlatGpUcbController::on_slot(const streamsim::JobMonitor& monitor,
   for (std::size_t i = 0; i < ops_.size(); ++i) grid_size *= static_cast<double>(max_tasks);
 
   std::vector<gp::Candidate> candidates;
-  if (grid_size <= static_cast<double>(options_.max_enumerated)) {
+  if (grid_size <= kMaxEnumerated) {
     candidates = gp::integer_grid(ops_.size(), 1, max_tasks);
   } else {
     candidates.reserve(options_.sample_size);
@@ -69,7 +79,7 @@ void FlatGpUcbController::on_slot(const streamsim::JobMonitor& monitor,
   };
 
   const double beta =
-      gp::ucb_beta(static_cast<std::size_t>(std::min(grid_size, 1e12)), slot_, options_.delta);
+      gp::ucb_beta(static_cast<std::size_t>(std::min(grid_size, 1e12)), slot_, kDelta);
   const auto chosen = gp::select_ucb(*gp_, candidates, beta, feasible);
   if (!chosen.has_value()) return;
 

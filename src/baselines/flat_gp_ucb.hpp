@@ -23,12 +23,7 @@ namespace dragster::baselines {
 
 struct FlatGpUcbOptions {
   online::Budget budget = online::Budget::unlimited(0.10);
-  double delta = 2.0;
-  double gp_noise_rel = 0.08;
-  double gp_lengthscale = 2.5;
-  std::size_t max_enumerated = 20'000;  ///< full grid up to this size
-  std::size_t sample_size = 2'000;      ///< candidates per slot beyond that
-  std::uint64_t seed = 7;
+  std::size_t sample_size = 2'000;  ///< candidates per slot beyond a 20,000-point grid
 };
 
 class FlatGpUcbController final : public core::Controller {

@@ -187,8 +187,7 @@ OracleResult Oracle::optimal(std::span<const double> source_rates,
   double cost = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
     result.tasks[ops_[i]] = best[i];
-    cost += best[i] * cluster::PricingModel::standard().pod_price_per_hour(
-                          engine_.pod_spec(ops_[i]));
+    cost += best[i] * cluster::pod_price_per_hour(engine_.pod_spec(ops_[i]));
   }
   result.cost_rate = cost;
   return result;

@@ -4,8 +4,6 @@
 
 namespace dragster::cluster {
 
-Cluster::Cluster(PricingModel pricing) : pricing_(pricing) {}
-
 void Cluster::add_deployment(const std::string& name, int replicas, PodSpec spec,
                              const std::string& job) {
   DRAGSTER_REQUIRE(!deployments_.count(name), "duplicate deployment: " + name);
@@ -76,49 +74,6 @@ void Cluster::set_job_quota(const std::string& job, AdmissionLimits quota) {
 AdmissionLimits Cluster::job_quota(const std::string& job) const {
   const auto it = quotas_.find(job);
   return it == quotas_.end() ? AdmissionLimits{} : it->second;
-}
-
-bool Cluster::try_admit(const std::string& job, int extra_pods,
-                        double extra_cost_rate) const noexcept {
-  if (!try_admit(extra_pods, extra_cost_rate)) return false;
-  const auto it = quotas_.find(job);
-  if (it == quotas_.end()) return true;
-  const AdmissionLimits& quota = it->second;
-  if (quota.max_total_pods > 0 &&
-      job_pods(job) + job_pending(job) + extra_pods > quota.max_total_pods)
-    return false;
-  if (quota.max_cost_rate_per_hour > 0.0 &&
-      job_cost_rate_per_hour(job) + extra_cost_rate >
-          quota.max_cost_rate_per_hour * (1.0 + 1e-9))
-    return false;
-  return true;
-}
-
-int Cluster::job_pods(const std::string& job) const noexcept {
-  int total = 0;
-  for (const auto& [name, d] : deployments_) {
-    (void)name;
-    if (d.job == job) total += d.replicas;
-  }
-  return total;
-}
-
-int Cluster::job_pending(const std::string& job) const noexcept {
-  int total = 0;
-  for (const auto& [name, d] : deployments_) {
-    (void)name;
-    if (d.job == job) total += d.pending;
-  }
-  return total;
-}
-
-double Cluster::job_cost_rate_per_hour(const std::string& job) const noexcept {
-  double rate = 0.0;
-  for (const auto& [name, d] : deployments_) {
-    (void)name;
-    if (d.job == job) rate += static_cast<double>(d.replicas) * pricing_.pod_price_per_hour(d.spec);
-  }
-  return rate;
 }
 
 std::size_t Cluster::remove_job(const std::string& job) {
@@ -291,7 +246,7 @@ double Cluster::cost_rate_per_hour() const noexcept {
   double rate = 0.0;
   for (const auto& [name, d] : deployments_) {
     (void)name;
-    rate += static_cast<double>(d.replicas) * pricing_.pod_price_per_hour(d.spec);
+    rate += static_cast<double>(d.replicas) * pod_price_per_hour(d.spec);
   }
   return rate;
 }

@@ -70,8 +70,6 @@ struct AdmissionLimits {
 
 class Cluster {
  public:
-  explicit Cluster(PricingModel pricing = PricingModel::standard());
-
   /// Registers a deployment (one per operator).  Names must be unique.
   /// `job` attributes the deployment to a tenant; empty means unowned
   /// (single-job clusters never need to care).
@@ -92,12 +90,10 @@ class Cluster {
   // -- admission gate & pending-pod ledger (K8s scheduler analogue) ---------
 
   void set_admission_limits(AdmissionLimits limits) noexcept { limits_ = limits; }
-  [[nodiscard]] const AdmissionLimits& admission_limits() const noexcept { return limits_; }
 
   /// While an outage is active every try_admit() is rejected — the
   /// `schedfail` fault seam (API server down / quota freeze).
   void set_admission_outage(bool active) noexcept { admission_outage_ = active; }
-  [[nodiscard]] bool admission_outage() const noexcept { return admission_outage_; }
 
   /// Whether `extra_pods` new pods at `extra_cost_rate` $/h would clear the
   /// outage flag, the pod-count cap (running + pending + extra), and the
@@ -105,26 +101,12 @@ class Cluster {
   [[nodiscard]] bool try_admit(int extra_pods, double extra_cost_rate) const noexcept;
 
   // -- multi-tenant attribution ---------------------------------------------
-  //
-  // The single-argument try_admit above charges every pending pod in the
-  // cluster against the caller — correct for one job, wrong for many: job A's
-  // pending rescale would silently eat job B's admission headroom.  The
-  // job-scoped overload charges each job only for its own running + pending
-  // pods against its quota, while the global limits still see the aggregate.
 
-  /// Per-job admission quota (same zero-means-unlimited convention).
+  /// Per-job admission quota (same zero-means-unlimited convention).  The
+  /// fleet records each job's grant here; the grant itself is enforced
+  /// through the job's budget.
   void set_job_quota(const std::string& job, AdmissionLimits quota);
   [[nodiscard]] AdmissionLimits job_quota(const std::string& job) const;
-
-  /// Job-scoped admission check: `extra_pods`/`extra_cost_rate` on behalf of
-  /// `job` must clear the job's own quota (counting only that job's pods)
-  /// AND the cluster-wide limits (counting everyone's).
-  [[nodiscard]] bool try_admit(const std::string& job, int extra_pods,
-                               double extra_cost_rate) const noexcept;
-
-  [[nodiscard]] int job_pods(const std::string& job) const noexcept;
-  [[nodiscard]] int job_pending(const std::string& job) const noexcept;
-  [[nodiscard]] double job_cost_rate_per_hour(const std::string& job) const noexcept;
 
   /// Removes every deployment owned by `job` (eviction).  Returns the number
   /// of deployments removed; the job's quota entry is dropped too.
@@ -179,9 +161,6 @@ class Cluster {
   void accrue(double seconds);
 
   [[nodiscard]] double accrued_cost() const noexcept { return accrued_cost_; }
-  [[nodiscard]] const PricingModel& pricing() const noexcept { return pricing_; }
-
-  void reset_cost() noexcept { accrued_cost_ = 0.0; }
 
  private:
   Deployment& deployment_mutable(const std::string& name);
@@ -196,7 +175,6 @@ class Cluster {
 
   static constexpr int kUnscheduled = -1;
 
-  PricingModel pricing_;
   std::map<std::string, Deployment> deployments_;
   std::map<std::string, AdmissionLimits> quotas_;
   AdmissionLimits limits_;

@@ -1,8 +1,8 @@
 // Pod resource specifications and cloud pricing.
 //
-// The paper's TaskManager pods are fixed 1 CPU / 2 GB slots; the pricing
-// model also supports heterogeneous pods for the vertical-scaling (VPA)
-// ablation, billing CPU and memory separately like the major clouds do.
+// The paper's TaskManager pods are fixed 1 CPU / 2 GB slots; heterogeneous
+// pods (the vertical-scaling ablation) bill CPU and memory separately like
+// the major clouds do.
 #pragma once
 
 namespace dragster::cluster {
@@ -14,23 +14,11 @@ struct PodSpec {
   [[nodiscard]] bool operator==(const PodSpec&) const = default;
 };
 
-class PricingModel {
- public:
-  /// Prices are per core-hour and per GB-hour.
-  PricingModel(double cpu_price_per_hour, double memory_price_per_hour);
-
-  /// Default tuned so the paper's standard slot (1 CPU, 2 GB) costs
-  /// $0.10/hour — the tight budget of $1.6/hour then buys 16 pods.
-  static PricingModel standard();
-
-  [[nodiscard]] double pod_price_per_hour(const PodSpec& spec) const noexcept;
-
-  [[nodiscard]] double cpu_price_per_hour() const noexcept { return cpu_price_; }
-  [[nodiscard]] double memory_price_per_hour() const noexcept { return memory_price_; }
-
- private:
-  double cpu_price_;
-  double memory_price_;
-};
+/// $0.06 per core-hour plus $0.02 per GB-hour: the paper's standard slot
+/// (1 CPU, 2 GB) costs $0.10/hour, so the tight budget of $1.6/hour buys 16
+/// pods.
+[[nodiscard]] constexpr double pod_price_per_hour(const PodSpec& spec) noexcept {
+  return 0.06 * spec.cpu_cores + 0.02 * spec.memory_gb;
+}
 
 }  // namespace dragster::cluster

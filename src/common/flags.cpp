@@ -28,20 +28,19 @@ Number to_number(const std::string& name, const std::optional<std::string>& valu
 
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
-    }
-    arg.erase(0, 2);
-    const auto eq = arg.find('=');
+    std::string name = argv[i];
+    DRAGSTER_REQUIRE(name.rfind("--", 0) == 0, "unexpected argument '" + name + "'");
+    name.erase(0, 2);
+    std::optional<std::string> value;
+    const auto eq = name.find('=');
     if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      value = name.substr(eq + 1);
+      name.erase(eq);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
-    } else {
-      values_[arg] = std::nullopt;
+      value = argv[++i];
     }
+    DRAGSTER_REQUIRE(values_.emplace(name, std::move(value)).second,
+                     "flag --" + name + " given twice");
   }
 }
 

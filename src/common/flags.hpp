@@ -1,9 +1,11 @@
 // Tiny command-line flag parser used by bench and example binaries.
 //
-// Supports `--name=value`, `--name value` and boolean `--name`.  The typed
-// getters are strict: a number must be the whole value, and a string or
-// number flag given without a value throws dragster::Error naming the flag
-// (a bare `--json` must not write a file named "true").  Unknown flags are
+// Supports `--name=value`, `--name value` and boolean `--name`.  Parsing
+// throws dragster::Error naming the offending word on a positional argument
+// (no binary reads one) and on a flag given twice.  The typed getters are
+// strict: a number must be the whole value, and a string or number flag
+// given without a value throws dragster::Error naming the flag (a bare
+// `--json` must not write a file named "true").  Unknown flags are
 // collected, and reject_unused() turns them into an error.
 // Deliberately dependency-free.
 #pragma once
@@ -26,9 +28,6 @@ class Flags {
   [[nodiscard]] std::int64_t get(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] bool get(const std::string& name, bool fallback) const;
 
-  /// Positional (non-flag) arguments in order.
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept { return positional_; }
-
   /// Names seen on the command line but never queried via get()/has().
   [[nodiscard]] std::vector<std::string> unused() const;
 
@@ -42,7 +41,6 @@ class Flags {
 
   std::map<std::string, std::optional<std::string>> values_;
   mutable std::map<std::string, bool> queried_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace dragster::common

@@ -1,38 +1,20 @@
 #include "common/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace dragster::common {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
 // draglint:allow(DL006 stderr interleaving guard, not a parallelism primitive)
 std::mutex g_write_mutex;
 
-const char* level_name(LogLevel level) noexcept {
-  switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF";
-  }
-  return "?";
-}
-
 }  // namespace
 
-void set_log_level(LogLevel level) noexcept { g_level.store(level, std::memory_order_relaxed); }
-
-LogLevel log_level() noexcept { return g_level.load(std::memory_order_relaxed); }
-
-void log_line(LogLevel level, const std::string& message) {
-  if (level < g_level.load(std::memory_order_relaxed)) return;
+void warn(const std::string& message) {
   // draglint:allow(DL006 stderr interleaving guard, not a parallelism primitive)
   std::lock_guard<std::mutex> lock(g_write_mutex);
-  std::fprintf(stderr, "[%s] %s\n", level_name(level), message.c_str());
+  std::fprintf(stderr, "[WARN] %s\n", message.c_str());
 }
 
 }  // namespace dragster::common

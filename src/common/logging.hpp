@@ -1,46 +1,16 @@
-// Minimal leveled logger.
+// Warnings on stderr.
 //
-// The library is a simulation/optimization engine, so logging is sparse and
-// line-oriented; benches set the level from --verbose flags.  Thread-safe:
-// each log line is formatted into a local buffer and written with one call.
+// The library is a simulation/optimization engine whose results go to
+// stdout; the only diagnostic it prints is a warning, one line at a time.
+// Thread-safe: each line is written with one call under a mutex, so lines
+// from concurrent jobs never interleave.
 #pragma once
 
-#include <sstream>
 #include <string>
 
 namespace dragster::common {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Sets the global minimum level; messages below it are dropped.
-void set_log_level(LogLevel level) noexcept;
-[[nodiscard]] LogLevel log_level() noexcept;
-
-/// Writes one formatted line to stderr if `level` is enabled.
-void log_line(LogLevel level, const std::string& message);
-
-namespace detail {
-
-class LogStream {
- public:
-  explicit LogStream(LogLevel level) : level_(level) {}
-  LogStream(const LogStream&) = delete;
-  LogStream& operator=(const LogStream&) = delete;
-  ~LogStream() { log_line(level_, stream_.str()); }
-
-  template <typename T>
-  LogStream& operator<<(const T& value) {
-    stream_ << value;
-    return *this;
-  }
-
- private:
-  LogLevel level_;
-  std::ostringstream stream_;
-};
-
-}  // namespace detail
+/// Writes `[WARN] <message>` as one line to stderr.
+void warn(const std::string& message);
 
 }  // namespace dragster::common
-
-#define DRAGSTER_LOG(level) ::dragster::common::detail::LogStream(::dragster::common::LogLevel::level)

@@ -1,7 +1,5 @@
 #include "common/rng.hpp"
 
-#include <cmath>
-
 namespace dragster::common {
 namespace {
 
@@ -42,22 +40,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   if (hi <= lo) return lo;
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(next_u64() % span);
-}
-
-std::uint64_t Rng::poisson(double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean > 64.0) {
-    const double sample = normal(mean, std::sqrt(mean));
-    return sample <= 0.0 ? 0 : static_cast<std::uint64_t>(sample + 0.5);
-  }
-  const double limit = std::exp(-mean);
-  double product = uniform();
-  std::uint64_t count = 0;
-  while (product > limit) {
-    ++count;
-    product *= uniform();
-  }
-  return count;
 }
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }

@@ -48,10 +48,6 @@ class Rng {
   /// Normal with the given mean / standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) noexcept;
 
-  /// Poisson-distributed count with the given mean (Knuth for small
-  /// means, normal approximation above 64).
-  [[nodiscard]] std::uint64_t poisson(double mean) noexcept;
-
   /// True with probability p (clamped to [0, 1]).
   [[nodiscard]] bool bernoulli(double p) noexcept;
 

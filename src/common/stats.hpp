@@ -33,22 +33,4 @@ class RunningStats {
 /// Linear-interpolated percentile; `q` in [0, 1].  Copies and sorts.
 [[nodiscard]] double percentile(std::span<const double> values, double q);
 
-/// Exponentially-weighted moving average.
-class Ewma {
- public:
-  explicit Ewma(double alpha) noexcept : alpha_(alpha) {}
-  double update(double value) noexcept {
-    current_ = initialized_ ? alpha_ * value + (1.0 - alpha_) * current_ : value;
-    initialized_ = true;
-    return current_;
-  }
-  [[nodiscard]] double value() const noexcept { return current_; }
-  [[nodiscard]] bool initialized() const noexcept { return initialized_; }
-
- private:
-  double alpha_;
-  double current_ = 0.0;
-  bool initialized_ = false;
-};
-
 }  // namespace dragster::common

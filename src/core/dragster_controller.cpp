@@ -268,14 +268,13 @@ void DragsterController::select_configs(const streamsim::JobMonitor& monitor,
 
   // Current planned allocation and spend (for budget feasibility; with
   // heterogeneous pods the budget is enforced in dollars, not pod counts).
-  const cluster::PricingModel pricing = cluster::PricingModel::standard();
   std::map<dag::NodeId, int> planned;
   std::map<dag::NodeId, cluster::PodSpec> planned_spec;
   double planned_cost = 0.0;
   for (dag::NodeId id : dag_->operators()) {
     planned[id] = monitor.tasks(id);
     planned_spec[id] = monitor.pod_spec(id);
-    planned_cost += planned[id] * pricing.pod_price_per_hour(planned_spec[id]);
+    planned_cost += planned[id] * cluster::pod_price_per_hour(planned_spec[id]);
   }
 
   std::vector<double> cpu_options{0.0};  // sentinel: keep the current spec
@@ -289,7 +288,7 @@ void DragsterController::select_configs(const streamsim::JobMonitor& monitor,
 
     const double target = y_target_[id] * kTargetHeadroom / model.scale;
 
-    const double own_cost = planned[id] * pricing.pod_price_per_hour(planned_spec[id]);
+    const double own_cost = planned[id] * cluster::pod_price_per_hour(planned_spec[id]);
     const double others_cost = planned_cost - own_cost;
 
     int new_tasks = planned[id];
@@ -315,7 +314,7 @@ void DragsterController::select_configs(const streamsim::JobMonitor& monitor,
           options_.enable_vertical
               ? cluster::PodSpec{cpu, cpu * kMemoryPerCoreGb}
               : planned_spec[id];
-      const double pod_price = pricing.pod_price_per_hour(spec);
+      const double pod_price = cluster::pod_price_per_hour(spec);
       for (int tasks = 1; tasks <= max_tasks; ++tasks) {
         if (options_.budget.limited() &&
             others_cost + tasks * pod_price > options_.budget.dollars_per_hour() + 1e-9) {
@@ -350,7 +349,7 @@ void DragsterController::select_configs(const streamsim::JobMonitor& monitor,
     if (new_tasks != planned[id] || !(new_spec == planned_spec[id])) {
       if (!(new_spec == planned_spec[id])) actuator.set_pod_spec(id, new_spec);
       if (new_tasks != planned[id]) actuator.set_tasks(id, new_tasks);
-      planned_cost += new_tasks * pricing.pod_price_per_hour(new_spec) - own_cost;
+      planned_cost += new_tasks * cluster::pod_price_per_hour(new_spec) - own_cost;
       planned[id] = new_tasks;
       planned_spec[id] = new_spec;
     }

@@ -11,6 +11,14 @@
 
 namespace dragster::experiments {
 
+namespace {
+
+/// A slot is near-optimal when its effective rate is within the paper's 10%
+/// of the oracle's.
+constexpr double kNearOptimalFraction = 0.90;
+
+}  // namespace
+
 std::unique_ptr<core::Controller> make_controller(const std::string& name,
                                                   const online::Budget& budget) {
   if (name == "Dhalion") {
@@ -203,7 +211,7 @@ void ScenarioRunner::step() {
   // a rate flip at the slot boundary).
   summary.oracle_throughput = oracle_for(report.start_seconds + 0.5 * report.duration_s);
   summary.near_optimal =
-      summary.effective_rate >= options_.near_optimal_threshold * summary.oracle_throughput;
+      summary.effective_rate >= kNearOptimalFraction * summary.oracle_throughput;
   summary.checkpoint_retries = report.checkpoint_retries;
   summary.checkpoint_aborted = report.checkpoint_aborted;
   for (dag::NodeId id : operators_)
@@ -240,8 +248,7 @@ RunResult ScenarioRunner::finish() {
     for (const SlotSummary& slot : result_.slots)
       series.push_back({slot.throughput_rate, slot.oracle_throughput});
     result_.recoveries = faults::analyze_recovery(result_.fault_timeline, series,
-                                                  engine_.options().slot_duration_s,
-                                                  options_.recovery);
+                                                  engine_.options().slot_duration_s);
   }
   if (supervised_ != nullptr) result_.supervisor = supervised_->stats();
   if (actuation_ != nullptr) result_.actuation = actuation_->operator_stats();

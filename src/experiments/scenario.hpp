@@ -39,7 +39,7 @@ struct SlotSummary {
   double latency_s = 0.0;         ///< end-to-end queueing-latency estimate
   std::vector<int> tasks;         ///< per operator, in dag.operators() order
   double oracle_throughput = 0.0; ///< offline optimum for this slot's load
-  bool near_optimal = false;      ///< effective_rate >= threshold * oracle
+  bool near_optimal = false;      ///< effective_rate within 10% of the oracle
   bool fault_active = false;      ///< any operator fault-tainted/stale this slot
   int checkpoint_retries = 0;     ///< failed checkpoint attempts this slot
   bool checkpoint_aborted = false;
@@ -70,8 +70,6 @@ struct RunResult {
 struct ScenarioOptions {
   std::size_t slots = 30;
   online::Budget budget = online::Budget::unlimited(0.10);
-  double near_optimal_threshold = 0.90;  ///< the paper's "within 10%"
-  faults::RecoveryOptions recovery;      ///< scoring of injected faults
 };
 
 /// The per-slot scenario loop as a steppable object, so callers that

@@ -12,8 +12,8 @@
 //   * checkpoint fail  -> Engine::arm_checkpoint_failure; the next
 //                         reconfiguration retries with exponential backoff
 //                         (pause extended) or aborts past the cap
-//   * metric dropout   -> Engine::set_metric_dropout; the MetricsServer
-//                         returns stale/no samples for the window
+//   * metric dropout   -> Engine::set_metric_dropout; the engine serves the
+//                         last scraped CPU and no capacity for the window
 //   * scheduler outage -> ActuationManager::set_admission_outage; every
 //                         admission check is rejected for the window
 //   * scheduler delay  -> ActuationManager::set_latency_multiplier; pods

@@ -26,6 +26,12 @@ constexpr grammar::KindRule kKinds[] = {
 
 constexpr grammar::SpecGrammar<FaultEvent> kGrammar{{"fault", "operator", kKinds}, &FaultEvent::op};
 
+// What sample() draws beyond the per-kind probabilities.
+constexpr std::int64_t kMaxWindowSlots = 3;  ///< window durations in [1, max]
+constexpr double kStragglerFactor = 0.3;
+constexpr double kSchedDelayFactor = 3.0;
+constexpr double kCheckpointRetries = 2.0;
+
 }  // namespace
 
 const char* to_string(FaultKind kind) { return kGrammar.name(kind); }
@@ -40,9 +46,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) { return FaultPlan(kGrammar.
 FaultPlan FaultPlan::sample(common::Rng& rng, const SampleOptions& options) {
   DRAGSTER_REQUIRE(!options.operators.empty(), "sample() needs candidate operators");
   DRAGSTER_REQUIRE(options.warmup_slots <= options.horizon_slots, "warmup exceeds horizon");
-  DRAGSTER_REQUIRE(options.straggler_factor > 0.0 && options.straggler_factor < 1.0,
-                   "straggler factor must be in (0, 1)");
-  DRAGSTER_REQUIRE(options.max_window_slots >= 1, "window must be at least one slot");
 
   auto pick_op = [&]() -> const std::string& {
     const auto index = static_cast<std::size_t>(
@@ -50,8 +53,7 @@ FaultPlan FaultPlan::sample(common::Rng& rng, const SampleOptions& options) {
     return options.operators[index];
   };
   auto pick_window = [&]() {
-    return static_cast<std::size_t>(
-        rng.uniform_int(1, static_cast<std::int64_t>(options.max_window_slots)));
+    return static_cast<std::size_t>(rng.uniform_int(1, kMaxWindowSlots));
   };
 
   std::vector<FaultEvent> events;
@@ -59,11 +61,9 @@ FaultPlan FaultPlan::sample(common::Rng& rng, const SampleOptions& options) {
     if (rng.bernoulli(options.crash_prob))
       events.push_back({FaultKind::kPodCrash, slot, 1, 0.0, pick_op()});
     if (rng.bernoulli(options.straggler_prob))
-      events.push_back(
-          {FaultKind::kStraggler, slot, pick_window(), options.straggler_factor, pick_op()});
+      events.push_back({FaultKind::kStraggler, slot, pick_window(), kStragglerFactor, pick_op()});
     if (rng.bernoulli(options.ckptfail_prob))
-      events.push_back({FaultKind::kCheckpointFailure, slot, 1,
-                        static_cast<double>(options.ckpt_retries), ""});
+      events.push_back({FaultKind::kCheckpointFailure, slot, 1, kCheckpointRetries, ""});
     if (rng.bernoulli(options.dropout_prob))
       events.push_back({FaultKind::kMetricDropout, slot, pick_window(), 0.0, pick_op()});
     if (rng.bernoulli(options.ctrlcrash_prob))
@@ -71,8 +71,7 @@ FaultPlan FaultPlan::sample(common::Rng& rng, const SampleOptions& options) {
     if (rng.bernoulli(options.schedfail_prob))
       events.push_back({FaultKind::kSchedulerOutage, slot, pick_window(), 0.0, ""});
     if (rng.bernoulli(options.scheddelay_prob))
-      events.push_back(
-          {FaultKind::kSchedulerDelay, slot, pick_window(), options.scheddelay_factor, ""});
+      events.push_back({FaultKind::kSchedulerDelay, slot, pick_window(), kSchedDelayFactor, ""});
   }
   return FaultPlan(std::move(events));
 }

@@ -74,6 +74,9 @@ class FaultPlan {
 
   /// Randomized chaos: each slot in [warmup, horizon) draws each fault kind
   /// independently.  All sampling flows through the provided seeded stream.
+  /// Sampled stragglers run at 30% rate, checkpoint failures retry twice,
+  /// scheduling delays triple the latency, and straggler, dropout and
+  /// scheduler windows last 1-3 slots.
   struct SampleOptions {
     std::size_t horizon_slots = 60;
     std::size_t warmup_slots = 12;        ///< no faults while the GP warms up
@@ -84,10 +87,6 @@ class FaultPlan {
     double ctrlcrash_prob = 0.0;          ///< off unless the run is supervised
     double schedfail_prob = 0.0;          ///< off unless the run has actuation
     double scheddelay_prob = 0.0;
-    std::size_t max_window_slots = 3;     ///< straggler/dropout durations in [1, max]
-    double straggler_factor = 0.3;
-    double scheddelay_factor = 3.0;       ///< latency multiplier (> 1)
-    int ckpt_retries = 2;
     std::vector<std::string> operators;   ///< candidate target names (non-empty)
   };
   [[nodiscard]] static FaultPlan sample(common::Rng& rng, const SampleOptions& options);

@@ -8,6 +8,12 @@ namespace dragster::faults {
 
 namespace {
 
+/// The paper's "within 10%" recovery bar, as a fraction of the pre-fault
+/// level.
+constexpr double kRecoveryFraction = 0.90;
+/// Slots before the fault averaged into the pre-fault level.
+constexpr std::size_t kBaselineSlots = 3;
+
 double ratio_at(std::span<const RecoverySlotData> slots, std::size_t index) {
   const RecoverySlotData& s = slots[index];
   return s.oracle_rate > 1e-9 ? s.achieved_rate / s.oracle_rate : 1.0;
@@ -22,11 +28,8 @@ double health_at(std::span<const FleetHealthSlot> slots, std::size_t index) {
 
 std::vector<RecoveryStats> analyze_recovery(std::span<const AppliedFault> timeline,
                                             std::span<const RecoverySlotData> slots,
-                                            double slot_seconds,
-                                            const RecoveryOptions& options) {
+                                            double slot_seconds) {
   DRAGSTER_REQUIRE(slot_seconds > 0.0, "slot duration must be positive");
-  DRAGSTER_REQUIRE(options.recovery_fraction > 0.0 && options.recovery_fraction <= 1.0,
-                   "recovery fraction must be in (0, 1]");
 
   std::vector<RecoveryStats> stats;
   stats.reserve(timeline.size());
@@ -38,9 +41,9 @@ std::vector<RecoveryStats> analyze_recovery(std::span<const AppliedFault> timeli
       continue;
     }
 
-    // Pre-fault level: mean ratio over up to baseline_slots slots before the
+    // Pre-fault level: mean ratio over up to kBaselineSlots slots before the
     // fault; a fault on the very first slot is scored against the oracle.
-    const std::size_t window = std::min<std::size_t>(options.baseline_slots, fault.slot);
+    const std::size_t window = std::min(kBaselineSlots, fault.slot);
     if (window == 0) {
       entry.pre_fault_ratio = 1.0;
     } else {
@@ -49,7 +52,7 @@ std::vector<RecoveryStats> analyze_recovery(std::span<const AppliedFault> timeli
       entry.pre_fault_ratio = sum / static_cast<double>(window);
     }
 
-    const double bar = options.recovery_fraction * entry.pre_fault_ratio;
+    const double bar = kRecoveryFraction * entry.pre_fault_ratio;
     for (std::size_t i = fault.slot; i < slots.size(); ++i) {
       const double ratio = ratio_at(slots, i);
       if (ratio >= bar) {
@@ -65,11 +68,7 @@ std::vector<RecoveryStats> analyze_recovery(std::span<const AppliedFault> timeli
 }
 
 std::vector<FleetRecoveryStats> analyze_fleet_recovery(
-    std::span<const AppliedFleetFault> timeline, std::span<const FleetHealthSlot> slots,
-    const RecoveryOptions& options) {
-  DRAGSTER_REQUIRE(options.recovery_fraction > 0.0 && options.recovery_fraction <= 1.0,
-                   "recovery fraction must be in (0, 1]");
-
+    std::span<const AppliedFleetFault> timeline, std::span<const FleetHealthSlot> slots) {
   std::vector<FleetRecoveryStats> stats;
   stats.reserve(timeline.size());
   for (const AppliedFleetFault& fault : timeline) {
@@ -80,7 +79,7 @@ std::vector<FleetRecoveryStats> analyze_fleet_recovery(
       continue;
     }
 
-    const std::size_t window = std::min<std::size_t>(options.baseline_slots, fault.slot);
+    const std::size_t window = std::min(kBaselineSlots, fault.slot);
     if (window == 0) {
       entry.pre_fault_level = 1.0;
     } else {
@@ -89,7 +88,7 @@ std::vector<FleetRecoveryStats> analyze_fleet_recovery(
       entry.pre_fault_level = sum / static_cast<double>(window);
     }
 
-    const double bar = options.recovery_fraction * entry.pre_fault_level;
+    const double bar = kRecoveryFraction * entry.pre_fault_level;
     for (std::size_t i = fault.slot; i < slots.size(); ++i) {
       const double health = health_at(slots, i);
       if (health >= bar) {

@@ -2,11 +2,11 @@
 //
 // Scores how a controller rode out each injected fault using the same
 // oracle-normalized throughput the convergence analytics use: for every
-// applied fault we take the mean achieved/oracle ratio over the slots just
-// before it as the pre-fault level, then scan forward for the first slot
-// back above `recovery_fraction` of that level.  Tuples lost are integrated
-// against the pre-fault level over the degraded span, so a fault that never
-// dents throughput costs zero.
+// applied fault we take the mean achieved/oracle ratio over the (up to)
+// three slots just before it as the pre-fault level, then scan forward for
+// the first slot back above 90% of that level (the paper's "within 10%"
+// bar).  Tuples lost are integrated against the pre-fault level over the
+// degraded span, so a fault that never dents throughput costs zero.
 #pragma once
 
 #include <optional>
@@ -28,21 +28,16 @@ struct RecoveryStats {
   AppliedFault fault;
   double pre_fault_ratio = 0.0;  ///< mean achieved/oracle before the fault
   /// Slots from the fault's start until the ratio is back above
-  /// recovery_fraction * pre_fault_ratio; 0 means the fault slot itself
+  /// 0.9 * pre_fault_ratio; 0 means the fault slot itself
   /// stayed above the bar (no visible impact); nullopt = never recovered
   /// within the run.
   std::optional<std::size_t> slots_to_recover;
   double tuples_lost = 0.0;      ///< integral of the dip vs. the pre-fault level
 };
 
-struct RecoveryOptions {
-  double recovery_fraction = 0.90;   ///< the paper's "within 10%" bar
-  std::size_t baseline_slots = 3;    ///< pre-fault averaging window
-};
-
 [[nodiscard]] std::vector<RecoveryStats> analyze_recovery(
     std::span<const AppliedFault> timeline, std::span<const RecoverySlotData> slots,
-    double slot_seconds, const RecoveryOptions& options = {});
+    double slot_seconds);
 
 // -- fleet-level extension ----------------------------------------------------
 //
@@ -62,13 +57,12 @@ struct FleetRecoveryStats {
   AppliedFleetFault fault;
   double pre_fault_level = 0.0;  ///< mean healthy fraction before the fault
   /// Slots from the fault until the healthy fraction is back above
-  /// recovery_fraction * pre_fault_level; nullopt = never within the run.
+  /// 0.9 * pre_fault_level; nullopt = never within the run.
   std::optional<std::size_t> slots_to_recover;
   double job_slots_lost = 0.0;   ///< integral of the health dip, in job-slots
 };
 
 [[nodiscard]] std::vector<FleetRecoveryStats> analyze_fleet_recovery(
-    std::span<const AppliedFleetFault> timeline, std::span<const FleetHealthSlot> slots,
-    const RecoveryOptions& options = {});
+    std::span<const AppliedFleetFault> timeline, std::span<const FleetHealthSlot> slots);
 
 }  // namespace dragster::faults

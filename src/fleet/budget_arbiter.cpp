@@ -7,11 +7,18 @@
 
 namespace dragster::fleet {
 
-BudgetArbiter::BudgetArbiter(ArbiterOptions options) : options_(options) {
-  DRAGSTER_REQUIRE(options_.pressure_smoothing > 0.0 && options_.pressure_smoothing <= 1.0,
-                   "pressure smoothing must be in (0, 1]");
-  DRAGSTER_REQUIRE(options_.pressure_epsilon > 0.0, "pressure epsilon must be positive");
-}
+namespace {
+
+/// Additive pressure floor (eps in the header's score) so an
+/// all-zero-pressure fleet still splits the surplus by weight instead of
+/// granting nothing, and satisfied jobs keep a meaningful surplus share (max
+/// tilt toward a pressured job is (eps + 1) / eps, since pressure is
+/// squashed to [0, 1) in the score).
+constexpr double kPressureEpsilon = 0.25;
+
+}  // namespace
+
+BudgetArbiter::BudgetArbiter(ArbiterOptions options) : options_(options) {}
 
 std::vector<int> BudgetArbiter::split(int budget_pods,
                                       const std::vector<JobDemand>& demands) const {
@@ -56,7 +63,7 @@ std::vector<int> BudgetArbiter::split(int budget_pods,
           // Pressure squashed to [0, 1) so one job with a huge dual cannot
           // starve the rest; the tilt is bounded by (eps + 1) / eps.
           const double squashed = demands[i].pressure / (1.0 + demands[i].pressure);
-          score[i] = demands[i].weight * (options_.pressure_epsilon + squashed);
+          score[i] = demands[i].weight * (kPressureEpsilon + squashed);
         }
         score_total += score[i];
       }

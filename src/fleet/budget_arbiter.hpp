@@ -35,14 +35,6 @@ enum class ArbiterMode {
 
 struct ArbiterOptions {
   ArbiterMode mode = ArbiterMode::kPressure;
-  /// EWMA coefficient the fleet applies to raw controller pressure before it
-  /// reaches the arbiter: smoothed = (1-a) * old + a * fresh.
-  double pressure_smoothing = 0.35;
-  /// Additive pressure floor so an all-zero-pressure fleet still splits the
-  /// surplus by weight instead of granting nothing, and satisfied jobs keep
-  /// a meaningful surplus share (max tilt toward a pressured job is
-  /// (eps + 1) / eps, since pressure is squashed to [0, 1) in the score).
-  double pressure_epsilon = 0.25;
 };
 
 /// One running job's demand, in the fleet's fixed job-index order.

@@ -13,6 +13,14 @@
 
 namespace dragster::fleet {
 
+namespace {
+
+/// EWMA coefficient applied to raw controller pressure before it reaches the
+/// arbiter: smoothed = (1-a) * old + a * fresh.
+constexpr double kPressureSmoothing = 0.35;
+
+}  // namespace
+
 const char* to_string(JobState state) {
   switch (state) {
     case JobState::kQueued: return "queued";
@@ -650,7 +658,7 @@ void FleetScheduler::step() {
                             ? last.latency_s / job->spec.slo.max_latency_s
                             : 0.0;
     const double fresh_pressure = std::max(dual, debt);
-    const double a = options_.arbiter.pressure_smoothing;
+    const double a = kPressureSmoothing;
     job->pressure =
         std::max(fresh_pressure, (1.0 - a) * job->pressure + a * fresh_pressure);
 

@@ -50,8 +50,8 @@ Cholesky::Cholesky(const std::vector<double>& a, std::size_t n, double jitter) :
       for (std::size_t i = 0; i < n_; ++i) l_[i * n_ + i] += added;
     if (try_factor(l_, n_)) {
       if (added > 0.0)
-        DRAGSTER_LOG(kWarn) << "Cholesky: matrix needed diagonal jitter " << format_jitter(added)
-                            << " to factor (near-singular kernel matrix?)";
+        common::warn("Cholesky: matrix needed diagonal jitter " + format_jitter(added) +
+                     " to factor (near-singular kernel matrix?)");
       return;
     }
     added = attempt == 0 ? jitter : added * 10.0;

@@ -39,6 +39,9 @@ void BufferedActuator::commit(streamsim::ScalingActuator& target) const {
 
 namespace {
 
+/// A dual multiplier above this (or non-finite) trips kDualDivergence.
+constexpr double kDualDivergenceBound = 1e3;
+
 /// True when any buffered action opens a *new* actuation epoch — re-issues
 /// aimed at an operator whose rescale is still in flight are absorbed by the
 /// actuator's dedupe fence and must not count toward the flapping window.
@@ -103,6 +106,9 @@ void ControllerSupervisor::on_slot(const streamsim::JobMonitor& monitor,
   streamsim::MonitorFrame frame = streamsim::MonitorFrame::capture(monitor);
   ++slots_seen_;
 
+  // A crashed controller restarts within the slot it died in: the restore
+  // below runs on this same call.
+  const bool crashed = crash_pending_;
   if (crash_pending_) {
     crash_pending_ = false;
     ++stats_.crashes_injected;
@@ -114,8 +120,6 @@ void ControllerSupervisor::on_slot(const streamsim::JobMonitor& monitor,
                                      !snapshot_.empty()));
       }
     }
-    inner_down_ = true;
-    outage_left_ = std::max<std::size_t>(std::size_t{1}, options_.restore_slots);
     need_cold_restart_ =
         !(options_.enable_snapshots && snapshotable_ != nullptr && !snapshot_.empty());
     state_ = SupervisorState::kSafeMode;
@@ -132,18 +136,10 @@ void ControllerSupervisor::on_slot(const streamsim::JobMonitor& monitor,
       if (obs::TraceSink* sink = obs_->trace()) {
         obs::Event(*sink, "safe_mode_slot", static_cast<std::uint64_t>(frame.slots_run))
             .field("streak", static_cast<std::uint64_t>(safe_streak_))
-            .field("inner_down", inner_down_);
+            .field("inner_down", crashed);
       }
     }
     pending_.push_back(std::move(frame));
-    if (inner_down_) {
-      --outage_left_;
-      if (outage_left_ > 0) {  // process still restarting: hold position
-        reissue_last_known_good(pending_.back(), actuator);
-        return;
-      }
-      inner_down_ = false;
-    }
     if (try_recover(actuator)) {
       state_ = SupervisorState::kHealthy;
       safe_streak_ = 0;
@@ -204,12 +200,11 @@ std::optional<HealthViolation> ControllerSupervisor::validate_actions(
       else
         tasks[action.op] = action.tasks;
     }
-    const cluster::PricingModel pricing = cluster::PricingModel::standard();
     double rate = 0.0;
     for (const auto& [op, count] : tasks) {
       const auto it = specs.find(op);
       const cluster::PodSpec spec = it == specs.end() ? cluster::PodSpec{} : it->second;
-      rate += static_cast<double>(count) * pricing.pod_price_per_hour(spec);
+      rate += static_cast<double>(count) * cluster::pod_price_per_hour(spec);
     }
     if (rate > options_.budget.dollars_per_hour() * (1.0 + 1e-9))
       return HealthViolation::kOverBudget;
@@ -224,11 +219,10 @@ std::optional<HealthViolation> ControllerSupervisor::validate(
     for (double target : dragster->last_targets())
       if (!std::isfinite(target)) return HealthViolation::kNonFiniteTarget;
     for (double multiplier : dragster->lambda())
-      if (!std::isfinite(multiplier) || multiplier > options_.dual_divergence_bound)
+      if (!std::isfinite(multiplier) || multiplier > kDualDivergenceBound)
         return HealthViolation::kDualDivergence;
     const std::size_t nf = dragster->non_finite_constraints();
-    if (nf > nf_before && nf - nf_before > options_.non_finite_tolerance)
-      return HealthViolation::kNonFiniteObservations;
+    if (nf > nf_before) return HealthViolation::kNonFiniteObservations;
   }
   if (const auto violation = validate_actions(buffer, frame)) return violation;
   if (real_change && slots_seen_ > options_.flap_warmup &&

@@ -99,13 +99,6 @@ struct SupervisorOptions {
   /// Serialize the inner controller's state every k healthy slots.
   std::size_t snapshot_every = 5;
   bool enable_snapshots = true;
-  /// Slots a crashed controller stays down (process restart + state restore
-  /// latency).  During the outage the last-known-good config is held.
-  std::size_t restore_slots = 1;
-  /// Trip when any dual multiplier exceeds this (or is non-finite).
-  double dual_divergence_bound = 1e3;
-  /// Skipped non-finite constraint entries tolerated per decision.
-  std::size_t non_finite_tolerance = 0;
   /// Trip after this many consecutive reconfiguring slots...
   std::size_t flap_window = 8;
   /// ...but only after the warmup, where exploration legitimately churns.
@@ -168,8 +161,6 @@ class ControllerSupervisor final : public core::Controller {
   [[nodiscard]] const SupervisorStats& stats() const noexcept { return stats_; }
   [[nodiscard]] core::Controller& inner() noexcept { return *inner_; }
   [[nodiscard]] const core::Controller& inner() const noexcept { return *inner_; }
-  /// Latest serialized snapshot; empty if none was taken yet.
-  [[nodiscard]] const std::string& last_snapshot() const noexcept { return snapshot_; }
 
  private:
   /// Action-level invariants: sane tasks/specs and the dollar budget.
@@ -202,9 +193,7 @@ class ControllerSupervisor final : public core::Controller {
   SupervisorState state_ = SupervisorState::kHealthy;
 
   bool crash_pending_ = false;
-  bool inner_down_ = false;        ///< crash outage in progress
   bool need_cold_restart_ = false;
-  std::size_t outage_left_ = 0;
 
   std::string snapshot_;
   std::vector<streamsim::MonitorFrame> journal_;  ///< consumed since snapshot

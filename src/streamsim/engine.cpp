@@ -10,6 +10,19 @@
 
 namespace dragster::streamsim {
 
+namespace {
+
+/// Mean arrival demand over capacity above which an operator reports
+/// backpressure.
+constexpr double kBackpressureUtil = 0.95;
+/// Failed checkpoint attempt k costs checkpoint_pause_s * kCheckpointBackoff^k;
+/// a retry chain longer than kCheckpointAbortFraction of the slot aborts the
+/// reconfiguration instead.
+constexpr double kCheckpointBackoff = 2.0;
+constexpr double kCheckpointAbortFraction = 0.5;
+
+}  // namespace
+
 // -- MonitorFrame -------------------------------------------------------------
 
 MonitorFrame MonitorFrame::capture(const JobMonitor& monitor) {
@@ -69,7 +82,7 @@ int JobMonitor::max_tasks() const {
 }
 
 double JobMonitor::pod_price_per_hour(dag::NodeId op) const {
-  return cluster::PricingModel::standard().pod_price_per_hour(pod_spec(op));
+  return cluster::pod_price_per_hour(pod_spec(op));
 }
 
 cluster::PodSpec JobMonitor::pod_spec(dag::NodeId op) const {
@@ -283,8 +296,8 @@ const SlotReport& Engine::run_slot() {
     report.checkpoint_retries = armed_checkpoint_retries_;
     double extended = 0.0;
     for (int k = 0; k <= armed_checkpoint_retries_; ++k)
-      extended += options_.checkpoint_pause_s * std::pow(options_.checkpoint_backoff, k);
-    const double abort_cap = options_.checkpoint_abort_fraction * options_.slot_duration_s;
+      extended += options_.checkpoint_pause_s * std::pow(kCheckpointBackoff, k);
+    const double abort_cap = kCheckpointAbortFraction * options_.slot_duration_s;
     if (extended > abort_cap) {
       report.checkpoint_aborted = true;
       for (dag::NodeId id : dag_.operators()) {
@@ -398,18 +411,16 @@ const SlotReport& Engine::run_slot() {
     const double avg_overload =
         accum_[id].steps > 0 ? accum_[id].overload_sum / static_cast<double>(accum_[id].steps)
                              : 0.0;
-    m.backpressured = avg_overload > options_.backpressure_util;
+    m.backpressured = avg_overload > kBackpressureUtil;
 
-    // Metric outage: no fresh scrape reaches the Metrics Server; controllers
-    // see the last published (stale) CPU reading and no capacity estimate.
-    const std::string& name = dag_.component(id).name;
+    // Metric outage: no fresh scrape is taken; controllers see the last
+    // scraped (stale) CPU reading and no capacity estimate.
     if (state.metrics_down) {
       m.metrics_stale = true;
-      m.cpu_utilization = metrics_.latest_cpu(name, 0.0);
+      m.cpu_utilization = state.last_cpu;
       m.observed_capacity = 0.0;
-      metrics_.skip_scrape(name);
     } else {
-      metrics_.record_cpu(name, m.cpu_utilization);
+      state.last_cpu = m.cpu_utilization;
     }
     m.fault_tainted = state.crashed_this_slot || state.degradation < 1.0 || state.metrics_down;
     state.crashed_this_slot = false;

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "cluster/metrics_server.hpp"
 #include "common/rng.hpp"
 #include "dag/stream_dag.hpp"
 #include "streamsim/capacity_model.hpp"
@@ -49,12 +48,6 @@ struct EngineOptions {
   double buffer_limit = 5e7;          ///< per-in-edge buffer bound (tuples)
   int max_tasks = 10;                 ///< per-operator parallelism bound
   double sample_interval_s = 60.0;    ///< figure-series sampling period
-  double backpressure_util = 0.95;    ///< avg utilization treated as backpressure
-  /// Failed checkpoint attempt k costs checkpoint_pause_s * backoff^k; once
-  /// the retry chain would eat more than abort_fraction of the slot, the
-  /// reconfiguration is aborted instead (configs revert, the time is lost).
-  double checkpoint_backoff = 2.0;
-  double checkpoint_abort_fraction = 0.5;
 };
 
 struct OperatorMetrics {
@@ -79,9 +72,9 @@ struct OperatorMetrics {
   /// reporting a restarting/unhealthy task.  Learners must not trust this
   /// slot's capacity estimate.
   bool fault_tainted = false;
-  /// Set when the Metrics Server had no fresh samples for this operator this
-  /// slot: cpu_utilization is the last published (stale) reading and
-  /// observed_capacity is absent (0).
+  /// Set when no fresh scrape reached the engine for this operator this
+  /// slot: cpu_utilization is the last scraped (stale) reading, 0 before the
+  /// first scrape, and observed_capacity is absent (0).
   bool metrics_stale = false;
 };
 
@@ -217,14 +210,14 @@ class Engine final : public ScalingActuator {
   void set_capacity_degradation(dag::NodeId op, double factor);
 
   /// Arms a checkpoint failure: the next reconfiguration's checkpoint fails
-  /// `retries` times, each retry backing off by options().checkpoint_backoff;
-  /// past checkpoint_abort_fraction of the slot the reconfiguration aborts
-  /// and the previous configuration is restored.
+  /// `retries` times, failed attempt k costing checkpoint_pause_s * 2^k; once
+  /// the chain would eat more than half the slot the reconfiguration aborts
+  /// and the previous configuration is restored (the time is still lost).
   void arm_checkpoint_failure(int retries);
 
-  /// Metric outage seam: while active the Metrics Server receives no fresh
-  /// samples for the operator and the slot report carries stale CPU plus no
-  /// capacity estimate (metrics_stale / fault_tainted are set).
+  /// Metric outage seam: while active no fresh scrape of the operator is
+  /// taken and the slot report carries its last scraped CPU plus no capacity
+  /// estimate (metrics_stale / fault_tainted are set).
   void set_metric_dropout(dag::NodeId op, bool active);
 
   // -- observation ----------------------------------------------------------
@@ -267,6 +260,7 @@ class Engine final : public ScalingActuator {
     cluster::PodSpec prev_spec;
     double degradation = 1.0;         // straggler seam; 1 = healthy
     bool metrics_down = false;        // metric-dropout seam
+    double last_cpu = 0.0;            // last scraped CPU, served while metrics_down
     bool crashed_this_slot = false;   // set by inject_pod_failure, slot-scoped
   };
 
@@ -310,7 +304,6 @@ class Engine final : public ScalingActuator {
   dag::StreamDag dag_;
   EngineOptions options_;
   cluster::Cluster cluster_;
-  cluster::MetricsServer metrics_;
   common::Rng root_rng_;
   // Node-indexed state; the dag's sources() and operators() list the ids in
   // ascending order.  A schedule is null off sources, a model off operators.

@@ -14,6 +14,11 @@ namespace dragster::transport {
 
 namespace {
 
+/// A delivered frame counts fresh while its age is at most this many slots.
+constexpr std::size_t kStaleAfterSlots = 1;
+/// Slots a command waits for its ack before the first retransmit.
+constexpr std::size_t kAckTimeoutSlots = 2;
+
 /// Serializes one MonitorFrame's observation state (everything except the
 /// structural dag, which is rebuilt from the live engine on load).  These are
 /// free helpers — not save_state/load_state members — because the key set is
@@ -112,11 +117,16 @@ void save_frame(resilience::SnapshotWriter& writer, const std::string& section,
   writer.field("series_v", std::span<const double>(series_v));
 }
 
-/// Operator ids a snapshot names must be nodes of the job's dag.
-void require_nodes(const dag::StreamDag& dag, const std::vector<int>& ids) {
+bool is_operator(const dag::StreamDag& dag, std::uint64_t id) {
+  return id < dag.node_count() &&
+         dag.component(static_cast<dag::NodeId>(id)).kind == dag::ComponentKind::kOperator;
+}
+
+/// Operator ids a snapshot names must be operators of the job's dag.
+void require_operators(const dag::StreamDag& dag, const std::vector<int>& ids) {
   for (int id : ids)
-    DRAGSTER_REQUIRE(id >= 0 && static_cast<std::size_t>(id) < dag.node_count(),
-                     "snapshot names an operator id outside the topology");
+    DRAGSTER_REQUIRE(id >= 0 && is_operator(dag, static_cast<std::uint64_t>(id)),
+                     "snapshot names an id that is not an operator of the topology");
 }
 
 [[nodiscard]] streamsim::MonitorFrame load_frame(resilience::SnapshotReader& reader,
@@ -135,7 +145,7 @@ void require_nodes(const dag::StreamDag& dag, const std::vector<int>& ids) {
   const std::vector<int> task_ops = reader.get_ints("task_ops");
   const std::vector<int> task_counts = reader.get_ints("task_counts");
   DRAGSTER_REQUIRE(task_ops.size() == task_counts.size(), "frame task vectors disagree");
-  require_nodes(dag, task_ops);
+  require_operators(dag, task_ops);
   for (std::size_t i = 0; i < task_ops.size(); ++i)
     frame.tasks[static_cast<dag::NodeId>(task_ops[i])] = task_counts[i];
   const std::vector<int> spec_ops = reader.get_ints("spec_ops");
@@ -143,7 +153,7 @@ void require_nodes(const dag::StreamDag& dag, const std::vector<int>& ids) {
   const std::vector<double> spec_mem = reader.get_doubles("spec_mem");
   DRAGSTER_REQUIRE(spec_ops.size() == spec_cpu.size() && spec_ops.size() == spec_mem.size(),
                    "frame spec vectors disagree");
-  require_nodes(dag, spec_ops);
+  require_operators(dag, spec_ops);
   for (std::size_t i = 0; i < spec_ops.size(); ++i)
     frame.specs[static_cast<dag::NodeId>(spec_ops[i])] =
         cluster::PodSpec{spec_cpu[i], spec_mem[i]};
@@ -353,29 +363,28 @@ void TelemetryPipe::push(std::size_t slot, const streamsim::MonitorFrame& frame,
 }
 
 const streamsim::MonitorFrame* TelemetryPipe::view() const noexcept {
-  return has_latest_ ? &view_ : nullptr;
+  return latest_.has_value() ? &view_ : nullptr;
 }
 
 std::size_t TelemetryPipe::staleness() const noexcept {
-  if (!has_latest_) return slot_ + 1;
+  if (!latest_.has_value()) return slot_ + 1;
   return slot_ - latest_captured_;
 }
 
 void TelemetryPipe::arrive(std::uint64_t seq, const streamsim::MonitorFrame& frame,
                            std::size_t captured_slot, TransportStats& stats) {
   ++stats.frames_delivered;
-  if (!has_latest_ || seq > latest_seq_) {
+  if (!latest_.has_value() || seq > latest_seq_) {
     latest_ = frame;
     latest_seq_ = seq;
     latest_captured_ = captured_slot;
-    has_latest_ = true;
   } else {
     ++stats.frames_discarded;
   }
 }
 
 void TelemetryPipe::refresh_view() {
-  if (!has_latest_) return;
+  if (!latest_.has_value()) return;
   view_ = *latest_;
   if (latest_captured_ < slot_)
     for (streamsim::OperatorMetrics& metrics : view_.report.per_node)
@@ -388,9 +397,9 @@ void TelemetryPipe::save_state(resilience::SnapshotWriter& writer) const {
   writer.field("slot", static_cast<std::uint64_t>(slot_));
   writer.field("latest_seq", latest_seq_);
   writer.field("latest_captured", static_cast<std::uint64_t>(latest_captured_));
-  writer.field("has_latest", static_cast<std::uint64_t>(has_latest_ ? 1 : 0));
+  writer.field("has_latest", static_cast<std::uint64_t>(latest_.has_value() ? 1 : 0));
   writer.field("inflight", static_cast<std::uint64_t>(inflight_.size()));
-  if (has_latest_) save_frame(writer, "transport.pipe.latest", *latest_);
+  if (latest_.has_value()) save_frame(writer, "transport.pipe.latest", *latest_);
   std::size_t index = 0;
   for (const InFlight& message : inflight_) {
     const std::string section = "transport.pipe.msg" + std::to_string(index++);
@@ -408,10 +417,10 @@ void TelemetryPipe::load_state(resilience::SnapshotReader& reader, const dag::St
   slot_ = static_cast<std::size_t>(reader.get_uint("slot"));
   latest_seq_ = reader.get_uint("latest_seq");
   latest_captured_ = static_cast<std::size_t>(reader.get_uint("latest_captured"));
-  has_latest_ = reader.get_uint("has_latest") != 0;
+  const bool has_latest = reader.get_uint("has_latest") != 0;
   const std::size_t count = static_cast<std::size_t>(reader.get_uint("inflight"));
   latest_.reset();
-  if (has_latest_) latest_ = load_frame(reader, "transport.pipe.latest", dag);
+  if (has_latest) latest_ = load_frame(reader, "transport.pipe.latest", dag);
   inflight_.clear();
   for (std::size_t index = 0; index < count; ++index) {
     const std::string section = "transport.pipe.msg" + std::to_string(index);
@@ -434,13 +443,12 @@ CommandLink::CommandLink(ChannelOptions command, ChannelOptions ack, RetryOption
     : command_(std::move(command), seed, "command"),
       ack_(std::move(ack), seed, "ack"),
       retry_(retry),
-      seed_(seed) {
-  DRAGSTER_REQUIRE(retry_.ack_timeout_slots >= 1, "ack timeout must be >= 1 slot");
-}
+      seed_(seed) {}
 
-void CommandLink::bind(streamsim::ScalingActuator* downstream, TransportStats* stats,
-                       obs::Registry* obs) noexcept {
+void CommandLink::bind(streamsim::ScalingActuator* downstream, const dag::StreamDag* dag,
+                       TransportStats* stats, obs::Registry* obs) noexcept {
   downstream_ = downstream;
+  dag_ = dag;
   stats_ = stats;
   obs_ = obs;
 }
@@ -475,8 +483,12 @@ std::uint64_t CommandLink::applied_seq(dag::NodeId op) const {
 
 void CommandLink::enqueue(dag::NodeId op, bool is_spec, int tasks,
                           const cluster::PodSpec& spec) {
-  DRAGSTER_REQUIRE(downstream_ != nullptr && stats_ != nullptr,
+  DRAGSTER_REQUIRE(downstream_ != nullptr && dag_ != nullptr && stats_ != nullptr,
                    "command link used before bind()");
+  // Checked here, not on delivery: a copy for a source would otherwise throw
+  // slots later, inside begin_slot, from the downstream actuator.
+  DRAGSTER_REQUIRE(is_operator(*dag_, op),
+                   "command names node " + std::to_string(op) + ", which is not an operator");
   ++stats_->commands_sent;
   // A newer command for the same operator supersedes any unacked older one:
   // we stop retrying it, and the receiver watermark guarantees a straggler
@@ -493,9 +505,8 @@ void CommandLink::enqueue(dag::NodeId op, bool is_spec, int tasks,
   pending.is_spec = is_spec;
   pending.tasks = tasks;
   pending.spec = spec;
-  pending.sent_slot = slot_;
   pending.attempts = 1;
-  pending.deadline = slot_ + retry_.ack_timeout_slots;
+  pending.deadline = slot_ + kAckTimeoutSlots;
   pending_.emplace(seq, pending);
   latest_seq_[op] = seq;
   ++stats_->command_sends;
@@ -506,15 +517,13 @@ void CommandLink::route(std::uint64_t seq, std::size_t attempt,
                         const std::vector<Delivery>& fates) {
   for (const Delivery& delivery : fates) {
     if (delivery.deliver_slot <= slot_)
-      receive(seq, attempt, delivery.duplicate);
+      receive(seq);
     else
-      commands_inflight_.push_back(Wire{seq, attempt, delivery.deliver_slot, delivery.duplicate});
+      commands_inflight_.push_back(Wire{seq, attempt, delivery.deliver_slot});
   }
 }
 
-void CommandLink::receive(std::uint64_t seq, std::size_t attempt, bool duplicate) {
-  (void)attempt;
-  (void)duplicate;
+void CommandLink::receive(std::uint64_t seq) {
   const auto it = pending_.find(seq);
   DRAGSTER_REQUIRE(it != pending_.end(), "delivered command copy lost its payload");
   const Pending& pending = it->second;
@@ -549,7 +558,7 @@ void CommandLink::send_ack(std::uint64_t seq) {
     if (delivery.deliver_slot <= slot_)
       ack_arrived(seq);
     else
-      acks_inflight_.push_back(Wire{seq, 1, delivery.deliver_slot, delivery.duplicate});
+      acks_inflight_.push_back(Wire{seq, 1, delivery.deliver_slot});
   }
 }
 
@@ -570,7 +579,7 @@ void CommandLink::drain_due_wires() {
   std::stable_sort(due.begin(), due.end(), [](const Wire& a, const Wire& b) {
     return a.seq < b.seq || (a.seq == b.seq && a.attempt < b.attempt);
   });
-  for (const Wire& wire : due) receive(wire.seq, wire.attempt, wire.duplicate);
+  for (const Wire& wire : due) receive(wire.seq);
   // Acks second, after command deliveries may have queued new ones.
   due.clear();
   std::vector<Wire> ack_later;
@@ -609,7 +618,7 @@ void CommandLink::retransmit_timeouts() {
             .substream("retry-jitter", seq)
             .substream("try", static_cast<std::uint64_t>(attempt))
             .uniform_int(0, static_cast<std::int64_t>(backoff)));
-    pending.deadline = slot_ + retry_.ack_timeout_slots + backoff + jitter;
+    pending.deadline = slot_ + kAckTimeoutSlots + backoff + jitter;
     ++stats_->command_sends;
     ++stats_->command_retries;
     if (obs_ != nullptr) {
@@ -671,7 +680,6 @@ void CommandLink::save_state(resilience::SnapshotWriter& writer) const {
     writer.field("tasks", static_cast<std::int64_t>(pending.tasks));
     writer.field("cpu", pending.spec.cpu_cores);
     writer.field("mem", pending.spec.memory_gb);
-    writer.field("sent_slot", static_cast<std::uint64_t>(pending.sent_slot));
     writer.field("attempts", static_cast<std::uint64_t>(pending.attempts));
     writer.field("deadline", static_cast<std::uint64_t>(pending.deadline));
     writer.field("acked", static_cast<std::uint64_t>(pending.acked ? 1 : 0));
@@ -684,7 +692,6 @@ void CommandLink::save_state(resilience::SnapshotWriter& writer) const {
     writer.field("seq", wire.seq);
     writer.field("attempt", static_cast<std::uint64_t>(wire.attempt));
     writer.field("deliver_slot", static_cast<std::uint64_t>(wire.deliver_slot));
-    writer.field("duplicate", static_cast<std::uint64_t>(wire.duplicate ? 1 : 0));
   }
   index = 0;
   for (const Wire& wire : acks_inflight_) {
@@ -692,11 +699,12 @@ void CommandLink::save_state(resilience::SnapshotWriter& writer) const {
     writer.field("seq", wire.seq);
     writer.field("attempt", static_cast<std::uint64_t>(wire.attempt));
     writer.field("deliver_slot", static_cast<std::uint64_t>(wire.deliver_slot));
-    writer.field("duplicate", static_cast<std::uint64_t>(wire.duplicate ? 1 : 0));
   }
 }
 
-void CommandLink::load_state(resilience::SnapshotReader& reader, const dag::StreamDag& dag) {
+void CommandLink::load_state(resilience::SnapshotReader& reader) {
+  DRAGSTER_REQUIRE(dag_ != nullptr, "bind() the command link before load_state()");
+  const dag::StreamDag& dag = *dag_;
   reader.enter_section("transport.link");
   command_.load(reader, "cmd_");
   ack_.load(reader, "ackch_");
@@ -707,7 +715,7 @@ void CommandLink::load_state(resilience::SnapshotReader& reader, const dag::Stre
   const std::vector<int> latest_ops = reader.get_ints("latest_ops");
   const std::vector<int> latest_seqs = reader.get_ints("latest_seqs");
   DRAGSTER_REQUIRE(latest_ops.size() == latest_seqs.size(), "latest watermark vectors disagree");
-  require_nodes(dag, latest_ops);
+  require_operators(dag, latest_ops);
   latest_seq_.clear();
   for (std::size_t i = 0; i < latest_ops.size(); ++i)
     latest_seq_[static_cast<dag::NodeId>(latest_ops[i])] =
@@ -716,7 +724,7 @@ void CommandLink::load_state(resilience::SnapshotReader& reader, const dag::Stre
   const std::vector<int> applied_seqs = reader.get_ints("applied_seqs");
   DRAGSTER_REQUIRE(applied_ops.size() == applied_seqs.size(),
                    "applied watermark vectors disagree");
-  require_nodes(dag, applied_ops);
+  require_operators(dag, applied_ops);
   applied_seq_.clear();
   for (std::size_t i = 0; i < applied_ops.size(); ++i)
     applied_seq_[static_cast<dag::NodeId>(applied_ops[i])] =
@@ -726,14 +734,14 @@ void CommandLink::load_state(resilience::SnapshotReader& reader, const dag::Stre
     reader.enter_section("transport.link.p" + std::to_string(index));
     const std::uint64_t seq = reader.get_uint("seq");
     Pending pending;
-    pending.op = static_cast<dag::NodeId>(reader.get_uint("op"));
-    DRAGSTER_REQUIRE(pending.op < dag.node_count(),
-                     "snapshot names an operator id outside the topology");
+    const std::uint64_t op = reader.get_uint("op");
+    DRAGSTER_REQUIRE(is_operator(dag, op),
+                     "snapshot names an id that is not an operator of the topology");
+    pending.op = static_cast<dag::NodeId>(op);
     pending.is_spec = reader.get_uint("is_spec") != 0;
     pending.tasks = static_cast<int>(reader.get_int("tasks"));
     pending.spec.cpu_cores = reader.get_double("cpu");
     pending.spec.memory_gb = reader.get_double("mem");
-    pending.sent_slot = static_cast<std::size_t>(reader.get_uint("sent_slot"));
     pending.attempts = static_cast<std::size_t>(reader.get_uint("attempts"));
     pending.deadline = static_cast<std::size_t>(reader.get_uint("deadline"));
     pending.acked = reader.get_uint("acked") != 0;
@@ -748,7 +756,6 @@ void CommandLink::load_state(resilience::SnapshotReader& reader, const dag::Stre
     wire.seq = reader.get_uint("seq");
     wire.attempt = static_cast<std::size_t>(reader.get_uint("attempt"));
     wire.deliver_slot = static_cast<std::size_t>(reader.get_uint("deliver_slot"));
-    wire.duplicate = reader.get_uint("duplicate") != 0;
     commands_inflight_.push_back(wire);
   }
   acks_inflight_.clear();
@@ -758,7 +765,6 @@ void CommandLink::load_state(resilience::SnapshotReader& reader, const dag::Stre
     wire.seq = reader.get_uint("seq");
     wire.attempt = static_cast<std::size_t>(reader.get_uint("attempt"));
     wire.deliver_slot = static_cast<std::size_t>(reader.get_uint("deliver_slot"));
-    wire.duplicate = reader.get_uint("duplicate") != 0;
     acks_inflight_.push_back(wire);
   }
 }
@@ -782,7 +788,6 @@ TransportHarness::TransportHarness(TransportOptions options, std::uint64_t seed)
       link_(options_.command, options_.ack, options_.retry,
             common::Rng(seed).substream("command").next_u64()) {
   DRAGSTER_REQUIRE(options_.guard.open_after_misses >= 1, "open_after_misses must be >= 1");
-  DRAGSTER_REQUIRE(options_.guard.ds2_headroom >= 1.0, "ds2_headroom must be >= 1");
 }
 
 void TransportHarness::attach(streamsim::ScalingActuator& downstream,
@@ -791,12 +796,12 @@ void TransportHarness::attach(streamsim::ScalingActuator& downstream,
   dag_ = &dag;
   budget_ = budget;
   obs_ = obs;
-  link_.bind(&downstream, &stats_, obs);
+  link_.bind(&downstream, &dag, &stats_, obs);
   if (fallback_) fallback_->set_budget(budget);
 }
 
 void TransportHarness::detach() noexcept {
-  link_.bind(nullptr, nullptr, nullptr);
+  link_.bind(nullptr, nullptr, nullptr, nullptr);
   dag_ = nullptr;
   obs_ = nullptr;
 }
@@ -812,8 +817,7 @@ void TransportHarness::control_step(core::Controller& controller,
                                     const streamsim::MonitorFrame& fresh, std::size_t slot) {
   pipe_.push(slot, fresh, stats_);
   const streamsim::MonitorFrame* view = pipe_.view();
-  const bool is_fresh =
-      view != nullptr && pipe_.staleness() <= options_.guard.stale_after_slots;
+  const bool is_fresh = view != nullptr && pipe_.staleness() <= kStaleAfterSlots;
   if (is_fresh) {
     miss_streak_ = 0;
   } else {
@@ -860,7 +864,6 @@ void TransportHarness::control_step(core::Controller& controller,
     if (!fallback_) {
       baselines::Ds2Options rule;
       rule.budget = budget_;
-      rule.headroom = options_.guard.ds2_headroom;
       fallback_ = std::make_unique<baselines::Ds2Controller>(rule);
       resilience::NullActuator discard;
       fallback_->initialize(monitor, discard);
@@ -964,7 +967,7 @@ void TransportHarness::load_state(resilience::SnapshotReader& reader) {
   TelemetryPipe pipe = pipe_;
   pipe.load_state(reader, *dag_);
   CommandLink link = link_;
-  link.load_state(reader, *dag_);
+  link.load_state(reader);
 
   state_ = static_cast<BreakerState>(state);
   miss_streak_ = miss_streak;
@@ -992,7 +995,6 @@ void TransportHarness::load_state(resilience::SnapshotReader& reader) {
   if (has_fallback) {
     baselines::Ds2Options rule;
     rule.budget = budget_;
-    rule.headroom = options_.guard.ds2_headroom;
     fallback_ = std::make_unique<baselines::Ds2Controller>(rule);
   }
   pipe_ = std::move(pipe);

@@ -144,19 +144,17 @@ struct GuardOptions {
   /// False = no-watchdog ablation: the controller is fed whatever the pipe
   /// serves, stale or not, and no breaker or rule fallback ever engages.
   bool enabled = true;
-  /// Consecutive missed scrapes before the circuit opens.
+  /// Consecutive missed scrapes before the circuit opens.  A delivered frame
+  /// counts fresh while it is at most one slot old.
   std::size_t open_after_misses = 3;
-  /// A delivered frame counts fresh while its age is at most this many slots.
-  std::size_t stale_after_slots = 1;
   /// Open slots before the DS2 rule sizes the job on the last delivered
   /// frame (until then the last-known-good configuration is simply held).
   std::size_t rule_fallback_after = 6;
-  double ds2_headroom = 1.10;  ///< fallback rule's provisioning headroom
 };
 
-/// Send-side retry policy for the command link.
+/// Send-side retry policy for the command link.  The first retransmit waits
+/// two slots for an ack.
 struct RetryOptions {
-  std::size_t ack_timeout_slots = 2;   ///< wait before the first retransmit
   std::size_t max_retries = 4;         ///< retransmissions per logical command
   std::size_t backoff_base_slots = 1;  ///< doubles per retry, plus seeded jitter
 };
@@ -243,7 +241,6 @@ class TelemetryPipe {
   std::optional<streamsim::MonitorFrame> latest_;  ///< as delivered, unmarked
   std::uint64_t latest_seq_ = 0;
   std::size_t latest_captured_ = 0;
-  bool has_latest_ = false;
   std::size_t slot_ = 0;
   // draglint:allow(DL009 presentation copy of latest_, recomputed by every observe call)
   streamsim::MonitorFrame view_;  ///< latest_ + staleness marks
@@ -261,9 +258,10 @@ class CommandLink final : public streamsim::ScalingActuator {
               std::uint64_t seed);
 
   /// Downstream actuator commands are applied to (the ActuationManager when
-  /// managed, else the Engine) plus the stats sink; both borrowed.
-  void bind(streamsim::ScalingActuator* downstream, TransportStats* stats,
-            obs::Registry* obs) noexcept;
+  /// managed, else the Engine), the job's dag whose operators commands may
+  /// name, and the stats sink; all borrowed.
+  void bind(streamsim::ScalingActuator* downstream, const dag::StreamDag* dag,
+            TransportStats* stats, obs::Registry* obs) noexcept;
 
   /// Advances the link clock: delivers due command copies downstream,
   /// processes due acks, retransmits timed-out commands, garbage-collects
@@ -271,6 +269,8 @@ class CommandLink final : public streamsim::ScalingActuator {
   void begin_slot(std::size_t slot);
 
   // -- ScalingActuator (the controller-facing side) -------------------------
+  /// Both throw dragster::Error naming `op`, with nothing sent or counted,
+  /// unless `op` is an operator of the bound dag.
   void set_tasks(dag::NodeId op, int tasks) override;
   void set_pod_spec(dag::NodeId op, cluster::PodSpec spec) override;
   /// True while the newest command for `op` is still unacked (or the
@@ -284,10 +284,10 @@ class CommandLink final : public streamsim::ScalingActuator {
   [[nodiscard]] std::uint64_t applied_seq(dag::NodeId op) const;
 
   void save_state(resilience::SnapshotWriter& writer) const;
-  /// `dag` bounds the operator ids the watermarks and pending commands name.
-  /// A rejected snapshot may leave the link partly loaded;
+  /// The watermarks and pending commands must name operators of the bound
+  /// dag.  A rejected snapshot may leave the link partly loaded;
   /// TransportHarness::load_state loads into a copy.
-  void load_state(resilience::SnapshotReader& reader, const dag::StreamDag& dag);
+  void load_state(resilience::SnapshotReader& reader);
 
  private:
   /// Sender-side record of one logical command, alive until acked (or
@@ -297,7 +297,6 @@ class CommandLink final : public streamsim::ScalingActuator {
     bool is_spec = false;
     int tasks = 0;
     cluster::PodSpec spec;
-    std::size_t sent_slot = 0;   ///< original send
     std::size_t attempts = 0;    ///< transmissions so far (>= 1)
     std::size_t deadline = 0;    ///< retransmit when the clock reaches this
     bool acked = false;
@@ -309,7 +308,6 @@ class CommandLink final : public streamsim::ScalingActuator {
     std::uint64_t seq = 0;
     std::size_t attempt = 0;
     std::size_t deliver_slot = 0;
-    bool duplicate = false;
   };
 
   void enqueue(dag::NodeId op, bool is_spec, int tasks, const cluster::PodSpec& spec);
@@ -319,7 +317,7 @@ class CommandLink final : public streamsim::ScalingActuator {
   void route(std::uint64_t seq, std::size_t attempt, const std::vector<Delivery>& fates);
   /// Receiver: one command copy arrives — watermark dedup, downstream apply,
   /// ack send.
-  void receive(std::uint64_t seq, std::size_t attempt, bool duplicate);
+  void receive(std::uint64_t seq);
   void send_ack(std::uint64_t seq);
   void ack_arrived(std::uint64_t seq);
   void drain_due_wires();
@@ -334,6 +332,8 @@ class CommandLink final : public streamsim::ScalingActuator {
   std::uint64_t seed_ = 0;
   // draglint:allow(DL009 borrowed actuator, re-bound via bind() after restore)
   streamsim::ScalingActuator* downstream_ = nullptr;  ///< borrowed
+  // draglint:allow(DL009 borrowed dag handle, re-bound via bind() after restore)
+  const dag::StreamDag* dag_ = nullptr;               ///< borrowed
   // draglint:allow(DL009 borrowed stats sink, re-bound via bind() after restore)
   TransportStats* stats_ = nullptr;                   ///< borrowed
   // draglint:allow(DL009 borrowed telemetry sink, re-bound via bind() after restore)
@@ -377,12 +377,6 @@ class TransportHarness final : public resilience::Snapshotable {
   [[nodiscard]] BreakerState breaker() const noexcept { return state_; }
   [[nodiscard]] const TransportStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const TransportOptions& options() const noexcept { return options_; }
-  /// Newest delivered frame (the view the controller last saw); null before
-  /// the first delivery.
-  [[nodiscard]] const streamsim::MonitorFrame* delivered_view() const noexcept {
-    return pipe_.view();
-  }
-  [[nodiscard]] streamsim::ScalingActuator& command_link() noexcept { return link_; }
   /// Age in slots of the newest delivered frame (see TelemetryPipe).
   [[nodiscard]] std::size_t staleness() const noexcept { return pipe_.staleness(); }
   /// True when the telemetry wire is dark at `slot` (scheduled or injected).

@@ -329,13 +329,12 @@ TEST(Controller, VerticalModeRespectsDollarBudget) {
   options.budget = online::Budget(2.0, 0.10);
   Harness h(memory_bound_spec(), options, true, 6);
   const auto monitor = h.engine.monitor();
-  const cluster::PricingModel pricing = cluster::PricingModel::standard();
   for (int t = 0; t < 15; ++t) {
     h.engine.run_slot();
     h.controller.on_slot(monitor, h.engine);
     double cost = 0.0;
     for (dag::NodeId id : h.spec.dag.operators())
-      cost += h.engine.tasks(id) * pricing.pod_price_per_hour(h.engine.pod_spec(id));
+      cost += h.engine.tasks(id) * cluster::pod_price_per_hour(h.engine.pod_spec(id));
     EXPECT_LE(cost, 2.0 + 1e-9) << "slot " << t;
   }
 }

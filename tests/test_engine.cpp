@@ -296,6 +296,32 @@ TEST(Engine, PodFailureKeepsLastPod) {
   EXPECT_EQ(sim.engine->tasks(sim.op), 1);
 }
 
+TEST(Engine, MetricDropoutServesTheLastScrape) {
+  SingleOpSim sim(800.0);
+  // A dropout from slot 0: nothing was ever scraped, so 0 is served.
+  sim.engine->set_metric_dropout(sim.op, true);
+  const OperatorMetrics blind = sim.engine->run_slot().per_node[sim.op];
+  EXPECT_TRUE(blind.metrics_stale);
+  EXPECT_TRUE(blind.fault_tainted);
+  EXPECT_DOUBLE_EQ(blind.cpu_utilization, 0.0);
+  EXPECT_DOUBLE_EQ(blind.observed_capacity, 0.0);
+
+  // Two fresh scrapes that differ, then a dropout: the last one is served,
+  // not an average over earlier scrapes.
+  sim.engine->set_metric_dropout(sim.op, false);
+  const double busy = sim.engine->run_slot().per_node[sim.op].cpu_utilization;
+  sim.engine->set_tasks(sim.op, 2);
+  const double halved = sim.engine->run_slot().per_node[sim.op].cpu_utilization;
+  ASSERT_LT(halved, busy - 0.1);
+  sim.engine->set_metric_dropout(sim.op, true);
+  for (int slot = 0; slot < 2; ++slot) {
+    const OperatorMetrics stale = sim.engine->run_slot().per_node[sim.op];
+    EXPECT_TRUE(stale.metrics_stale);
+    EXPECT_DOUBLE_EQ(stale.cpu_utilization, halved);
+    EXPECT_DOUBLE_EQ(stale.observed_capacity, 0.0);
+  }
+}
+
 TEST(Engine, QueueDelayFollowsLittlesLaw) {
   // Overloaded by 500 tuples/s: after a 120 s slot the buffer holds ~60k
   // tuples and the operator drains at ~1000/s, so the delay estimate at the

@@ -299,7 +299,7 @@ TEST(FaultPlan, SampleCanDrawSchedulerFaults) {
     saw_outage = saw_outage || event.kind == FaultKind::kSchedulerOutage;
     saw_delay = saw_delay || event.kind == FaultKind::kSchedulerDelay;
     if (event.kind == FaultKind::kSchedulerDelay) {
-      EXPECT_DOUBLE_EQ(event.value, options.scheddelay_factor);
+      EXPECT_DOUBLE_EQ(event.value, 3.0);
     }
   }
   EXPECT_TRUE(saw_outage);

@@ -26,6 +26,11 @@
 // TransportHarness surface a lossy control plane's, with the breaker state it
 // serves counted too.
 //
+// common::Flags is fuzzed against a reference parse written here: random argv
+// over flag names, `=`, bare `--`, empty words, edge numbers and bool
+// spellings either parses to getter values equal to the reference's or
+// throws dragster::Error naming the offending word or flag.
+//
 // obs::format_double is fuzzed differentially: its to_chars / from_chars form
 // must print the bytes of the snprintf / strtod loop it replaced, kept below
 // as the reference, for random bit patterns, subnormals, signed zeros, the
@@ -33,6 +38,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -47,6 +53,7 @@
 
 #include "actuation/actuation.hpp"
 #include "common/error.hpp"
+#include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "core/dragster_controller.hpp"
 #include "faults/fault_plan.hpp"
@@ -798,7 +805,7 @@ const std::vector<std::string> kTransportEdgeValues = {
 const std::vector<std::string> kTransportRejections = {
     "different seed", "unknown breaker state", "stats vector has the wrong arity",
     "frame per-node vectors disagree", "frame report does not match the topology",
-    "watermark vectors disagree", "operator id outside the topology"};
+    "watermark vectors disagree", "not an operator of the topology"};
 // clang-format on
 
 /// Rescales every operator every slot, so the command link always carries
@@ -941,6 +948,175 @@ TEST(Fuzz, TransportSnapshotRestoresExactlyOrThrowsUnchanged) {
   for (const std::string& reason : kTransportRejections) EXPECT_GT(rejected[reason], 0) << reason;
   // Every rejection left the harness whole, so the job still steps.
   EXPECT_NO_THROW(live.step());
+}
+
+// -- Flags --------------------------------------------------------------------
+
+constexpr int kFlagInputs = 20000;
+
+/// The argv alphabet: flag names (bare and with `=value`), a bare `--`, the
+/// empty word, numbers at the edges of the strict parsers and the bool
+/// spellings.
+const std::vector<std::string> kFlagNames = {"slots", "rate", "name", "verbose"};
+const std::vector<std::string> kFlagValues = {
+    "-0", "1e308", "1e309", "nan", "0x10", "9223372036854775808", " 1", "7", "2.5",
+    "true", "false", "0", "no", ""};
+
+/// Rejections the fuzz must reach: a positional word, a repeated flag, a
+/// valueless string or number flag, and a malformed number.
+const std::vector<std::string> kFlagRejections = {"unexpected argument", "given twice",
+                                                  "needs a value", "needs a number"};
+
+const std::string& pick(common::Rng& rng, const std::vector<std::string>& from) {
+  return from[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+}
+
+std::string random_argv_word(common::Rng& rng) {
+  switch (rng.uniform_int(0, 5)) {
+    case 0: return "--" + pick(rng, kFlagNames);
+    case 1: return "--" + pick(rng, kFlagNames) + "=" + pick(rng, kFlagValues);
+    case 2: return rng.bernoulli(0.5) ? "--" : "--=" + pick(rng, kFlagValues);
+    default: return pick(rng, kFlagValues);
+  }
+}
+
+using ReferenceFlags = std::map<std::string, std::optional<std::string>>;
+
+/// The argv grammar, written out apart from common::Flags: every word starts
+/// with `--`; `--name=value`, or `--name` followed by a word that does not
+/// start with `--`, binds a value, and a lone `--name` binds none; no name
+/// may appear twice.  Returns the offending word's message fragment for a
+/// rejected argv.
+std::optional<std::string> reference_parse(const std::vector<std::string>& words,
+                                           ReferenceFlags& flags) {
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    if (words[i].rfind("--", 0) != 0) return "unexpected argument '" + words[i] + "'";
+    std::string name = words[i].substr(2);
+    std::optional<std::string> value;
+    if (const std::size_t eq = name.find('='); eq != std::string::npos) {
+      value = name.substr(eq + 1);
+      name.resize(eq);
+    } else if (i + 1 < words.size() && words[i + 1].rfind("--", 0) != 0) {
+      value = words[++i];
+    }
+    if (!flags.emplace(name, value).second) return "--" + name + " given twice";
+  }
+  return std::nullopt;
+}
+
+/// A number getter accepts the whole value as one decimal number in range:
+/// no blank, no `+`, no hex, no overflow; an integer has digits only.
+bool strict_number(const std::string& text, bool integer) {
+  if (text.empty() || text[0] == ' ' || text[0] == '+') return false;
+  if (text.find('x') != std::string::npos || text.find('X') != std::string::npos) return false;
+  if (integer && text.find_first_not_of("-0123456789") != std::string::npos) return false;
+  errno = 0;
+  char* end = nullptr;
+  if (integer)
+    (void)std::strtoll(text.c_str(), &end, 10);
+  else
+    (void)std::strtod(text.c_str(), &end);
+  return end == text.c_str() + text.size() && errno != ERANGE;
+}
+
+/// Compares every getter on `name` with the reference; empty when they agree.
+/// A getter the reference rejects must throw dragster::Error naming the flag.
+std::string flag_mismatch(const common::Flags& flags, const ReferenceFlags& reference,
+                          const std::string& name, std::map<std::string, int>& rejected) {
+  const auto it = reference.find(name);
+  const bool present = it != reference.end();
+  const std::optional<std::string> value = present ? it->second : std::nullopt;
+  if (flags.has(name) != present) return "has(--" + name + ")";
+  // Each getter either returns `want` or, when `want` is empty, throws.
+  const auto check = [&](const char* getter, auto call, auto want) -> std::string {
+    try {
+      const auto got = call();
+      if (!want.has_value()) return std::string(getter) + " accepted --" + name;
+      if (!(got == *want || (got != got && *want != *want)))  // NaN equals NaN here
+        return std::string(getter) + " misread --" + name;
+    } catch (const Error& error) {
+      const std::string message = error.what();
+      if (want.has_value()) return std::string(getter) + " rejected --" + name + ": " + message;
+      if (message.find("--" + name) == std::string::npos) return "unnamed flag: " + message;
+      for (const std::string& reason : kFlagRejections)
+        if (message.find(reason) != std::string::npos) ++rejected[reason];
+    }
+    return {};
+  };
+  const std::optional<std::string> text =
+      !present ? std::optional<std::string>("fallback") : value;
+  std::string problem = check(
+      "string", [&] { return flags.get(name, std::string("fallback")); }, text);
+  std::optional<double> real = present ? std::nullopt : std::optional<double>(-1.5);
+  if (value.has_value() && strict_number(*value, false))
+    real = std::strtod(value->c_str(), nullptr);
+  if (problem.empty())
+    problem = check("double", [&] { return flags.get(name, -1.5); }, real);
+  std::optional<std::int64_t> whole = present ? std::nullopt : std::optional<std::int64_t>(-3);
+  if (value.has_value() && strict_number(*value, true))
+    whole = std::strtoll(value->c_str(), nullptr, 10);
+  if (problem.empty())
+    problem = check("int", [&] { return flags.get(name, std::int64_t{-3}); }, whole);
+  const bool truth = present && (!value.has_value() ||
+                                 (*value != "false" && *value != "0" && *value != "no"));
+  if (problem.empty())
+    problem = check("bool", [&] { return flags.get(name, false); }, std::optional<bool>(truth));
+  return problem;
+}
+
+TEST(Fuzz, FlagsParseExactlyOrThrowError) {
+  common::Rng rng(0xF1A65);
+  std::map<std::string, int> rejected;
+  int accepted = 0;
+  int failures = 0;
+  std::string report;
+  for (int i = 0; i < kFlagInputs; ++i) {
+    std::vector<std::string> words(static_cast<std::size_t>(rng.uniform_int(0, 5)));
+    for (std::string& word : words) word = random_argv_word(rng);
+    std::vector<const char*> argv{"prog"};
+    for (const std::string& word : words) argv.push_back(word.c_str());
+    ReferenceFlags reference;
+    const std::optional<std::string> refusal = reference_parse(words, reference);
+    std::string problem;
+    try {
+      const common::Flags flags(static_cast<int>(argv.size()), argv.data());
+      if (refusal.has_value()) {
+        problem = "accepted an argv the reference rejects: " + *refusal;
+      } else {
+        ++accepted;
+        for (const std::string& name : kFlagNames)
+          if (problem.empty()) problem = flag_mismatch(flags, reference, name, rejected);
+        // Every name in the alphabet was queried; only `--` or `--=v` is left.
+        bool threw = false;
+        try {
+          flags.reject_unused();
+        } catch (const Error&) {
+          threw = true;
+        }
+        if (problem.empty() && threw != (reference.count("") == 1))
+          problem = "reject_unused() disagrees on the unnamed flag";
+      }
+    } catch (const Error& error) {
+      const std::string message = error.what();
+      if (!refusal.has_value())
+        problem = "rejected an argv the reference accepts: " + message;
+      else if (message.find(*refusal) == std::string::npos)
+        problem = "rejection does not name '" + *refusal + "': " + message;
+      for (const std::string& reason : kFlagRejections)
+        if (message.find(reason) != std::string::npos) ++rejected[reason];
+    } catch (const std::exception& foreign) {
+      problem = std::string("foreign exception: ") + foreign.what();
+    }
+    if (!problem.empty() && failures++ < 5) {
+      report += "\n  argv";
+      for (const std::string& word : words) report += " '" + word + "'";
+      report += ": " + problem;
+    }
+  }
+  EXPECT_EQ(failures, 0) << report;
+  EXPECT_GT(accepted, kFlagInputs / 20);
+  for (const std::string& reason : kFlagRejections) EXPECT_GT(rejected[reason], 0) << reason;
 }
 
 // The snprintf / strtod loop obs::format_double used before to_chars.

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/dragster_controller.hpp"
 #include "experiments/scenario.hpp"
 #include "fleet/fleet.hpp"
@@ -60,9 +61,10 @@ struct CountingController final : core::Controller {
   void initialize(const streamsim::JobMonitor&, streamsim::ScalingActuator&) override {
     ++initialize_calls;
   }
-  void on_slot(const streamsim::JobMonitor&, streamsim::ScalingActuator& actuator) override {
+  void on_slot(const streamsim::JobMonitor& monitor,
+               streamsim::ScalingActuator& actuator) override {
     ++on_slot_calls;
-    actuator.set_tasks(0, 2);
+    actuator.set_tasks(monitor.dag().operators().front(), 2);
   }
 };
 
@@ -194,15 +196,17 @@ TEST(CommandLink, ExactlyOnceUnderAdversarialSchedule) {
   // distinct value per command; effectively-once means the applied values
   // are a strictly increasing subsequence of the issued ones (monotone in
   // sequence, each applied at most once) and the newest eventually lands.
+  const dag::StreamDag dag = workloads::wordcount().dag;
+  const dag::NodeId op = dag.operators().front();
   CommandLink link(lossy(), lossy(), RetryOptions{}, 101);
   RecordingActuator sink;
   TransportStats stats;
-  link.bind(&sink, &stats, nullptr);
+  link.bind(&sink, &dag, &stats, nullptr);
 
   const std::size_t issues = 12;
   for (std::size_t t = 0; t < 60; ++t) {
     link.begin_slot(t);
-    if (t < issues * 2 && t % 2 == 0) link.set_tasks(0, static_cast<int>(2 + t / 2));
+    if (t < issues * 2 && t % 2 == 0) link.set_tasks(op, static_cast<int>(2 + t / 2));
   }
 
   ASSERT_FALSE(sink.applied.empty());
@@ -214,7 +218,7 @@ TEST(CommandLink, ExactlyOnceUnderAdversarialSchedule) {
   EXPECT_EQ(stats.commands_applied, sink.applied.size());
   EXPECT_EQ(stats.commands_sent, issues);
   EXPECT_GE(stats.command_sends, stats.commands_sent);
-  EXPECT_FALSE(link.in_flight(0));  // everything settled by slot 60
+  EXPECT_FALSE(link.in_flight(op));  // everything settled by slot 60
 }
 
 TEST(CommandLink, LostAckNeverReappliesASupersededEpoch) {
@@ -224,21 +228,23 @@ TEST(CommandLink, LostAckNeverReappliesASupersededEpoch) {
   // applied again after the new one.
   ChannelOptions dead_acks;
   dead_acks.partitions.push_back({0, 100});
+  const dag::StreamDag dag = workloads::wordcount().dag;
+  const dag::NodeId op = dag.operators().front();
   CommandLink link(ChannelOptions{}, dead_acks, RetryOptions{}, 3);
   RecordingActuator sink;
   TransportStats stats;
-  link.bind(&sink, &stats, nullptr);
+  link.bind(&sink, &dag, &stats, nullptr);
 
   link.begin_slot(0);
-  link.set_tasks(0, 2);  // ideal wire: applies inline, ack eaten
+  link.set_tasks(op, 2);  // ideal wire: applies inline, ack eaten
   for (std::size_t t = 1; t < 5; ++t) link.begin_slot(t);  // retransmits dedup
-  link.set_tasks(0, 5);  // supersedes the unacked epoch
+  link.set_tasks(op, 5);  // supersedes the unacked epoch
   for (std::size_t t = 5; t < 20; ++t) link.begin_slot(t);
 
-  const std::vector<std::pair<dag::NodeId, int>> expected{{0, 2}, {0, 5}};
+  const std::vector<std::pair<dag::NodeId, int>> expected{{op, 2}, {op, 5}};
   EXPECT_EQ(sink.applied, expected);
   EXPECT_GE(stats.commands_deduped, 1u);
-  EXPECT_EQ(link.applied_seq(0), 2u);
+  EXPECT_EQ(link.applied_seq(op), 2u);
 }
 
 TEST(CommandLink, ExhaustsAfterMaxRetriesAndStopsSending) {
@@ -246,19 +252,57 @@ TEST(CommandLink, ExhaustsAfterMaxRetriesAndStopsSending) {
   dead.partitions.push_back({0, 1000});
   RetryOptions retry;
   retry.max_retries = 3;
+  const dag::StreamDag dag = workloads::wordcount().dag;
+  const dag::NodeId op = dag.operators().front();
   CommandLink link(dead, dead, retry, 17);
   RecordingActuator sink;
   TransportStats stats;
-  link.bind(&sink, &stats, nullptr);
+  link.bind(&sink, &dag, &stats, nullptr);
 
   link.begin_slot(0);
-  link.set_tasks(0, 4);
+  link.set_tasks(op, 4);
   for (std::size_t t = 1; t < 100; ++t) link.begin_slot(t);
 
   EXPECT_TRUE(sink.applied.empty());
   EXPECT_EQ(stats.commands_exhausted, 1u);
   EXPECT_EQ(stats.command_sends, 1u + retry.max_retries);
-  EXPECT_FALSE(link.in_flight(0));  // abandoned, not stuck forever
+  EXPECT_FALSE(link.in_flight(op));  // abandoned, not stuck forever
+}
+
+TEST(CommandLink, NonOperatorCommandThrowsBeforeAnythingMoves) {
+  // A command naming the source used to be sequenced and sent, and threw
+  // only slots later, inside begin_slot, when the engine received a copy.
+  const workloads::WorkloadSpec spec = workloads::wordcount();
+  streamsim::Engine engine = spec.make_engine(true, fast(), 3);
+  CommandLink link(lossy(), lossy(), RetryOptions{}, 9);
+  TransportStats stats;
+  link.bind(&engine, &engine.dag(), &stats, nullptr);
+  link.begin_slot(0);
+  link.set_tasks(spec.dag.operators().front(), 2);  // traffic to leave untouched
+  const auto saved = [&link] {
+    resilience::SnapshotWriter writer;
+    link.save_state(writer);
+    return writer.str();
+  };
+  const std::string before = saved();
+  const std::uint64_t sent = stats.commands_sent;
+  const std::uint64_t sends = stats.command_sends;
+
+  for (const dag::NodeId id : {spec.dag.sources().front(), spec.dag.sink(), dag::NodeId{99}}) {
+    SCOPED_TRACE(id);
+    try {
+      link.set_tasks(id, 2);
+      FAIL() << "expected dragster::Error";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find("node " + std::to_string(id)), std::string::npos)
+          << error.what();
+    }
+    EXPECT_THROW(link.set_pod_spec(id, cluster::PodSpec{}), Error);
+    EXPECT_EQ(saved(), before);
+    EXPECT_EQ(stats.commands_sent, sent);
+    EXPECT_EQ(stats.command_sends, sends);
+  }
+  for (std::size_t t = 1; t < 20; ++t) link.begin_slot(t);  // delivery stays clean
 }
 
 // ---------------------------------------------------------------------------
