@@ -159,7 +159,6 @@ class ActuationManager final : public streamsim::ScalingActuator,
   [[nodiscard]] std::vector<OperatorStats> operator_stats() const;
   [[nodiscard]] int applied_tasks(dag::NodeId op) const;
   [[nodiscard]] int last_known_good_tasks(dag::NodeId op) const;
-  [[nodiscard]] const ActuationOptions& options() const noexcept { return options_; }
 
   // -- Snapshotable ---------------------------------------------------------
   // In-flight operations serialize as plain values (latencies are data, not

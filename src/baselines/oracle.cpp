@@ -1,8 +1,8 @@
 #include "baselines/oracle.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "dag/flow_solver.hpp"
@@ -134,11 +134,7 @@ OracleResult Oracle::optimal(std::span<const double> source_rates,
     alloc_for_scale(lo, current);
     // The capacity-peak fallback inside alloc_for_scale can overshoot the
     // budget when some operator cannot meet its share; project back.
-    while (static_cast<std::size_t>(total_of(current)) > cap) {
-      auto widest = std::max_element(current.begin(), current.end());
-      if (*widest <= 1) break;
-      --*widest;
-    }
+    current = budget.project(std::move(current));
     consider(current, evaluate(current, source_rates));
 
     // Local search: single +/-1 moves and pairwise transfers until fixpoint.

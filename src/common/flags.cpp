@@ -71,7 +71,11 @@ bool Flags::get(const std::string& name, bool fallback) const {
   const auto* value = find(name);
   if (value == nullptr) return fallback;
   if (!value->has_value()) return true;  // bare `--name`
-  return **value != "false" && **value != "0" && **value != "no";
+  const std::string& text = **value;
+  if (text == "true" || text == "1" || text == "yes") return true;
+  DRAGSTER_REQUIRE(text == "false" || text == "0" || text == "no",
+                   "flag --" + name + " needs true/false/1/0/yes/no, got '" + text + "'");
+  return false;
 }
 
 std::vector<std::string> Flags::unused() const {

@@ -3,10 +3,12 @@
 // Supports `--name=value`, `--name value` and boolean `--name`.  Parsing
 // throws dragster::Error naming the offending word on a positional argument
 // (no binary reads one) and on a flag given twice.  The typed getters are
-// strict: a number must be the whole value, and a string or number flag
-// given without a value throws dragster::Error naming the flag (a bare
-// `--json` must not write a file named "true").  Unknown flags are
-// collected, and reject_unused() turns them into an error.
+// strict: a number must be the whole value, a bool is bare or one of
+// true/false/1/0/yes/no (so `--vertical stray` is refused, not read as
+// true), and a string or number flag given without a value throws
+// dragster::Error naming the flag (a bare `--json` must not write a file
+// named "true").  Unknown flags are collected, and reject_unused() turns
+// them into an error.
 // Deliberately dependency-free.
 #pragma once
 

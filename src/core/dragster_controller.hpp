@@ -111,7 +111,6 @@ class DragsterController final : public Controller, public resilience::Snapshota
   /// Constraint entries the dual update skipped as NaN/inf — a supervisor
   /// health signal (see online::DualState::non_finite_observations()).
   [[nodiscard]] std::size_t non_finite_constraints() const;
-  [[nodiscard]] const DragsterOptions& options() const noexcept { return options_; }
 
  private:
   struct OperatorModel {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "baselines/dhalion.hpp"
 #include "baselines/ds2.hpp"
@@ -91,32 +92,16 @@ void ScenarioRunner::set_budget(const online::Budget& budget) {
 
 void ScenarioRunner::enforce_budget() {
   if (!options_.budget.limited()) return;
-  const long long cap = options_.budget.max_total_tasks();
-  std::vector<int> tasks(operators_.size());
-  long long total = 0;
-  for (std::size_t k = 0; k < operators_.size(); ++k) {
-    tasks[k] = engine_.tasks(operators_[k]);
-    total += tasks[k];
-  }
-  if (total <= cap) return;
   // The platform preempts over-quota configurations the way a cluster kills
-  // pods over a shrunk quota: one task at a time off the most replicated
-  // operator (ties to the earlier operator), never below one task each.
-  // Healthy controllers project onto the budget themselves, so this only
-  // fires when the budget shrank under a controller that cannot react yet —
-  // a crash outage, a restore of a fatter snapshot, actuation lag.
-  while (total > cap) {
-    std::size_t victim = 0;
-    int most = 0;
-    for (std::size_t k = 0; k < operators_.size(); ++k)
-      if (tasks[k] > most) {
-        most = tasks[k];
-        victim = k;
-      }
-    if (most <= 1) break;  // floor reached: one task per operator stands
-    tasks[victim] -= 1;
-    total -= 1;
-  }
+  // pods over a shrunk quota, with Pi_X itself (online::Budget::project): one
+  // task at a time off the most replicated operator (ties to the earlier
+  // operator), never below one task each.  Healthy controllers project onto
+  // the budget themselves, so this only fires when the budget shrank under a
+  // controller that cannot react yet — a crash outage, a restore of a fatter
+  // snapshot, actuation lag.
+  std::vector<int> tasks(operators_.size());
+  for (std::size_t k = 0; k < operators_.size(); ++k) tasks[k] = engine_.tasks(operators_[k]);
+  tasks = options_.budget.project(std::move(tasks));
   bool preempted = false;
   for (std::size_t k = 0; k < operators_.size(); ++k)
     if (tasks[k] != engine_.tasks(operators_[k])) {
@@ -129,8 +114,9 @@ void ScenarioRunner::enforce_budget() {
         .inc();
     if (obs::TraceSink* sink = obs_->trace()) {
       obs::Event(*sink, "budget_preemption", static_cast<std::uint64_t>(slot_))
-          .field("total_tasks", static_cast<std::int64_t>(total))
-          .field("cap", static_cast<std::int64_t>(cap));
+          .field("total_tasks",
+                 static_cast<std::int64_t>(std::accumulate(tasks.begin(), tasks.end(), 0)))
+          .field("cap", static_cast<std::int64_t>(options_.budget.max_total_tasks()));
     }
   }
 }

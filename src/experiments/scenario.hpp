@@ -100,7 +100,6 @@ class ScenarioRunner {
 
   [[nodiscard]] std::size_t slots_run() const noexcept { return result_.slots.size(); }
   [[nodiscard]] const RunResult& partial() const noexcept { return result_; }
-  [[nodiscard]] const ScenarioOptions& options() const noexcept { return options_; }
 
   /// Recovery analytics + supervisor/actuation stats; returns the completed
   /// result.  Call at most once, after the last step().

@@ -66,8 +66,6 @@ class BudgetArbiter {
   [[nodiscard]] std::vector<int> split(int budget_pods,
                                        const std::vector<JobDemand>& demands) const;
 
-  [[nodiscard]] const ArbiterOptions& options() const noexcept { return options_; }
-
  private:
   ArbiterOptions options_;
 };

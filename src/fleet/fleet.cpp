@@ -67,6 +67,14 @@ struct FleetScheduler::Job {
   std::unique_ptr<transport::TransportHarness> transport;  ///< per-job channels
   std::unique_ptr<experiments::ScenarioRunner> runner;  ///< destroyed first
   experiments::RunResult result;  ///< captured when the runner is retired
+
+  /// The fleet's one priority order: higher weight first, then the older job
+  /// (lower index).  Eviction and brownout take the lowest-ranked running
+  /// job, and the comeback restores the highest-ranked parked one.
+  [[nodiscard]] bool outranks(const Job& other) const noexcept {
+    return spec.weight > other.spec.weight ||
+           (spec.weight >= other.spec.weight && index < other.index);
+  }
 };
 
 std::uint64_t FleetScheduler::job_seed(std::uint64_t fleet_seed, std::size_t index) {
@@ -168,10 +176,7 @@ bool FleetScheduler::gate_allows(const Job& job) const {
   // deadlock late arrivals forever once incumbents expand into the surplus.
   // Parked jobs count too: brownout shed them on a promise of restoration,
   // and a new arrival must not quietly consume their reserved floor.
-  long long floors = job.spec.floor_pods();
-  for (const auto& other : jobs_)
-    if (other->state == JobState::kRunning || other->state == JobState::kParked)
-      floors += other->spec.floor_pods();
+  const long long floors = job.spec.floor_pods() + floor_pods(true);
   if (budget_limited_ && floors > effective_budget_) return false;
   if (options_.limits.max_total_pods > 0 && floors > options_.limits.max_total_pods)
     return false;
@@ -182,15 +187,20 @@ bool FleetScheduler::gate_allows(const Job& job) const {
   return true;
 }
 
+long long FleetScheduler::floor_pods(bool parked_too) const {
+  long long floors = 0;
+  for (const auto& job : jobs_)
+    if (job->state == JobState::kRunning || (parked_too && job->state == JobState::kParked))
+      floors += job->spec.floor_pods();
+  return floors;
+}
+
 FleetScheduler::Job* FleetScheduler::eviction_victim(double incoming_weight) {
   Job* victim = nullptr;
   for (const auto& job : jobs_) {
     if (job->state != JobState::kRunning) continue;
     if (job->spec.weight >= incoming_weight) continue;  // only strictly lower priority
-    // Lowest weight first; among equals the youngest (highest index) goes.
-    if (victim == nullptr || job->spec.weight < victim->spec.weight ||
-        (job->spec.weight <= victim->spec.weight && job->index > victim->index))
-      victim = job.get();
+    if (victim == nullptr || victim->outranks(*job)) victim = job.get();
   }
   return victim;
 }
@@ -354,12 +364,7 @@ void FleetScheduler::construct_bundle(Job& job) {
   job.runner = std::make_unique<experiments::ScenarioRunner>(
       *job.engine, *job.controller, scenario, job.spec.workload.name, job.injector.get(),
       job.manager.get(), obs_, job.transport.get());
-  // Mirror the job's deployments into the shared ledger, job-attributed.
-  for (dag::NodeId op : job.engine->dag().operators()) {
-    const cluster::Deployment& d =
-        job.engine->cluster().deployment(job.engine->dag().component(op).name);
-    cluster_.add_deployment(job.spec.name + "/" + d.name, d.replicas, d.spec, job.spec.name);
-  }
+  sync_ledger(job, true);
   job.fresh = false;
 }
 
@@ -378,13 +383,17 @@ void FleetScheduler::destroy_bundle(Job& job, JobState final_state) {
   if (final_state == JobState::kEvicted) job.evicted_slot = slot_;
 }
 
-void FleetScheduler::sync_ledger(Job& job) {
+void FleetScheduler::sync_ledger(Job& job, bool add) {
   for (dag::NodeId op : job.engine->dag().operators()) {
     const cluster::Deployment& d =
         job.engine->cluster().deployment(job.engine->dag().component(op).name);
     const std::string mirror = job.spec.name + "/" + d.name;
-    cluster_.scale_replicas(mirror, d.replicas);
-    cluster_.resize_pods(mirror, d.spec);
+    if (add) {
+      cluster_.add_deployment(mirror, d.replicas, d.spec, job.spec.name);
+    } else {
+      cluster_.scale_replicas(mirror, d.replicas);
+      cluster_.resize_pods(mirror, d.spec);
+    }
     cluster_.set_pending(mirror, d.pending);
   }
 }
@@ -533,13 +542,7 @@ void FleetScheduler::restore_job(Job& job) {
   // Re-mirror the bundle from engine truth (the engine kept its state while
   // parked); the next arbitration re-grants and the runner's budget
   // enforcement shrinks any over-floor remnants deterministically.
-  for (dag::NodeId op : job.engine->dag().operators()) {
-    const cluster::Deployment& d =
-        job.engine->cluster().deployment(job.engine->dag().component(op).name);
-    const std::string mirror = job.spec.name + "/" + d.name;
-    cluster_.add_deployment(mirror, d.replicas, d.spec, job.spec.name);
-    cluster_.set_pending(mirror, d.pending);
-  }
+  sync_ledger(job, true);
   job.state = JobState::kRunning;
   ++job.restores;
   ++restores_;
@@ -557,17 +560,11 @@ void FleetScheduler::brownout() {
   // Shed while the aggregate floor cannot fit: lowest weight first, youngest
   // (highest index) among equals — the exact mirror of eviction priority,
   // except the bundle survives to be restored.
-  while (true) {
-    long long floors = 0;
-    for (const auto& job : jobs_)
-      if (job->state == JobState::kRunning) floors += job->spec.floor_pods();
-    if (floors <= effective_budget_) break;
+  while (floor_pods(false) > effective_budget_) {
     Job* victim = nullptr;
     for (const auto& job : jobs_) {
       if (job->state != JobState::kRunning || job->engine == nullptr) continue;
-      if (victim == nullptr || job->spec.weight < victim->spec.weight ||
-          (job->spec.weight <= victim->spec.weight && job->index > victim->index))
-        victim = job.get();
+      if (victim == nullptr || victim->outranks(*job)) victim = job.get();
     }
     if (victim == nullptr) break;  // nothing sheddable (no built bundles)
     park_job(*victim);
@@ -578,20 +575,14 @@ void FleetScheduler::brownout() {
   // slots — the hysteresis that keeps a flapping capacity signal from
   // thrashing park -> restore -> park.
   Job* comeback = nullptr;
-  for (const auto& job : jobs_) {
-    if (job->state != JobState::kParked) continue;
-    if (comeback == nullptr || job->spec.weight > comeback->spec.weight ||
-        (job->spec.weight >= comeback->spec.weight && job->index < comeback->index))
+  for (const auto& job : jobs_)
+    if (job->state == JobState::kParked && (comeback == nullptr || job->outranks(*comeback)))
       comeback = job.get();
-  }
   if (comeback == nullptr) {
     restore_streak_ = 0;
     return;
   }
-  long long floors = 0;
-  for (const auto& job : jobs_)
-    if (job->state == JobState::kRunning) floors += job->spec.floor_pods();
-  if (floors + comeback->spec.floor_pods() <= effective_budget_) {
+  if (floor_pods(false) + comeback->spec.floor_pods() <= effective_budget_) {
     if (++restore_streak_ >= options_.restore_hysteresis_slots) {
       restore_job(*comeback);
       restore_streak_ = 0;
@@ -722,7 +713,7 @@ void FleetScheduler::step() {
     record.granted_pods += job->grant;
     record.running_jobs += 1;
 
-    sync_ledger(*job);
+    sync_ledger(*job, false);
   };
 
   parallel::TaskPool& pool = parallel::TaskPool::global();

@@ -8,9 +8,11 @@
 // Per slot:
 //
 //   1. admission — queued jobs whose arrival slot has come knock on the
-//      cluster-wide gate (cluster::Cluster::try_admit + the pod budget).
-//      Rejected jobs stay queued; optionally one strictly-lower-weight
-//      running job is evicted to make room (priority admission control).
+//      cluster-wide gate: the floors of every running and parked job plus
+//      the newcomer's, against the slot's effective pod budget and
+//      FleetOptions::limits.  Rejected jobs stay queued; optionally one
+//      strictly-lower-weight running job is evicted to make room (priority
+//      admission control, in the fleet's one priority order).
 //   2. arbitration — the BudgetArbiter splits the global pod budget across
 //      running jobs online, guided by each controller's budget_pressure()
 //      (Dragster: the mean dual multiplier), and each job's runner gets its
@@ -103,7 +105,6 @@ class FleetScheduler {
   [[nodiscard]] std::size_t slots_run() const noexcept { return slot_; }
   /// The shared ledger (job-attributed deployments mirrored each slot).
   [[nodiscard]] const cluster::Cluster& shared_cluster() const noexcept { return cluster_; }
-  [[nodiscard]] const FleetOptions& options() const noexcept { return options_; }
 
   /// Counter-based per-job RNG substream: the engine seed of job `index` in
   /// a fleet seeded `fleet_seed`.  Exposed so tests can rebuild a fleet
@@ -122,7 +123,11 @@ class FleetScheduler {
   void arbitrate();
   void construct_bundle(Job& job);
   void destroy_bundle(Job& job, JobState final_state);
-  void sync_ledger(Job& job);
+  /// Mirrors the job's deployments into the shared ledger: created when
+  /// `add` (a fresh or restored bundle), else rescaled to engine truth.
+  void sync_ledger(Job& job, bool add);
+  /// Summed floors of running jobs, and of parked ones when `parked_too`.
+  [[nodiscard]] long long floor_pods(bool parked_too) const;
   [[nodiscard]] bool gate_allows(const Job& job) const;
   [[nodiscard]] Job* eviction_victim(double incoming_weight);
 

@@ -128,10 +128,4 @@ class Registry {
   TraceSink* trace_ = nullptr;
 };
 
-/// Null-safe accessor used at every instrumentation site:
-/// `if (auto* sink = obs::trace_of(obs_)) { ... }`.
-[[nodiscard]] inline TraceSink* trace_of(const Registry* registry) noexcept {
-  return registry == nullptr ? nullptr : registry->trace();
-}
-
 }  // namespace dragster::obs

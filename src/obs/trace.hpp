@@ -10,7 +10,7 @@
 // Events are built with the scoped Event class, which serializes fields in
 // insertion order and writes exactly one line to the sink on destruction:
 //
-//   if (obs::TraceSink* sink = obs::trace_of(registry)) {
+//   if (obs::TraceSink* sink = registry.trace()) {
 //     obs::Event(*sink, "decision", slot)
 //         .field("op", name)
 //         .field("target", y_target);

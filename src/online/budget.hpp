@@ -40,8 +40,10 @@ class Budget {
   [[nodiscard]] bool feasible(std::span<const int> tasks_per_operator) const noexcept;
 
   /// Projects an integer allocation into the feasible region: repeatedly
-  /// decrements the operator with the most tasks (min 1 task each) until the
-  /// total fits.  This is the discrete analogue of Pi_X.
+  /// decrements the operator with the most tasks (the first on ties, min 1
+  /// task each) until the total fits.  This is the discrete analogue of
+  /// Pi_X, and its one copy: DS2, the platform's preemption and the oracle
+  /// call it.  Throws when the budget cannot afford one task per operator.
   [[nodiscard]] std::vector<int> project(std::vector<int> tasks_per_operator) const;
 
  private:

@@ -38,8 +38,6 @@ class OgdSolver {
                                          std::span<const double> observed_demand,
                                          std::span<const double> eta_per_node = {}) const;
 
-  [[nodiscard]] const OgdOptions& options() const noexcept { return options_; }
-
  private:
   OgdOptions options_;
 };

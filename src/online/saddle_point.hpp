@@ -54,8 +54,6 @@ class SaddlePointSolver {
                                           std::span<const double> y_start,
                                           std::span<const double> observed_demand) const;
 
-  [[nodiscard]] const SaddlePointOptions& options() const noexcept { return options_; }
-
  private:
   SaddlePointOptions options_;
 };

@@ -125,7 +125,6 @@ void ControllerSupervisor::on_slot(const streamsim::JobMonitor& monitor,
     state_ = SupervisorState::kSafeMode;
     safe_streak_ = 0;
     consecutive_reconfigs_ = 0;
-    fallback_.reset();
   }
 
   if (state_ == SupervisorState::kSafeMode) {
@@ -143,7 +142,6 @@ void ControllerSupervisor::on_slot(const streamsim::JobMonitor& monitor,
     if (try_recover(actuator)) {
       state_ = SupervisorState::kHealthy;
       safe_streak_ = 0;
-      fallback_.reset();
       return;
     }
     if (safe_streak_ >= options_.rule_fallback_after)
@@ -339,15 +337,10 @@ void ControllerSupervisor::run_rule_fallback(streamsim::ScalingActuator& actuato
     reissue_last_known_good(newest, actuator);
     return;
   }
-  if (!fallback_) {
-    baselines::Ds2Options rule;
-    rule.budget = options_.budget;
-    fallback_ = std::make_unique<baselines::Ds2Controller>(rule);
-    NullActuator sink;
-    fallback_->initialize(view, sink);
-  }
+  // DS2's only state is its budget, which is always ours: a fresh rule per
+  // slot sizes exactly like a kept one.
   BufferedActuator buffer(&actuator);
-  fallback_->on_slot(view, buffer);
+  baselines::Ds2Controller(baselines::Ds2Options{options_.budget}).on_slot(view, buffer);
   if (!validate_actions(buffer, newest).has_value()) {
     buffer.commit(actuator);
     adopt_actions(buffer);

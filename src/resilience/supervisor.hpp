@@ -143,13 +143,12 @@ class ControllerSupervisor final : public core::Controller {
     inner_->set_observability(registry);
   }
 
-  /// Forwards the new budget to the wrapped controller (and to the rule
-  /// fallback if one exists) and tightens the supervisor's own OverBudget
-  /// invariant to match.
+  /// Forwards the new budget to the wrapped controller and tightens the
+  /// supervisor's own OverBudget invariant (and the rule fallback's budget)
+  /// to match.
   void set_budget(const online::Budget& budget) override {
     options_.budget = budget;
     inner_->set_budget(budget);
-    if (fallback_ != nullptr) fallback_->set_budget(budget);
   }
   [[nodiscard]] double budget_pressure() const override { return inner_->budget_pressure(); }
 
@@ -206,8 +205,7 @@ class ControllerSupervisor final : public core::Controller {
   std::size_t slots_since_snapshot_ = 0;
   std::size_t consecutive_reconfigs_ = 0;
   std::size_t safe_streak_ = 0;
-  std::unique_ptr<core::Controller> fallback_;  ///< DS2 rule, created lazily
-  obs::Registry* obs_ = nullptr;                ///< borrowed; null = telemetry off
+  obs::Registry* obs_ = nullptr;  ///< borrowed; null = telemetry off
 };
 
 }  // namespace dragster::resilience

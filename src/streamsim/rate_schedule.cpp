@@ -12,10 +12,6 @@ ConstantRate::ConstantRate(double rate) : rate_(rate) {
   DRAGSTER_REQUIRE(rate >= 0.0, "rate cannot be negative");
 }
 
-std::unique_ptr<RateSchedule> ConstantRate::clone() const {
-  return std::make_unique<ConstantRate>(*this);
-}
-
 PiecewiseRate::PiecewiseRate(std::vector<Segment> segments) : segments_(std::move(segments)) {
   DRAGSTER_REQUIRE(!segments_.empty(), "piecewise schedule needs segments");
   DRAGSTER_REQUIRE(segments_.front().start_seconds <= 0.0,
@@ -35,10 +31,6 @@ double PiecewiseRate::rate_at(double seconds) const {
   return rate;
 }
 
-std::unique_ptr<RateSchedule> PiecewiseRate::clone() const {
-  return std::make_unique<PiecewiseRate>(*this);
-}
-
 AlternatingRate::AlternatingRate(double high, double low, double period_seconds)
     : high_(high), low_(low), period_(period_seconds) {
   DRAGSTER_REQUIRE(high >= 0.0 && low >= 0.0, "rates cannot be negative");
@@ -50,10 +42,6 @@ double AlternatingRate::rate_at(double seconds) const {
   return phase % 2 == 0 ? high_ : low_;
 }
 
-std::unique_ptr<RateSchedule> AlternatingRate::clone() const {
-  return std::make_unique<AlternatingRate>(*this);
-}
-
 DiurnalRate::DiurnalRate(double mean, double amplitude, double period_seconds)
     : mean_(mean), amplitude_(amplitude), period_(period_seconds) {
   DRAGSTER_REQUIRE(mean >= 0.0, "mean rate cannot be negative");
@@ -63,10 +51,6 @@ DiurnalRate::DiurnalRate(double mean, double amplitude, double period_seconds)
 
 double DiurnalRate::rate_at(double seconds) const {
   return mean_ * (1.0 + amplitude_ * std::sin(2.0 * std::numbers::pi * seconds / period_));
-}
-
-std::unique_ptr<RateSchedule> DiurnalRate::clone() const {
-  return std::make_unique<DiurnalRate>(*this);
 }
 
 }  // namespace dragster::streamsim

@@ -6,7 +6,6 @@
 // controllers cannot peek ahead.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 namespace dragster::streamsim {
@@ -16,14 +15,12 @@ class RateSchedule {
   virtual ~RateSchedule() = default;
   /// Offered rate (tuples/s) at absolute simulated time `seconds`.
   [[nodiscard]] virtual double rate_at(double seconds) const = 0;
-  [[nodiscard]] virtual std::unique_ptr<RateSchedule> clone() const = 0;
 };
 
 class ConstantRate final : public RateSchedule {
  public:
   explicit ConstantRate(double rate);
   [[nodiscard]] double rate_at(double) const override { return rate_; }
-  [[nodiscard]] std::unique_ptr<RateSchedule> clone() const override;
 
  private:
   double rate_;
@@ -38,7 +35,6 @@ class PiecewiseRate final : public RateSchedule {
   };
   explicit PiecewiseRate(std::vector<Segment> segments);
   [[nodiscard]] double rate_at(double seconds) const override;
-  [[nodiscard]] std::unique_ptr<RateSchedule> clone() const override;
 
  private:
   std::vector<Segment> segments_;
@@ -49,7 +45,6 @@ class AlternatingRate final : public RateSchedule {
  public:
   AlternatingRate(double high, double low, double period_seconds);
   [[nodiscard]] double rate_at(double seconds) const override;
-  [[nodiscard]] std::unique_ptr<RateSchedule> clone() const override;
 
  private:
   double high_;
@@ -63,7 +58,6 @@ class DiurnalRate final : public RateSchedule {
  public:
   DiurnalRate(double mean, double amplitude, double period_seconds);
   [[nodiscard]] double rate_at(double seconds) const override;
-  [[nodiscard]] std::unique_ptr<RateSchedule> clone() const override;
 
  private:
   double mean_;

@@ -5,10 +5,10 @@
 #include <set>
 #include <utility>
 
+#include "baselines/ds2.hpp"
 #include "common/error.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "resilience/supervisor.hpp"
 
 namespace dragster::transport {
 
@@ -341,29 +341,30 @@ void Channel::load(resilience::SnapshotReader& reader, const std::string& prefix
 TelemetryPipe::TelemetryPipe(ChannelOptions options, std::uint64_t seed)
     : channel_(std::move(options), seed, "telemetry") {}
 
-void TelemetryPipe::push(std::size_t slot, const streamsim::MonitorFrame& frame,
-                         TransportStats& stats) {
+void TelemetryPipe::push(std::size_t slot, streamsim::MonitorFrame frame, TransportStats& stats) {
   slot_ = slot;
   ++stats.frames_sent;
   const std::vector<Delivery> fates = channel_.send(slot);
   if (fates.empty()) ++stats.frames_dropped;
-  for (const Delivery& delivery : fates)
-    inflight_.push_back(InFlight{delivery.seq, delivery.deliver_slot, slot, frame});
+  // A duplicate copies the frame; the last delivery takes it.
+  for (std::size_t k = 0; k < fates.size(); ++k)
+    inflight_.push_back(InFlight{fates[k].seq, fates[k].deliver_slot, slot,
+                                 k + 1 < fates.size() ? frame : std::move(frame)});
   // Drain in send order: deterministic, and later sequence numbers win the
   // newest-frame race regardless of arrival interleaving.
   std::vector<InFlight> keep;
   for (InFlight& message : inflight_) {
     if (message.deliver_slot <= slot)
-      arrive(message.seq, message.frame, message.captured_slot, stats);
+      arrive(message, stats);
     else
       keep.push_back(std::move(message));
   }
   inflight_.swap(keep);
-  refresh_view();
+  mark_stale();
 }
 
 const streamsim::MonitorFrame* TelemetryPipe::view() const noexcept {
-  return latest_.has_value() ? &view_ : nullptr;
+  return latest_.has_value() ? &*latest_ : nullptr;
 }
 
 std::size_t TelemetryPipe::staleness() const noexcept {
@@ -371,23 +372,22 @@ std::size_t TelemetryPipe::staleness() const noexcept {
   return slot_ - latest_captured_;
 }
 
-void TelemetryPipe::arrive(std::uint64_t seq, const streamsim::MonitorFrame& frame,
-                           std::size_t captured_slot, TransportStats& stats) {
+void TelemetryPipe::arrive(InFlight& message, TransportStats& stats) {
   ++stats.frames_delivered;
-  if (!latest_.has_value() || seq > latest_seq_) {
-    latest_ = frame;
-    latest_seq_ = seq;
-    latest_captured_ = captured_slot;
+  if (!latest_.has_value() || message.seq > latest_seq_) {
+    latest_ = std::move(message.frame);
+    latest_seq_ = message.seq;
+    latest_captured_ = message.captured_slot;
   } else {
     ++stats.frames_discarded;
   }
 }
 
-void TelemetryPipe::refresh_view() {
-  if (!latest_.has_value()) return;
-  view_ = *latest_;
-  if (latest_captured_ < slot_)
-    for (streamsim::OperatorMetrics& metrics : view_.report.per_node)
+void TelemetryPipe::mark_stale() {
+  // A delivered frame never turns fresh again: slot_ only grows, and a newer
+  // sequence replaces latest_ outright, so the marks are set in place.
+  if (latest_.has_value() && latest_captured_ < slot_)
+    for (streamsim::OperatorMetrics& metrics : latest_->report.per_node)
       metrics.metrics_stale = true;
 }
 
@@ -432,7 +432,7 @@ void TelemetryPipe::load_state(resilience::SnapshotReader& reader, const dag::St
     message.frame = load_frame(reader, section + ".frame", dag);
     inflight_.push_back(std::move(message));
   }
-  refresh_view();
+  mark_stale();
 }
 
 // ---------------------------------------------------------------------------
@@ -797,7 +797,6 @@ void TransportHarness::attach(streamsim::ScalingActuator& downstream,
   budget_ = budget;
   obs_ = obs;
   link_.bind(&downstream, &dag, &stats_, obs);
-  if (fallback_) fallback_->set_budget(budget);
 }
 
 void TransportHarness::detach() noexcept {
@@ -806,16 +805,13 @@ void TransportHarness::detach() noexcept {
   obs_ = nullptr;
 }
 
-void TransportHarness::set_budget(const online::Budget& budget) {
-  budget_ = budget;
-  if (fallback_) fallback_->set_budget(budget);
-}
+void TransportHarness::set_budget(const online::Budget& budget) { budget_ = budget; }
 
 void TransportHarness::begin_slot(std::size_t slot) { link_.begin_slot(slot); }
 
-void TransportHarness::control_step(core::Controller& controller,
-                                    const streamsim::MonitorFrame& fresh, std::size_t slot) {
-  pipe_.push(slot, fresh, stats_);
+void TransportHarness::control_step(core::Controller& controller, streamsim::MonitorFrame fresh,
+                                    std::size_t slot) {
+  pipe_.push(slot, std::move(fresh), stats_);
   const streamsim::MonitorFrame* view = pipe_.view();
   const bool is_fresh = view != nullptr && pipe_.staleness() <= kStaleAfterSlots;
   if (is_fresh) {
@@ -861,12 +857,8 @@ void TransportHarness::control_step(core::Controller& controller,
   ++open_slots_;
   if (open_slots_ > options_.guard.rule_fallback_after && view != nullptr) {
     const streamsim::JobMonitor monitor(*view);
-    if (!fallback_) {
-      baselines::Ds2Options rule;
-      rule.budget = budget_;
-      fallback_ = std::make_unique<baselines::Ds2Controller>(rule);
-      resilience::NullActuator discard;
-      fallback_->initialize(monitor, discard);
+    if (!rule_engaged_) {
+      rule_engaged_ = true;
       if (obs_ != nullptr)
         if (obs::TraceSink* sink = obs_->trace())
           obs::Event(*sink, "transport_fallback_engaged", static_cast<std::uint64_t>(slot));
@@ -876,7 +868,7 @@ void TransportHarness::control_step(core::Controller& controller,
       obs_->counter("transport_rule_fallback_slots_total",
                     "Open slots sized by the DS2 rule on the last delivered frame")
           .inc();
-    fallback_->on_slot(monitor, link_);
+    baselines::Ds2Controller(baselines::Ds2Options{budget_}).on_slot(monitor, link_);
   } else {
     ++stats_.held_slots;
   }
@@ -932,7 +924,7 @@ void TransportHarness::save_state(resilience::SnapshotWriter& writer) const {
   writer.field("state", static_cast<std::uint64_t>(state_));
   writer.field("miss_streak", static_cast<std::uint64_t>(miss_streak_));
   writer.field("open_slots", static_cast<std::uint64_t>(open_slots_));
-  writer.field("has_fallback", static_cast<std::uint64_t>(fallback_ ? 1 : 0));
+  writer.field("has_fallback", static_cast<std::uint64_t>(rule_engaged_ ? 1 : 0));
   const std::vector<int> counters = {
       static_cast<int>(stats_.frames_sent),        static_cast<int>(stats_.frames_delivered),
       static_cast<int>(stats_.frames_dropped),     static_cast<int>(stats_.frames_discarded),
@@ -961,7 +953,7 @@ void TransportHarness::load_state(resilience::SnapshotReader& reader) {
                    "unknown breaker state");
   const auto miss_streak = static_cast<std::size_t>(reader.get_uint("miss_streak"));
   const auto open_slots = static_cast<std::size_t>(reader.get_uint("open_slots"));
-  const bool has_fallback = reader.get_uint("has_fallback") != 0;
+  const bool rule_engaged = reader.get_uint("has_fallback") != 0;
   const std::vector<int> counters = reader.get_ints("stats");
   DRAGSTER_REQUIRE(counters.size() == 19, "transport stats vector has the wrong arity");
   TelemetryPipe pipe = pipe_;
@@ -991,12 +983,7 @@ void TransportHarness::load_state(resilience::SnapshotReader& reader) {
   stats_.open_slots = static_cast<std::uint64_t>(counters[16]);
   stats_.held_slots = static_cast<std::uint64_t>(counters[17]);
   stats_.rule_fallback_slots = static_cast<std::uint64_t>(counters[18]);
-  fallback_.reset();
-  if (has_fallback) {
-    baselines::Ds2Options rule;
-    rule.budget = budget_;
-    fallback_ = std::make_unique<baselines::Ds2Controller>(rule);
-  }
+  rule_engaged_ = rule_engaged;
   pipe_ = std::move(pipe);
   link_ = std::move(link);
 }

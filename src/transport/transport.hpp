@@ -44,12 +44,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "baselines/ds2.hpp"
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
 #include "core/controller.hpp"
@@ -203,8 +201,7 @@ class TelemetryPipe {
   TelemetryPipe(ChannelOptions options, std::uint64_t seed);
 
   /// Sends this slot's fresh frame and drains every delivery due at `slot`.
-  void push(std::size_t slot, const streamsim::MonitorFrame& frame,
-            TransportStats& stats);
+  void push(std::size_t slot, streamsim::MonitorFrame frame, TransportStats& stats);
 
   /// Newest delivered frame with staleness marks applied; null before the
   /// first delivery.
@@ -225,10 +222,6 @@ class TelemetryPipe {
   void load_state(resilience::SnapshotReader& reader, const dag::StreamDag& dag);
 
  private:
-  void arrive(std::uint64_t seq, const streamsim::MonitorFrame& frame,
-              std::size_t captured_slot, TransportStats& stats);
-  void refresh_view();
-
   struct InFlight {
     std::uint64_t seq = 0;
     std::size_t deliver_slot = 0;
@@ -236,14 +229,17 @@ class TelemetryPipe {
     streamsim::MonitorFrame frame;
   };
 
+  /// Takes a due message's frame when it is newer than latest_.
+  void arrive(InFlight& message, TransportStats& stats);
+  /// Marks every operator of latest_ stale once it was captured before slot_.
+  void mark_stale();
+
   Channel channel_;
   std::vector<InFlight> inflight_;  ///< send order; drained by deliver_slot
-  std::optional<streamsim::MonitorFrame> latest_;  ///< as delivered, unmarked
+  std::optional<streamsim::MonitorFrame> latest_;  ///< newest delivered, staleness-marked
   std::uint64_t latest_seq_ = 0;
   std::size_t latest_captured_ = 0;
   std::size_t slot_ = 0;
-  // draglint:allow(DL009 presentation copy of latest_, recomputed by every observe call)
-  streamsim::MonitorFrame view_;  ///< latest_ + staleness marks
 };
 
 /// Command direction: a ScalingActuator that ships actions over the lossy
@@ -367,16 +363,14 @@ class TransportHarness final : public resilience::Snapshotable {
   /// before the downstream manager's own begin_slot.
   void begin_slot(std::size_t slot);
 
-  /// End-of-slot control step: `fresh` (this slot's scrape) enters the
+  /// End-of-slot control step: `fresh` (this slot's scrape) moves into the
   /// telemetry channel, the breaker transitions on what was delivered, and
   /// exactly one of {inner controller, DS2 rule, hold} acts through the
   /// command link.
-  void control_step(core::Controller& controller, const streamsim::MonitorFrame& fresh,
-                    std::size_t slot);
+  void control_step(core::Controller& controller, streamsim::MonitorFrame fresh, std::size_t slot);
 
   [[nodiscard]] BreakerState breaker() const noexcept { return state_; }
   [[nodiscard]] const TransportStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const TransportOptions& options() const noexcept { return options_; }
   /// Age in slots of the newest delivered frame (see TelemetryPipe).
   [[nodiscard]] std::size_t staleness() const noexcept { return pipe_.staleness(); }
   /// True when the telemetry wire is dark at `slot` (scheduled or injected).
@@ -404,7 +398,7 @@ class TransportHarness final : public resilience::Snapshotable {
   BreakerState state_ = BreakerState::kClosed;
   std::size_t miss_streak_ = 0;
   std::size_t open_slots_ = 0;  ///< consecutive slots spent open
-  std::unique_ptr<baselines::Ds2Controller> fallback_;  ///< created lazily
+  bool rule_engaged_ = false;   ///< the DS2 rule has sized a slot (traced once)
   // draglint:allow(DL009 re-supplied by attach()/set_budget() when the harness is rewired)
   online::Budget budget_ = online::Budget::unlimited(0.10);
   // draglint:allow(DL009 borrowed dag handle, re-wired by attach() after restore)

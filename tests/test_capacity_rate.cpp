@@ -137,11 +137,5 @@ TEST(RateSchedule, DiurnalOscillatesAroundMean) {
   EXPECT_NEAR(rate.rate_at(3.0 * 86'400.0 / 4.0), 50.0, 1e-6);
 }
 
-TEST(RateSchedule, CloneIsIndependentCopy) {
-  AlternatingRate rate(10.0, 5.0, 100.0);
-  const auto clone = rate.clone();
-  EXPECT_DOUBLE_EQ(clone->rate_at(150.0), 5.0);
-}
-
 }  // namespace
 }  // namespace dragster::streamsim

@@ -295,6 +295,29 @@ TEST(Flags, MalformedNumbersThrowNamingTheFlag) {
   expect_error("", std::int64_t{1});
 }
 
+TEST(Flags, BoolAcceptsOnlyBoolWordsOrNothing) {
+  const char* argv[] = {"prog", "--a=yes", "--b", "0", "--c=no", "--d=1", "--e", "--vertical",
+                        "stray"};
+  const Flags flags(9, argv);
+  EXPECT_TRUE(flags.get("a", false));
+  EXPECT_FALSE(flags.get("b", true));
+  EXPECT_FALSE(flags.get("c", true));
+  EXPECT_TRUE(flags.get("d", false));
+  EXPECT_TRUE(flags.get("e", false));
+  // `simulate --vertical stray` used to run the vertical scheme: any word but
+  // false/0/no read as true.
+  try {
+    (void)flags.get("vertical", false);
+    FAIL() << "expected dragster::Error";
+  } catch (const Error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("--vertical"), std::string::npos) << message;
+    EXPECT_NE(message.find("'stray'"), std::string::npos) << message;
+  }
+  const char* empty[] = {"prog", "--verbose="};
+  EXPECT_THROW((void)Flags(2, empty).get("verbose", false), Error);
+}
+
 TEST(Flags, ValuelessFlagIsOnlyABool) {
   const char* argv[] = {"prog", "--verbose", "--json", "--slots"};
   Flags flags(4, argv);

@@ -12,13 +12,20 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace {
 
@@ -187,36 +194,99 @@ TEST(Draglint, CyclicLayerDeclarationIsRefused) {
   EXPECT_NE(run.lines.front().find("cyclic"), std::string::npos) << run.lines.front();
 }
 
-// The incremental cache must be invisible in the findings: a warm scan over
-// the unchanged tree replays pass-1 facts but reports byte-identical output,
-// and a corrupted cache is discarded, not trusted.
-TEST(Draglint, CacheWarmScanIsByteIdenticalToCold) {
-  const std::string cache = testing::TempDir() + "draglint_cache_test.txt";
-  std::remove(cache.c_str());
-  const std::string args =
-      "--fix-list --root " + std::string(DRAGLINT_SOURCE_ROOT) + " --cache " + cache;
-  const LintRun cold = run_draglint(args);
-  const LintRun warm = run_draglint(args);
-  EXPECT_EQ(cold.exit_code, 0);
-  EXPECT_EQ(warm.exit_code, 0);
-  EXPECT_EQ(cold.lines, warm.lines);
+// The lexer survives any input.  Seeded mutations of the corpus sources —
+// truncation, unterminated strings, block comments and raw strings, NUL
+// bytes, lone CRs and CRLF line ends — must each scan to a verdict: exit 0
+// or 1, never a usage/I-O error (2) or a signal, and every output line a
+// `path:line: DLnnn message` finding whose line lies inside its file.
+TEST(Draglint, MutatedSourcesNeverCrash) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> originals;
+  for (const auto& entry : fs::recursive_directory_iterator(DRAGLINT_CORPUS)) {
+    const std::string ext = entry.path().extension().string();
+    if (entry.is_regular_file() && (ext == ".cpp" || ext == ".hpp"))
+      originals.push_back(entry.path());
+  }
+  std::sort(originals.begin(), originals.end());
+  ASSERT_GE(originals.size(), 10U);
+  std::vector<std::string> texts;
+  for (const fs::path& path : originals) {
+    std::ifstream in(path, std::ios::binary);
+    texts.emplace_back(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
 
-  // Cache hits are visible in the human summary (not in --fix-list output).
-  const LintRun summary =
-      run_draglint("--root " + std::string(DRAGLINT_SOURCE_ROOT) + " --cache " + cache);
-  EXPECT_EQ(summary.exit_code, 0);
-  ASSERT_FALSE(summary.lines.empty());
-  EXPECT_NE(summary.lines.back().find("cached"), std::string::npos) << summary.lines.back();
-
-  // Corruption is detected by the version/fingerprint line and ignored.
-  FILE* f = fopen(cache.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  fputs("draglint-cache-v0 deadbeef\nfile nonsense\n", f);
-  fclose(f);
-  const LintRun recovered = run_draglint(args);
-  EXPECT_EQ(recovered.exit_code, 0);
-  EXPECT_EQ(recovered.lines, cold.lines);
-  std::remove(cache.c_str());
+  const std::vector<std::string> fragments = {
+      "\"unterminated", "/* open comment", "R\"x(open raw", "R\"(", "u8R\"delim(", "'",
+      "'\\", "\\\n", "#include \"", "// draglint:allow(", "0x1.p", "*/", "\")x\"", "1'000.5",
+      std::string("\0", 1)};
+  dragster::common::Rng rng(0xD4A6);
+  const auto upto = [&rng](std::size_t n) {  // uniform in [0, n]
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n)));
+  };
+  constexpr int kBatches = 25;
+  constexpr int kFilesPerBatch = 12;
+  const fs::path dir = fs::path(testing::TempDir()) / "draglint_fuzz";
+  for (int batch = 0; batch < kBatches; ++batch) {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::map<std::string, int> line_counts;  // written path -> its line count
+    for (int k = 0; k < kFilesPerBatch; ++k) {
+      const std::size_t pick = upto(originals.size() - 1);
+      std::string text = texts[pick];
+      for (std::size_t ops = 1 + upto(2); ops > 0; --ops) {
+        switch (upto(6)) {
+          case 0: text.resize(upto(text.size())); break;  // truncation
+          case 1: text.insert(upto(text.size()), fragments[upto(fragments.size() - 1)]); break;
+          case 2: text.insert(upto(text.size()), 1 + upto(3), '\0'); break;
+          case 3: {  // CRLF line ends throughout
+            std::string crlf;
+            for (char c : text) {
+              if (c == '\n') crlf += '\r';
+              crlf += c;
+            }
+            text = std::move(crlf);
+            break;
+          }
+          case 4: {  // one lone CR in place of a line end
+            const std::size_t at = text.find('\n', upto(text.size()));
+            if (at != std::string::npos) text[at] = '\r';
+            break;
+          }
+          case 5: text.erase(upto(text.size()), upto(64)); break;
+          default: {  // a run of arbitrary bytes
+            for (std::size_t n = 1 + upto(7); n > 0; --n)
+              text.insert(upto(text.size()), 1, static_cast<char>(upto(255)));
+            break;
+          }
+        }
+      }
+      fs::path out = dir / std::to_string(k);
+      out += originals[pick].extension();
+      std::ofstream(out, std::ios::binary) << text;
+      line_counts[out.generic_string()] =
+          1 + static_cast<int>(std::count(text.begin(), text.end(), '\n'));
+    }
+    const LintRun run = run_draglint("--assume-src --fix-list " + dir.generic_string());
+    EXPECT_TRUE(run.exit_code == 0 || run.exit_code == 1)
+        << "batch " << batch << " exited " << run.exit_code;
+    for (const std::string& line : run.lines) {
+      bool parsed = false;
+      for (const auto& [path, count] : line_counts) {
+        if (line.rfind(path + ":", 0) != 0) continue;
+        std::size_t at = path.size() + 1;
+        const std::size_t digits = line.find_first_not_of("0123456789", at);
+        if (digits == at || digits == std::string::npos) break;
+        const int line_no = std::stoi(line.substr(at, digits - at));
+        at = digits;
+        parsed = line.compare(at, 4, ": DL") == 0 && at + 8 <= line.size() &&
+                 line.find_first_not_of("0123456789", at + 4) == at + 7 && line[at + 7] == ' ' &&
+                 line_no >= 1 && line_no <= count;
+        break;
+      }
+      EXPECT_TRUE(parsed) << "batch " << batch << ": " << line;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 // SARIF output: findings render as results with rule IDs and repo-relative

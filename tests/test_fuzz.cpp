@@ -963,9 +963,11 @@ const std::vector<std::string> kFlagValues = {
     "true", "false", "0", "no", ""};
 
 /// Rejections the fuzz must reach: a positional word, a repeated flag, a
-/// valueless string or number flag, and a malformed number.
+/// valueless string or number flag, a malformed number and a bool flag
+/// holding another word.
 const std::vector<std::string> kFlagRejections = {"unexpected argument", "given twice",
-                                                  "needs a value", "needs a number"};
+                                                  "needs a value", "needs a number",
+                                                  "needs true/false/1/0/yes/no"};
 
 const std::string& pick(common::Rng& rng, const std::vector<std::string>& from) {
   return from[static_cast<std::size_t>(
@@ -1058,10 +1060,16 @@ std::string flag_mismatch(const common::Flags& flags, const ReferenceFlags& refe
     whole = std::strtoll(value->c_str(), nullptr, 10);
   if (problem.empty())
     problem = check("int", [&] { return flags.get(name, std::int64_t{-3}); }, whole);
-  const bool truth = present && (!value.has_value() ||
-                                 (*value != "false" && *value != "0" && *value != "no"));
+  // A bool is bare, true/1/yes or false/0/no; any other word is refused.
+  // (Engaged first and reset, because GCC 12 misreads an optional built
+  // empty as maybe-uninitialized.)
+  std::optional<bool> truth = false;
+  if (present && (!value.has_value() || *value == "true" || *value == "1" || *value == "yes"))
+    truth = true;
+  else if (value.has_value() && *value != "false" && *value != "0" && *value != "no")
+    truth.reset();
   if (problem.empty())
-    problem = check("bool", [&] { return flags.get(name, false); }, std::optional<bool>(truth));
+    problem = check("bool", [&] { return flags.get(name, false); }, truth);
   return problem;
 }
 

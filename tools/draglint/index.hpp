@@ -8,8 +8,7 @@
 // `FileFacts` record (include edges, substream derivation chains, class
 // member tables, snapshot function bodies, TaskPool call sites, allow
 // directives), and pass 2 (project_rules.hpp) runs the cross-TU rules over
-// the assembled `ProjectIndex`.  FileFacts is also the unit of incremental
-// caching (cache.hpp): it must stay a plain value, serializable line-by-line.
+// the assembled `ProjectIndex`.
 #pragma once
 
 #include <map>

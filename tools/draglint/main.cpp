@@ -14,15 +14,13 @@
 //                  <root>/tools/draglint/layers.txt; when the default is
 //                  absent DL007 is skipped, an explicit FILE must exist)
 //   --sarif [FILE] also write a SARIF 2.1.0 report (default: draglint.sarif)
-//   --cache FILE   incremental cache: reuse pass-1 facts for files whose
-//                  content hash is unchanged, rewrite FILE after the scan
 //   --dump-index   print the assembled project index instead of findings
 //   --rules        print the rule table and exit
 //
-// The scan is two passes: pass 1 distills every file into a FileFacts record
-// (cacheable), pass 2 runs the cross-TU rules (DL005/DL007/DL008/DL009) over
-// the assembled index, and allow directives are applied once, globally, so a
-// reasoned allow that suppresses nothing is itself reported stale (DL000).
+// The scan is two passes: pass 1 distills every file into a FileFacts record,
+// pass 2 runs the cross-TU rules (DL005/DL007/DL008/DL009) over the assembled
+// index, and allow directives are applied once, globally, so a reasoned allow
+// that suppresses nothing is itself reported stale (DL000).
 //
 // Exit status: 0 clean, 1 findings, 2 usage or I/O error.
 #include <algorithm>
@@ -33,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "cache.hpp"
 #include "index.hpp"
 #include "lexer.hpp"
 #include "project_rules.hpp"
@@ -100,7 +97,6 @@ int main(int argc, char** argv) {
   bool want_dump = false;
   bool want_sarif = false;
   std::string sarif_path = "draglint.sarif";
-  std::string cache_path;
   std::string layers_path;  // empty: use the default under --root
 
   for (int i = 1; i < argc; ++i) {
@@ -123,12 +119,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       layers_path = argv[++i];
-    } else if (arg == "--cache") {
-      if (i + 1 >= argc) {
-        std::cerr << "draglint: --cache needs a file\n";
-        return 2;
-      }
-      cache_path = argv[++i];
     } else if (arg == "--sarif") {
       // The operand is optional so bare `draglint --sarif` works in CI.
       want_sarif = true;
@@ -139,7 +129,7 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: draglint [--root DIR] [--fix-list] [--assume-src] [--layers FILE] "
-                   "[--sarif [FILE]] [--cache FILE] [--dump-index] [--rules] [path...]\n";
+                   "[--sarif [FILE]] [--dump-index] [--rules] [path...]\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "draglint: unknown option " << arg << "\n";
@@ -188,38 +178,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  draglint::Cache old_cache;
-  if (!cache_path.empty()) {
-    std::string text;
-    if (read_file(cache_path, &text)) old_cache = draglint::parse_cache(text);
-  }
-
-  // Pass 1: per-file facts and raw per-file findings, cache-aware.
+  // Pass 1: per-file facts and raw per-file findings.
   draglint::ProjectIndex index;
-  draglint::Cache new_cache;
-  std::size_t cache_hits = 0;
   for (const fs::path& path : files) {
     std::string text;
     if (!read_file(path, &text)) {
       std::cerr << "draglint: cannot read " << path << "\n";
       return 2;
     }
-    const std::string key = path.generic_string();
-    const std::uint64_t hash = draglint::fnv1a(text);
     const bool library_scope = assume_src || under_src(path);
-
-    const auto hit = old_cache.entries.find(key);
-    if (hit != old_cache.entries.end() && hit->second.content_hash == hash &&
-        hit->second.facts.library_scope == library_scope) {
-      ++cache_hits;
-      index.files.push_back(hit->second.facts);
-    } else {
-      const draglint::LexedFile lexed = draglint::lex(key, text);
-      draglint::FileFacts facts = draglint::build_facts(lexed, library_scope);
-      facts.findings = draglint::run_file_rules(lexed, library_scope);
-      index.files.push_back(std::move(facts));
-    }
-    if (!cache_path.empty()) new_cache.entries[key] = {hash, index.files.back()};
+    const draglint::LexedFile lexed = draglint::lex(path.generic_string(), text);
+    draglint::FileFacts facts = draglint::build_facts(lexed, library_scope);
+    facts.findings = draglint::run_file_rules(lexed, library_scope);
+    index.files.push_back(std::move(facts));
   }
 
   if (want_dump) {
@@ -237,12 +208,6 @@ int main(int argc, char** argv) {
   findings.insert(findings.end(), project.begin(), project.end());
   findings = draglint::finalize_findings(index, std::move(findings));
 
-  if (!cache_path.empty()) {
-    std::ofstream out(cache_path, std::ios::binary | std::ios::trunc);
-    if (out) out << draglint::serialize_cache(new_cache);
-    // A cache that fails to write is only a lost optimization, not an error.
-  }
-
   for (const draglint::Finding& f : findings)
     std::cout << f.path << ":" << f.line << ": " << f.rule_id << " " << f.message << "\n";
   if (want_sarif) {
@@ -254,13 +219,11 @@ int main(int argc, char** argv) {
     out << draglint::to_sarif(findings, base.generic_string());
   }
   if (!fix_list) {
-    std::ostringstream tail;
-    if (cache_hits != 0) tail << ", " << cache_hits << " cached";
     if (findings.empty())
-      std::cout << "draglint: clean (" << files.size() << " files" << tail.str() << ")\n";
+      std::cout << "draglint: clean (" << files.size() << " files)\n";
     else
       std::cout << "draglint: " << findings.size() << " finding(s) in " << files.size()
-                << " files scanned" << tail.str() << "\n";
+                << " files scanned\n";
   }
   return findings.empty() ? 0 : 1;
 }
