@@ -76,10 +76,10 @@ int main(int argc, char** argv) {
   const auto step_slot = static_cast<std::size_t>(step_min / 10.0);
   common::Table summary({"scheme", "converge phase 1 (min)", "converge after step (min)"});
   for (const auto& run : runs) {
-    summary.add_row({run.controller,
-                     bench::fmt_min(experiments::convergence_minutes(run.slots, 0, step_slot, 10.0)),
-                     bench::fmt_min(experiments::convergence_minutes(run.slots, step_slot, slots,
-                                                                     10.0))});
+    summary.add_row(
+        {run.controller,
+         bench::fmt_min(experiments::convergence_minutes(run.slots, 0, step_slot, 10.0)),
+         bench::fmt_min(experiments::convergence_minutes(run.slots, step_slot, slots, 10.0))});
   }
   std::printf("\n%s", summary.to_string().c_str());
   std::printf(

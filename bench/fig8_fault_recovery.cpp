@@ -64,7 +64,8 @@ int main(int argc, char** argv) {
     for (const auto& recovery : run.recoveries) {
       table.add_row({run.controller, recovery.fault.event.to_string(),
                      common::Table::num(recovery.pre_fault_ratio, 3),
-                     recovery.slots_to_recover ? std::to_string(*recovery.slots_to_recover) : "never",
+                     recovery.slots_to_recover ? std::to_string(*recovery.slots_to_recover)
+                                               : "never",
                      common::Table::num(recovery.tuples_lost / 1e6, 2)});
     }
   }

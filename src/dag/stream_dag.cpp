@@ -115,7 +115,8 @@ void StreamDag::validate() {
       else
         explicit_sum += edges_[eidx].alpha;
     }
-    DRAGSTER_REQUIRE(explicit_sum <= 1.0 + 1e-9, "alpha weights exceed 1 at " + components_[id].name);
+    DRAGSTER_REQUIRE(explicit_sum <= 1.0 + 1e-9,
+                     "alpha weights exceed 1 at " + components_[id].name);
     if (implicit_count > 0) {
       const double share = (1.0 - explicit_sum) / static_cast<double>(implicit_count);
       for (std::size_t eidx : outs)

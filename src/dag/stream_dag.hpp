@@ -55,6 +55,10 @@ class StreamDag {
   [[nodiscard]] std::size_t node_count() const noexcept { return components_.size(); }
   [[nodiscard]] std::size_t edge_count() const noexcept { return edges_.size(); }
   [[nodiscard]] const Component& component(NodeId id) const { return components_.at(id); }
+  /// True when `id` is in range and names an operator.
+  [[nodiscard]] bool is_operator(NodeId id) const noexcept {
+    return id < components_.size() && components_[id].kind == ComponentKind::kOperator;
+  }
   [[nodiscard]] const Edge& edge(std::size_t index) const { return edges_.at(index); }
   [[nodiscard]] Edge& edge_mutable(std::size_t index) { return edges_.at(index); }
 

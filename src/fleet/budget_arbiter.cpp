@@ -82,7 +82,8 @@ std::vector<int> BudgetArbiter::split(int budget_pods,
         remainders.emplace_back(ideal - static_cast<double>(give[i]), i);
       }
       std::sort(remainders.begin(), remainders.end(), [](const auto& a, const auto& b) {
-        if (a.first != b.first) return a.first > b.first;  // exact remainder ordering; any tie falls through to the index
+        // Exact remainder ordering; any tie falls through to the index.
+        if (a.first != b.first) return a.first > b.first;
         return a.second < b.second;
       });
       for (const auto& [rem, i] : remainders) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -18,6 +19,14 @@ namespace {
 /// EWMA coefficient applied to raw controller pressure before it reaches the
 /// arbiter: smoothed = (1-a) * old + a * fresh.
 constexpr double kPressureSmoothing = 0.35;
+
+/// The engine's own deployments, one per operator in DAG order.
+std::vector<cluster::Deployment> deployments_of(const streamsim::Engine& engine) {
+  std::vector<cluster::Deployment> deployments;
+  for (dag::NodeId op : engine.dag().operators())
+    deployments.push_back(engine.cluster().deployment(engine.dag().component(op).name));
+  return deployments;
+}
 
 }  // namespace
 
@@ -56,7 +65,6 @@ struct FleetScheduler::Job {
   int prev_tasks1 = 0;      ///< tasks one slot back (peak-window history)
   int prev_tasks2 = 0;      ///< tasks two slots back (peak-window history)
   double debt = 0.0;        ///< last slot's latency over the SLO target
-  bool fresh = false;     ///< admitted this slot; bundle not yet built
   std::size_t sheds = 0;     ///< brownout park count
   std::size_t restores = 0;  ///< brownout restore count
 
@@ -67,6 +75,9 @@ struct FleetScheduler::Job {
   std::unique_ptr<transport::TransportHarness> transport;  ///< per-job channels
   std::unique_ptr<experiments::ScenarioRunner> runner;  ///< destroyed first
   experiments::RunResult result;  ///< captured when the runner is retired
+  /// A bundle built this slot: its deployments as construction left them, one
+  /// per operator, until the step barrier mirrors them into the shared ledger.
+  std::vector<cluster::Deployment> born;
 
   /// The fleet's one priority order: higher weight first, then the older job
   /// (lower index).  Eviction and brownout take the lowest-ranked running
@@ -105,7 +116,6 @@ FleetScheduler::FleetScheduler(std::vector<JobSpec> specs, FleetOptions options,
     job->index = i;
     jobs_.push_back(std::move(job));
   }
-  cluster_.set_admission_limits(options_.limits);
   if (options_.node_count > 0)
     cluster_.configure_nodes(options_.node_count, options_.node_capacity);
   if (!options_.chaos.empty()) {
@@ -229,7 +239,6 @@ void FleetScheduler::admit_phase() {
     }
     job->state = JobState::kRunning;
     job->admitted_slot = slot_;
-    job->fresh = true;
     ++admissions_;
   }
 }
@@ -293,7 +302,8 @@ void FleetScheduler::arbitrate() {
         donors.push_back(k);
     }
     const auto more_pressured = [&](std::size_t a, std::size_t b) {
-      if (running[a]->pressure != running[b]->pressure)  // exact ordering; ties fall through to the index
+      // Exact ordering; ties fall through to the index.
+      if (running[a]->pressure != running[b]->pressure)
         return running[a]->pressure > running[b]->pressure;
       return a < b;
     };
@@ -341,11 +351,8 @@ void FleetScheduler::arbitrate() {
   }
 }
 
-void FleetScheduler::construct_bundle(Job& job) {
+void FleetScheduler::construct_bundle(Job& job, const online::Budget& budget) {
   const std::uint64_t seed = job_seed(options_.seed, job.index);
-  const online::Budget budget = budget_limited_
-                                    ? pods_budget(job.grant, options_.pod_price_per_hour)
-                                    : online::Budget::unlimited(options_.pod_price_per_hour);
   job.engine = std::make_unique<streamsim::Engine>(
       job.spec.workload.make_engine(job.spec.high_rate, job.spec.engine, seed));
   job.controller = make_job_controller(job.spec, budget);
@@ -364,8 +371,7 @@ void FleetScheduler::construct_bundle(Job& job) {
   job.runner = std::make_unique<experiments::ScenarioRunner>(
       *job.engine, *job.controller, scenario, job.spec.workload.name, job.injector.get(),
       job.manager.get(), obs_, job.transport.get());
-  sync_ledger(job, true);
-  job.fresh = false;
+  job.born = deployments_of(*job.engine);
 }
 
 void FleetScheduler::destroy_bundle(Job& job, JobState final_state) {
@@ -383,17 +389,22 @@ void FleetScheduler::destroy_bundle(Job& job, JobState final_state) {
   if (final_state == JobState::kEvicted) job.evicted_slot = slot_;
 }
 
-void FleetScheduler::sync_ledger(Job& job, bool add) {
+void FleetScheduler::add_mirror(const Job& job,
+                                const std::vector<cluster::Deployment>& deployments) {
+  for (const cluster::Deployment& d : deployments) {
+    const std::string mirror = job.spec.name + "/" + d.name;
+    cluster_.add_deployment(mirror, d.replicas, d.spec, job.spec.name);
+    cluster_.set_pending(mirror, d.pending);
+  }
+}
+
+void FleetScheduler::sync_ledger(const Job& job) {
   for (dag::NodeId op : job.engine->dag().operators()) {
     const cluster::Deployment& d =
         job.engine->cluster().deployment(job.engine->dag().component(op).name);
     const std::string mirror = job.spec.name + "/" + d.name;
-    if (add) {
-      cluster_.add_deployment(mirror, d.replicas, d.spec, job.spec.name);
-    } else {
-      cluster_.scale_replicas(mirror, d.replicas);
-      cluster_.resize_pods(mirror, d.spec);
-    }
+    cluster_.scale_replicas(mirror, d.replicas);
+    cluster_.resize_pods(mirror, d.spec);
     cluster_.set_pending(mirror, d.pending);
   }
 }
@@ -418,7 +429,7 @@ void FleetScheduler::propagate_node_loss(faults::AppliedFleetFault& applied,
   // (Kubernetes would reschedule the last pod), and the slot-end ledger sync
   // re-places any such survivor on a healthy node.
   for (const auto& job : jobs_) {
-    if (job->state != JobState::kRunning || job->engine == nullptr) continue;
+    if (job->state != JobState::kRunning) continue;
     for (dag::NodeId op : job->engine->dag().operators()) {
       const std::string mirror =
           job->spec.name + "/" + job->engine->dag().component(op).name;
@@ -482,7 +493,7 @@ void FleetScheduler::apply_chaos() {
       case faults::FleetFaultKind::kJobCrash:
         for (const auto& job : jobs_) {
           if (job->spec.name != event.job) continue;
-          if (job->state != JobState::kRunning || job->engine == nullptr) break;
+          if (job->state != JobState::kRunning) break;
           for (dag::NodeId op : job->engine->dag().operators()) {
             const int tasks = job->engine->tasks(op);
             for (int p = 1; p < tasks; ++p) job->engine->inject_pod_failure(op);
@@ -542,7 +553,7 @@ void FleetScheduler::restore_job(Job& job) {
   // Re-mirror the bundle from engine truth (the engine kept its state while
   // parked); the next arbitration re-grants and the runner's budget
   // enforcement shrinks any over-floor remnants deterministically.
-  sync_ledger(job, true);
+  add_mirror(job, deployments_of(*job.engine));
   job.state = JobState::kRunning;
   ++job.restores;
   ++restores_;
@@ -559,14 +570,14 @@ void FleetScheduler::brownout() {
   if (!budget_limited_) return;
   // Shed while the aggregate floor cannot fit: lowest weight first, youngest
   // (highest index) among equals — the exact mirror of eviction priority,
-  // except the bundle survives to be restored.
+  // except the bundle survives to be restored.  The effective budget is never
+  // negative, so a floor above it means some job is running.
   while (floor_pods(false) > effective_budget_) {
     Job* victim = nullptr;
     for (const auto& job : jobs_) {
-      if (job->state != JobState::kRunning || job->engine == nullptr) continue;
+      if (job->state != JobState::kRunning) continue;
       if (victim == nullptr || victim->outranks(*job)) victim = job.get();
     }
-    if (victim == nullptr) break;  // nothing sheddable (no built bundles)
     park_job(*victim);
     restore_streak_ = 0;
   }
@@ -604,37 +615,33 @@ void FleetScheduler::step() {
   FleetSlot record;
   record.slot = slot_;
 
-  // Jobs step in spec-index order; each bundle owns its engine, controller,
-  // actuation, transport and RNG state, so runner->step() is independence-
-  // safe.  The shared cluster ledger is NOT: bundle construction and the
-  // ledger sync interleave with steps in job-index order, and under tight
-  // node capacity that interleaving is observable.  The pool therefore fans
-  // out only slots where the interleaving is provably the serial one — no
-  // fresh bundle to construct mid-loop and no trace registry attached (the
-  // registry is one shared scoped sink) — and every shared mutation happens
-  // at the barriers below, in job-index order.  Slots that fail the guard
-  // run the exact serial sequence, so bytes match the serial path either
-  // way, at any thread count.
+  // One task per running job builds a fresh job's bundle or refreshes its
+  // budget, then steps it; a task touches only its own bundle.  The shared
+  // ledger is not job-local, and on a node pool the order of its changes
+  // decides placement, so the barrier makes them all in job-index order: a
+  // fresh job's mirror joins at the deployments its construction left, then
+  // every mirror syncs to engine truth, the sequence one job at a time makes.
+  // A registry is one shared scoped sink, so with one the tasks run in order.
   std::vector<Job*> running;
   running.reserve(jobs_.size());
-  bool any_fresh = false;
-  for (const auto& job : jobs_) {
-    if (job->state != JobState::kRunning) continue;
-    running.push_back(job.get());
-    any_fresh = any_fresh || job->fresh;
-  }
+  for (const auto& job : jobs_)
+    if (job->state == JobState::kRunning) running.push_back(job.get());
 
-  auto prepare_job = [&](Job& job) {
-    if (job.fresh)
-      construct_bundle(job);
+  auto step_job = [&](std::size_t i) {
+    Job& job = *running[i];
+    if (obs_ != nullptr) obs_->set_scope(obs::Labels{{"job", job.spec.name}});
+    const online::Budget budget = budget_limited_
+                                      ? pods_budget(job.grant, options_.pod_price_per_hour)
+                                      : online::Budget::unlimited(options_.pod_price_per_hour);
+    if (job.runner == nullptr)
+      construct_bundle(job, budget);
     else
-      job.runner->set_budget(budget_limited_
-                                 ? pods_budget(job.grant, options_.pod_price_per_hour)
-                                 : online::Budget::unlimited(options_.pod_price_per_hour));
+      job.runner->set_budget(budget);
+    job.runner->step();
+    if (obs_ != nullptr) obs_->set_scope(obs::Labels{});
   };
 
-  auto reduce_job = [&](Job* jobp) {
-    Job* const job = jobp;
+  auto reduce_job = [&](Job* job) {
     const experiments::SlotSummary& last = job->runner->partial().slots.back();
 
     // Pressure for the next arbitration: the controller's dual (the shadow
@@ -713,25 +720,15 @@ void FleetScheduler::step() {
     record.granted_pods += job->grant;
     record.running_jobs += 1;
 
-    sync_ledger(*job, false);
+    if (!job->born.empty()) add_mirror(*job, std::exchange(job->born, {}));
+    sync_ledger(*job);
   };
 
-  parallel::TaskPool& pool = parallel::TaskPool::global();
-  const bool fan_out = obs_ == nullptr && !any_fresh && running.size() > 1 &&
-                       pool.threads() > 1 && !parallel::TaskPool::in_worker();
-  if (fan_out) {
-    for (Job* job : running) prepare_job(*job);  // budget refresh only: job-local
-    pool.for_each(running.size(), [&](std::size_t i) { running[i]->runner->step(); });
-    for (Job* job : running) reduce_job(job);  // shared mutations, job-index order
-  } else {
-    for (Job* job : running) {
-      if (obs_ != nullptr) obs_->set_scope(obs::Labels{{"job", job->spec.name}});
-      prepare_job(*job);
-      job->runner->step();
-      if (obs_ != nullptr) obs_->set_scope(obs::Labels{});
-      reduce_job(job);
-    }
-  }
+  if (obs_ == nullptr && !parallel::TaskPool::in_worker())
+    parallel::TaskPool::global().for_each(running.size(), step_job);
+  else
+    for (std::size_t i = 0; i < running.size(); ++i) step_job(i);
+  for (Job* job : running) reduce_job(job);  // the barrier: shared mutations, job-index order
   for (const auto& job : jobs_) {
     if (job->state == JobState::kQueued) record.queued_jobs += 1;
     if (job->state == JobState::kParked) record.parked_jobs += 1;

@@ -17,11 +17,12 @@
 //      running jobs online, guided by each controller's budget_pressure()
 //      (Dragster: the mean dual multiplier), and each job's runner gets its
 //      new online::Budget via set_budget().
-//   3. stepping — each running job advances one slot through the identical
-//      code path run_scenario uses; per-job obs scope labels every metric
-//      and trace event with job=<name>.
-//   4. accounting — the shared ledger is synced from every job engine, the
-//      slot's fleet aggregates (pods, spend, SLO misses, throughput) are
+//   3. stepping — one task per running job builds a fresh job's bundle or
+//      refreshes its budget, then advances it one slot through the code path
+//      run_scenario uses; per-job obs scope labels every event with job=<name>.
+//   4. accounting — at the barrier, in job-index order, a fresh job's mirror
+//      joins the shared ledger at its construction-time deployments and every
+//      mirror is synced to engine truth; the slot's fleet aggregates are
 //      recorded and published as fleet-level gauges / trace events.
 //
 // With a fault-domain model configured (FleetOptions::node_count) the slot
@@ -34,7 +35,8 @@
 // hysteresis once capacity returns.  A fault-free run never enters any of
 // these paths and stays bit-identical to the flat-ledger fleet.
 //
-// Determinism contract: jobs are stepped in spec-index order, every job's
+// Determinism contract: whatever lane steps a job, the step phase changes
+// the shared ledger only at the barrier, in spec-index order; every job's
 // engine is seeded from a counter-based substream of the fleet seed keyed on
 // the job index, and budget splitting is whole-pod integer arithmetic — so
 // same-seed fleet runs are byte-identical, and a 1-job fleet whose budget
@@ -121,11 +123,13 @@ class FleetScheduler {
 
   void admit_phase();
   void arbitrate();
-  void construct_bundle(Job& job);
+  /// Touches only the job; the deployments it leaves wait in `Job::born`.
+  void construct_bundle(Job& job, const online::Budget& budget);
   void destroy_bundle(Job& job, JobState final_state);
-  /// Mirrors the job's deployments into the shared ledger: created when
-  /// `add` (a fresh or restored bundle), else rescaled to engine truth.
-  void sync_ledger(Job& job, bool add);
+  /// Creates the job's mirror in the shared ledger from `deployments`.
+  void add_mirror(const Job& job, const std::vector<cluster::Deployment>& deployments);
+  /// Rescales the job's mirror in the shared ledger to engine truth.
+  void sync_ledger(const Job& job);
   /// Summed floors of running jobs, and of parked ones when `parked_too`.
   [[nodiscard]] long long floor_pods(bool parked_too) const;
   [[nodiscard]] bool gate_allows(const Job& job) const;

@@ -91,12 +91,9 @@ std::string ControllerSupervisor::name() const {
 void ControllerSupervisor::initialize(const streamsim::JobMonitor& monitor,
                                       streamsim::ScalingActuator& actuator) {
   inner_->initialize(monitor, actuator);
-  lkg_tasks_.clear();
-  lkg_specs_.clear();
-  for (dag::NodeId op : monitor.dag().operators()) {
-    lkg_tasks_[op] = monitor.tasks(op);
-    lkg_specs_[op] = monitor.pod_spec(op);
-  }
+  const streamsim::MonitorFrame boot = streamsim::MonitorFrame::capture(monitor);
+  lkg_tasks_ = boot.tasks;
+  lkg_specs_ = boot.specs;
   // Snapshot immediately so even a crash in the first slots can restore.
   if (options_.enable_snapshots && snapshotable_ != nullptr) take_snapshot();
 }
@@ -181,6 +178,7 @@ void ControllerSupervisor::on_slot(const streamsim::JobMonitor& monitor,
 std::optional<HealthViolation> ControllerSupervisor::validate_actions(
     const BufferedActuator& buffer, const streamsim::MonitorFrame& frame) const {
   for (const ScalingAction& action : buffer.actions()) {
+    if (!frame.dag->is_operator(action.op)) return HealthViolation::kInvalidAction;
     if (action.is_spec) {
       if (!std::isfinite(action.spec.cpu_cores) || action.spec.cpu_cores <= 0.0 ||
           !std::isfinite(action.spec.memory_gb) || action.spec.memory_gb <= 0.0)
@@ -190,8 +188,8 @@ std::optional<HealthViolation> ControllerSupervisor::validate_actions(
     }
   }
   if (options_.budget.limited()) {
-    std::map<dag::NodeId, int> tasks = frame.tasks;
-    std::map<dag::NodeId, cluster::PodSpec> specs = frame.specs;
+    std::vector<int> tasks = frame.tasks;
+    std::vector<cluster::PodSpec> specs = frame.specs;
     for (const ScalingAction& action : buffer.actions()) {
       if (action.is_spec)
         specs[action.op] = action.spec;
@@ -199,11 +197,8 @@ std::optional<HealthViolation> ControllerSupervisor::validate_actions(
         tasks[action.op] = action.tasks;
     }
     double rate = 0.0;
-    for (const auto& [op, count] : tasks) {
-      const auto it = specs.find(op);
-      const cluster::PodSpec spec = it == specs.end() ? cluster::PodSpec{} : it->second;
-      rate += static_cast<double>(count) * cluster::pod_price_per_hour(spec);
-    }
+    for (dag::NodeId op : frame.dag->operators())
+      rate += static_cast<double>(tasks[op]) * cluster::pod_price_per_hour(specs[op]);
     if (rate > options_.budget.dollars_per_hour() * (1.0 + 1e-9))
       return HealthViolation::kOverBudget;
   }
@@ -353,14 +348,10 @@ void ControllerSupervisor::reissue_last_known_good(const streamsim::MonitorFrame
                                                    streamsim::ScalingActuator& actuator) {
   // Only re-issue entries the deployment drifted away from — a redundant
   // set_tasks would still pay the checkpoint pause.
-  for (const auto& [op, tasks] : lkg_tasks_) {
-    const auto it = frame.tasks.find(op);
-    if (it == frame.tasks.end() || it->second != tasks) actuator.set_tasks(op, tasks);
-  }
-  for (const auto& [op, spec] : lkg_specs_) {
-    const auto it = frame.specs.find(op);
-    if (it == frame.specs.end() || !(it->second == spec)) actuator.set_pod_spec(op, spec);
-  }
+  for (dag::NodeId op : frame.dag->operators())
+    if (frame.tasks[op] != lkg_tasks_[op]) actuator.set_tasks(op, lkg_tasks_[op]);
+  for (dag::NodeId op : frame.dag->operators())
+    if (!(frame.specs[op] == lkg_specs_[op])) actuator.set_pod_spec(op, lkg_specs_[op]);
 }
 
 void ControllerSupervisor::adopt_actions(const BufferedActuator& buffer) {

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -87,7 +86,7 @@ enum class HealthViolation {
   kNonFiniteTarget,        ///< controller target capacities contain NaN/inf
   kDualDivergence,         ///< a dual multiplier is non-finite or above bound
   kNonFiniteObservations,  ///< the dual update skipped NaN constraint entries
-  kInvalidAction,          ///< tasks outside [1, max_tasks] or non-finite spec
+  kInvalidAction,          ///< non-operator id, tasks outside [1, max_tasks], bad spec
   kOverBudget,             ///< planned deployment exceeds the dollar budget
   kReconfigFlapping,       ///< reconfigured every slot for too long
 };
@@ -162,7 +161,7 @@ class ControllerSupervisor final : public core::Controller {
   [[nodiscard]] const core::Controller& inner() const noexcept { return *inner_; }
 
  private:
-  /// Action-level invariants: sane tasks/specs and the dollar budget.
+  /// Action-level invariants: operator ids, sane tasks/specs, the budget.
   [[nodiscard]] std::optional<HealthViolation> validate_actions(
       const BufferedActuator& buffer, const streamsim::MonitorFrame& frame) const;
   /// Full decision check: actions plus the inner controller's internals
@@ -198,8 +197,8 @@ class ControllerSupervisor final : public core::Controller {
   std::vector<streamsim::MonitorFrame> journal_;  ///< consumed since snapshot
   std::vector<streamsim::MonitorFrame> pending_;  ///< arrived during safe mode
 
-  std::map<dag::NodeId, int> lkg_tasks_;
-  std::map<dag::NodeId, cluster::PodSpec> lkg_specs_;
+  std::vector<int> lkg_tasks_;               ///< node-indexed, as in a frame
+  std::vector<cluster::PodSpec> lkg_specs_;  ///< node-indexed, as in a frame
 
   std::size_t slots_seen_ = 0;
   std::size_t slots_since_snapshot_ = 0;

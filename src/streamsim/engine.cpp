@@ -27,10 +27,12 @@ constexpr double kCheckpointAbortFraction = 0.5;
 
 MonitorFrame MonitorFrame::capture(const JobMonitor& monitor) {
   MonitorFrame frame;
-  frame.dag = monitor.dag();
+  frame.dag = &monitor.dag();
   frame.has_report = monitor.has_report();
   if (frame.has_report) frame.report = monitor.last_report();
-  for (dag::NodeId id : frame.dag.operators()) {
+  frame.tasks.resize(frame.dag->node_count());
+  frame.specs.resize(frame.dag->node_count());
+  for (dag::NodeId id : frame.dag->operators()) {
     frame.tasks[id] = monitor.tasks(id);
     frame.specs[id] = monitor.pod_spec(id);
   }
@@ -44,7 +46,7 @@ MonitorFrame MonitorFrame::capture(const JobMonitor& monitor) {
 
 // -- JobMonitor ---------------------------------------------------------------
 
-const dag::StreamDag& JobMonitor::dag() const { return engine_ ? engine_->dag() : frame_->dag; }
+const dag::StreamDag& JobMonitor::dag() const { return engine_ ? engine_->dag() : *frame_->dag; }
 
 const SlotReport& JobMonitor::last_report() const {
   if (engine_) return engine_->last_report();
@@ -56,9 +58,8 @@ bool JobMonitor::has_report() const { return engine_ ? engine_->has_report() : f
 
 int JobMonitor::tasks(dag::NodeId op) const {
   if (engine_) return engine_->tasks(op);
-  const auto it = frame_->tasks.find(op);
-  DRAGSTER_REQUIRE(it != frame_->tasks.end(), "replay frame has no task count for this node");
-  return it->second;
+  DRAGSTER_REQUIRE(frame_->dag->is_operator(op), "replay frame has no task count for this node");
+  return frame_->tasks[op];
 }
 
 std::size_t JobMonitor::slots_run() const {
@@ -87,9 +88,8 @@ double JobMonitor::pod_price_per_hour(dag::NodeId op) const {
 
 cluster::PodSpec JobMonitor::pod_spec(dag::NodeId op) const {
   if (engine_) return engine_->pod_spec(op);
-  const auto it = frame_->specs.find(op);
-  DRAGSTER_REQUIRE(it != frame_->specs.end(), "replay frame has no pod spec for this node");
-  return it->second;
+  DRAGSTER_REQUIRE(frame_->dag->is_operator(op), "replay frame has no pod spec for this node");
+  return frame_->specs[op];
 }
 
 // -- Engine -------------------------------------------------------------------

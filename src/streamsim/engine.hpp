@@ -128,14 +128,15 @@ class JobMonitor;
 /// A frozen copy of everything a JobMonitor exposes for one slot.  The
 /// resilience layer journals one frame per slot so a restarted controller can
 /// replay the observations it missed (the metrics-store analogue), and tests
-/// can feed two controllers byte-identical inputs.  Captured frames outlive
-/// the engine that produced them.
+/// can feed two controllers byte-identical inputs.  The topology is borrowed:
+/// `dag` points at the producing engine's, which never changes while the
+/// engine lives, so a frame must not outlive its engine.
 struct MonitorFrame {
-  dag::StreamDag dag;
+  const dag::StreamDag* dag = nullptr;
   SlotReport report;
   bool has_report = false;
-  std::map<dag::NodeId, int> tasks;                ///< per operator
-  std::map<dag::NodeId, cluster::PodSpec> specs;   ///< per operator
+  std::vector<int> tasks;               ///< node-indexed, set at operators
+  std::vector<cluster::PodSpec> specs;  ///< node-indexed, set at operators
   std::size_t slots_run = 0;
   double now_seconds = 0.0;
   double total_tuples = 0.0;

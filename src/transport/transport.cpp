@@ -20,7 +20,7 @@ constexpr std::size_t kStaleAfterSlots = 1;
 constexpr std::size_t kAckTimeoutSlots = 2;
 
 /// Serializes one MonitorFrame's observation state (everything except the
-/// structural dag, which is rebuilt from the live engine on load).  These are
+/// borrowed dag, which load points at the attached engine's).  These are
 /// free helpers — not save_state/load_state members — because the key set is
 /// shared between the latest-frame and per-in-flight-message sections.
 void save_frame(resilience::SnapshotWriter& writer, const std::string& section,
@@ -33,23 +33,19 @@ void save_frame(resilience::SnapshotWriter& writer, const std::string& section,
   writer.field("total_cost", frame.total_cost);
   writer.field("max_tasks", static_cast<std::int64_t>(frame.max_tasks));
 
-  std::vector<int> task_ops;
+  std::vector<int> ops;
   std::vector<int> task_counts;
-  for (const auto& [op, count] : frame.tasks) {
-    task_ops.push_back(static_cast<int>(op));
-    task_counts.push_back(count);
-  }
-  writer.field("task_ops", std::span<const int>(task_ops));
-  writer.field("task_counts", std::span<const int>(task_counts));
-  std::vector<int> spec_ops;
   std::vector<double> spec_cpu;
   std::vector<double> spec_mem;
-  for (const auto& [op, spec] : frame.specs) {
-    spec_ops.push_back(static_cast<int>(op));
-    spec_cpu.push_back(spec.cpu_cores);
-    spec_mem.push_back(spec.memory_gb);
+  for (dag::NodeId op : frame.dag->operators()) {
+    ops.push_back(static_cast<int>(op));
+    task_counts.push_back(frame.tasks[op]);
+    spec_cpu.push_back(frame.specs[op].cpu_cores);
+    spec_mem.push_back(frame.specs[op].memory_gb);
   }
-  writer.field("spec_ops", std::span<const int>(spec_ops));
+  writer.field("task_ops", std::span<const int>(ops));
+  writer.field("task_counts", std::span<const int>(task_counts));
+  writer.field("spec_ops", std::span<const int>(ops));
   writer.field("spec_cpu", std::span<const double>(spec_cpu));
   writer.field("spec_mem", std::span<const double>(spec_mem));
 
@@ -117,16 +113,19 @@ void save_frame(resilience::SnapshotWriter& writer, const std::string& section,
   writer.field("series_v", std::span<const double>(series_v));
 }
 
-bool is_operator(const dag::StreamDag& dag, std::uint64_t id) {
-  return id < dag.node_count() &&
-         dag.component(static_cast<dag::NodeId>(id)).kind == dag::ComponentKind::kOperator;
-}
-
 /// Operator ids a snapshot names must be operators of the job's dag.
 void require_operators(const dag::StreamDag& dag, const std::vector<int>& ids) {
   for (int id : ids)
-    DRAGSTER_REQUIRE(id >= 0 && is_operator(dag, static_cast<std::uint64_t>(id)),
+    DRAGSTER_REQUIRE(id >= 0 && dag.is_operator(static_cast<dag::NodeId>(id)),
                      "snapshot names an id that is not an operator of the topology");
+}
+
+/// A frame's node-indexed tasks and specs are read at every operator, so its
+/// snapshot must list each one.
+void require_every_operator(const dag::StreamDag& dag, const std::vector<int>& ids) {
+  require_operators(dag, ids);
+  DRAGSTER_REQUIRE(std::set<int>(ids.begin(), ids.end()).size() == dag.operators().size(),
+                   "frame does not list every operator of the topology");
 }
 
 [[nodiscard]] streamsim::MonitorFrame load_frame(resilience::SnapshotReader& reader,
@@ -134,7 +133,7 @@ void require_operators(const dag::StreamDag& dag, const std::vector<int>& ids) {
                                                  const dag::StreamDag& dag) {
   reader.enter_section(section);
   streamsim::MonitorFrame frame;
-  frame.dag = dag;
+  frame.dag = &dag;
   frame.has_report = reader.get_uint("has_report") != 0;
   frame.slots_run = static_cast<std::size_t>(reader.get_uint("slots_run"));
   frame.now_seconds = reader.get_double("now_seconds");
@@ -145,7 +144,8 @@ void require_operators(const dag::StreamDag& dag, const std::vector<int>& ids) {
   const std::vector<int> task_ops = reader.get_ints("task_ops");
   const std::vector<int> task_counts = reader.get_ints("task_counts");
   DRAGSTER_REQUIRE(task_ops.size() == task_counts.size(), "frame task vectors disagree");
-  require_operators(dag, task_ops);
+  require_every_operator(dag, task_ops);
+  frame.tasks.resize(dag.node_count());
   for (std::size_t i = 0; i < task_ops.size(); ++i)
     frame.tasks[static_cast<dag::NodeId>(task_ops[i])] = task_counts[i];
   const std::vector<int> spec_ops = reader.get_ints("spec_ops");
@@ -153,7 +153,8 @@ void require_operators(const dag::StreamDag& dag, const std::vector<int>& ids) {
   const std::vector<double> spec_mem = reader.get_doubles("spec_mem");
   DRAGSTER_REQUIRE(spec_ops.size() == spec_cpu.size() && spec_ops.size() == spec_mem.size(),
                    "frame spec vectors disagree");
-  require_operators(dag, spec_ops);
+  require_every_operator(dag, spec_ops);
+  frame.specs.resize(dag.node_count());
   for (std::size_t i = 0; i < spec_ops.size(); ++i)
     frame.specs[static_cast<dag::NodeId>(spec_ops[i])] =
         cluster::PodSpec{spec_cpu[i], spec_mem[i]};
@@ -487,7 +488,7 @@ void CommandLink::enqueue(dag::NodeId op, bool is_spec, int tasks,
                    "command link used before bind()");
   // Checked here, not on delivery: a copy for a source would otherwise throw
   // slots later, inside begin_slot, from the downstream actuator.
-  DRAGSTER_REQUIRE(is_operator(*dag_, op),
+  DRAGSTER_REQUIRE(dag_->is_operator(op),
                    "command names node " + std::to_string(op) + ", which is not an operator");
   ++stats_->commands_sent;
   // A newer command for the same operator supersedes any unacked older one:
@@ -735,7 +736,7 @@ void CommandLink::load_state(resilience::SnapshotReader& reader) {
     const std::uint64_t seq = reader.get_uint("seq");
     Pending pending;
     const std::uint64_t op = reader.get_uint("op");
-    DRAGSTER_REQUIRE(is_operator(dag, op),
+    DRAGSTER_REQUIRE(dag.is_operator(op),
                      "snapshot names an id that is not an operator of the topology");
     pending.op = static_cast<dag::NodeId>(op);
     pending.is_spec = reader.get_uint("is_spec") != 0;

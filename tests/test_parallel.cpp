@@ -26,6 +26,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "parallel/task_pool.hpp"
+#include "resilience/snapshot.hpp"
 #include "resilience/supervisor.hpp"
 #include "streamsim/engine.hpp"
 #include "workloads/workloads.hpp"
@@ -274,6 +275,90 @@ TEST(ThreadInvariance, HundredJobFleetIsBitIdenticalAtOneTwoEightThreads) {
     parallel::TaskPool::set_global_threads(threads);
     const fleet::FleetResult parallel_run = run_hundred_job_fleet();
     expect_fleet_identical(serial, parallel_run);
+  }
+}
+
+struct StaggeredRun {
+  fleet::FleetResult result;
+  std::uint64_t ledger_hash = 0;  ///< FNV-1a over the shared ledger after every slot
+};
+
+/// Appends the shared ledger as text: every deployment's name, replicas,
+/// pending pods and placement, then every node's load.
+void append_ledger(const cluster::Cluster& ledger, std::string& out) {
+  for (const std::string& name : ledger.deployment_names()) {
+    const cluster::Deployment& d = ledger.deployment(name);
+    out += name + ' ' + std::to_string(d.replicas) + ' ' + std::to_string(d.pending) + ':';
+    for (int node : d.placement) out += ' ' + std::to_string(node);
+    out += '\n';
+  }
+  for (int k = 0; k < ledger.node_count(); ++k) out += std::to_string(ledger.node(k).used) + ' ';
+  out += '\n';
+}
+
+/// 24 jobs of the whole suite (the two-operator Window and WordCount
+/// included) arriving over slots 0-4 onto a pool of 4-pod nodes, with a
+/// budget four pods short of every floor: most slots admit a job, some
+/// evict one, and a node crash at slot 5 forces brownout.  Under that
+/// squeeze the order of the shared ledger's changes decides which node each
+/// pod lands on, so the ledger hash pins the order.
+StaggeredRun run_staggered_node_pool_fleet() {
+  constexpr std::size_t kJobs = 24;
+  const std::vector<workloads::WorkloadSpec> suite = workloads::nexmark_suite();
+  std::vector<fleet::JobSpec> specs;
+  long long floors = 0;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    fleet::JobSpec spec;
+    spec.name = "job-" + std::to_string(i);
+    spec.workload = suite[i % suite.size()];
+    spec.high_rate = false;
+    spec.controller = i % 4 == 3 ? "DS2" : "Dragster";
+    spec.weight = 1.0 + static_cast<double>(i % 3);
+    spec.arrival_slot = (i * 7) % 5;
+    spec.slo.max_latency_s = 30.0;
+    spec.engine.slot_duration_s = 60.0;
+    spec.engine.sample_interval_s = 60.0;
+    floors += spec.floor_pods();
+    specs.push_back(std::move(spec));
+  }
+  fleet::FleetOptions options;
+  options.slots = 8;
+  options.budget_pods = static_cast<int>(floors) - 4;
+  options.arbiter.mode = fleet::ArbiterMode::kPressure;
+  options.allow_eviction = true;
+  options.node_capacity = 4;
+  options.node_count = options.budget_pods / options.node_capacity + 1;
+  options.chaos = "nodecrash@5*1";
+  options.seed = 7;
+  fleet::FleetScheduler scheduler(std::move(specs), options);
+  std::string ledger;
+  for (std::size_t t = 0; t < options.slots; ++t) {
+    scheduler.step();
+    append_ledger(scheduler.shared_cluster(), ledger);
+  }
+  StaggeredRun run;
+  run.result = scheduler.finish();
+  run.ledger_hash = resilience::fnv1a64(ledger);
+  return run;
+}
+
+TEST(ThreadInvariance, StaggeredNodePoolFleetIsBitIdenticalAtOneTwoEightThreads) {
+  // Admission slots step through the pool like every other slot; a fresh
+  // job's mirror joins the ledger at the barrier, after the previous job's
+  // sync and at its construction-time deployments, which is the order one
+  // job at a time makes.  The pinned hash is that order's placement.
+  GlobalThreadsGuard guard;
+  parallel::TaskPool::set_global_threads(1);
+  const StaggeredRun serial = run_staggered_node_pool_fleet();
+  EXPECT_GT(serial.result.evictions, 0u);
+  EXPECT_GT(serial.result.rejections, 0u);
+  EXPECT_EQ(serial.ledger_hash, 0x3b774d4506c6148bULL);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    parallel::TaskPool::set_global_threads(threads);
+    const StaggeredRun parallel_run = run_staggered_node_pool_fleet();
+    expect_fleet_identical(serial.result, parallel_run.result);
+    EXPECT_EQ(serial.ledger_hash, parallel_run.ledger_hash);
   }
 }
 

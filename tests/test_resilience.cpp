@@ -477,6 +477,83 @@ TEST(Supervisor, ColdRestartPathWhenSnapshotsDisabled) {
   EXPECT_EQ(supervised.state(), SupervisorState::kHealthy);
 }
 
+/// Issues one fixed action every slot: a decision the supervisor must reject.
+struct OneActionController final : core::Controller {
+  explicit OneActionController(ScalingAction issued) : action(issued) {}
+  [[nodiscard]] std::string name() const override { return "OneAction"; }
+  void on_slot(const streamsim::JobMonitor& /*monitor*/,
+               streamsim::ScalingActuator& actuator) override {
+    if (action.is_spec)
+      actuator.set_pod_spec(action.op, action.spec);
+    else
+      actuator.set_tasks(action.op, action.tasks);
+  }
+  ScalingAction action;
+};
+
+TEST(Supervisor, InvalidActionsTripSafeModeAndLeaveTheEngine) {
+  const auto spec = workloads::wordcount();
+  const streamsim::EngineOptions engine_options;
+  const dag::NodeId map = *spec.dag.find("map");
+  std::vector<ScalingAction> invalid(4);
+  invalid[0].op = map;
+  invalid[0].tasks = 0;
+  invalid[1].op = map;
+  invalid[1].tasks = engine_options.max_tasks + 1;
+  invalid[2].op = map;
+  invalid[2].is_spec = true;
+  invalid[2].spec.cpu_cores = std::numeric_limits<double>::quiet_NaN();
+  invalid[3].op = spec.dag.sources().front();
+  invalid[3].tasks = 2;
+  for (std::size_t i = 0; i < invalid.size(); ++i) {
+    SCOPED_TRACE("invalid action " + std::to_string(i));
+    streamsim::Engine engine = spec.make_engine(true, engine_options, 9);
+    ControllerSupervisor supervised(std::make_unique<OneActionController>(invalid[i]),
+                                    SupervisorOptions{});
+    supervised.initialize(engine.monitor(), engine);
+    std::vector<int> tasks_before;
+    std::vector<cluster::PodSpec> specs_before;
+    for (dag::NodeId op : engine.dag().operators()) {
+      tasks_before.push_back(engine.tasks(op));
+      specs_before.push_back(engine.pod_spec(op));
+    }
+    engine.run_slot();
+    supervised.on_slot(engine.monitor(), engine);
+    EXPECT_EQ(supervised.state(), SupervisorState::kSafeMode);
+    ASSERT_EQ(supervised.stats().trip_log.size(), 1u);
+    EXPECT_EQ(supervised.stats().trip_log[0], "slot 1: invalid-action");
+    for (std::size_t k = 0; k < engine.dag().operators().size(); ++k) {
+      const dag::NodeId op = engine.dag().operators()[k];
+      EXPECT_EQ(engine.tasks(op), tasks_before[k]);
+      EXPECT_EQ(engine.pod_spec(op), specs_before[k]);
+    }
+  }
+}
+
+TEST(Supervisor, FrameBackedMonitorReadsEveryOperatorAndRejectsOtherIds) {
+  const auto spec = workloads::wordcount();
+  streamsim::Engine engine = spec.make_engine(true, streamsim::EngineOptions{}, 4);
+  const dag::StreamDag& dag = engine.dag();
+  engine.set_tasks(dag.operators().front(), 3);
+  engine.set_pod_spec(dag.operators().back(), cluster::PodSpec{2.0, 4.0});
+  engine.run_slot();
+  const streamsim::JobMonitor live = engine.monitor();
+  const streamsim::MonitorFrame frame = streamsim::MonitorFrame::capture(live);
+  const streamsim::JobMonitor replay(frame);
+  EXPECT_EQ(&replay.dag(), &dag);  // borrowed, not copied
+  for (dag::NodeId op : dag.operators()) {
+    EXPECT_EQ(replay.tasks(op), live.tasks(op));
+    EXPECT_EQ(replay.pod_spec(op), live.pod_spec(op));
+  }
+  EXPECT_EQ(replay.tasks(dag.operators().front()), 3);
+  EXPECT_EQ(replay.pod_spec(dag.operators().back()), (cluster::PodSpec{2.0, 4.0}));
+  for (dag::NodeId id : {dag.sources().front(), dag.sink(), dag.node_count()}) {
+    SCOPED_TRACE("node " + std::to_string(id));
+    EXPECT_THROW((void)replay.tasks(id), Error);
+    EXPECT_THROW((void)replay.pod_spec(id), Error);
+  }
+}
+
 TEST(Supervisor, NameWrapsInnerController) {
   ControllerSupervisor supervised(
       std::make_unique<core::DragsterController>(core::DragsterOptions{}),

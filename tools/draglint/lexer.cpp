@@ -129,7 +129,8 @@ LexedFile lex(const std::string& path, const std::string& text) {
     // string, and treating it as one used to swallow everything up to the
     // next `(` in the file, hiding real findings behind a phantom literal.
     if (c == 'R' || ((c == 'u' || c == 'U' || c == 'L') && i + 1 < n &&
-                     (text[i + 1] == 'R' || (text[i + 1] == '8' && i + 2 < n && text[i + 2] == 'R')))) {
+                     (text[i + 1] == 'R' ||
+                      (text[i + 1] == '8' && i + 2 < n && text[i + 2] == 'R')))) {
       std::size_t r = i;
       while (r < n && text[r] != 'R' && r - i < 3) ++r;
       if (r < n && text[r] == 'R' && r + 1 < n && text[r + 1] == '"') {
@@ -144,7 +145,8 @@ LexedFile lex(const std::string& path, const std::string& text) {
           const bool preproc = in_preproc;
           for (std::size_t k = i; k < stop; ++k)
             if (text[k] == '\n') newline();
-          file.tokens.push_back({TokenKind::kString, text.substr(i, stop - i), start_line, preproc});
+          file.tokens.push_back(
+              {TokenKind::kString, text.substr(i, stop - i), start_line, preproc});
           line_has_code = true;
           i = stop;
           continue;
